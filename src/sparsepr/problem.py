@@ -306,8 +306,13 @@ def build_pagerank_quadratic(instance):
 
 def pagerank_upper_bounds(instance):
     """Per-coordinate gradient caps alpha*rho*sqrt(d_i) that a full PageRank
-    optimizer must satisfy on its zero coordinates."""
-    return instance.alpha * instance.rho * np.sqrt(instance.graph.degrees.astype(float))
+    optimizer must satisfy on its zero coordinates.
+
+    Rounded as alpha*(rho*sqrt(d_i)), the same association as the term of b,
+    so an unseeded zero coordinate whose gradient is exactly -b_i meets its
+    cap bit-exactly instead of rounding one ulp above it."""
+    sqrt_d = np.sqrt(instance.graph.degrees.astype(float))
+    return instance.alpha * (instance.rho * sqrt_d)
 
 
 def negative_tolerance(q, scale=1e-12):

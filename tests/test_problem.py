@@ -19,7 +19,8 @@ from sparsepr import (
     validate_m_matrix,
     volume,
 )
-from sparsepr.oracle import random_m_matrix
+from sparsepr.oracle import random_graph_instance, random_m_matrix
+from sparsepr.solvers import cdpr
 
 from conftest import assert_close, two_node_instance
 
@@ -195,6 +196,30 @@ class TestCheckOptimality:
     def test_negative_x_rejected(self, two_node):
         with pytest.raises(ValueError):
             check_optimality(two_node, np.array([-0.1, 0.0]))
+
+    @staticmethod
+    def _grid(side, seed_node):
+        return random_graph_instance("grid", {
+            "rows": side, "cols": side, "alpha": 0.1, "rho": 1e-3,
+            "seed_node": seed_node}, 0)
+
+    def test_no_cap_witness_at_origin(self):
+        # off the seed the gradient at x=0 is -b_i = alpha*(rho*sqrt(d_i));
+        # the cap must round the same way, or the degree-2 corners trip it
+        inst = self._grid(5, 12)
+        q = build_pagerank_quadratic(inst)
+        cap = pagerank_upper_bounds(inst)
+        off = np.arange(q.n) != 12
+        assert np.array_equal(-q.b[off], cap[off])
+        rep = check_optimality(q, np.zeros(q.n), pagerank_box=cap)
+        assert rep.upper_box_violations == []
+
+    def test_no_cap_witness_at_exact_optimum(self):
+        inst = self._grid(20, 210)
+        q = build_pagerank_quadratic(inst)
+        rep = check_optimality(q, cdpr(q).x,
+                               pagerank_box=pagerank_upper_bounds(inst))
+        assert rep.upper_box_violations == []
 
 
 class TestVolumes:
