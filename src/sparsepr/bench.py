@@ -18,19 +18,14 @@ import numpy as np
 
 from .oracle import random_graph_instance
 from .problem import build_pagerank_quadratic, internal_volume, volume
-from .solvers import aspr, cdpr, ista_baseline
+from .solvers import solve
 
-__all__ = ["RunRecord", "CSV_HEADER", "BENCH_FAMILIES", "SOLVER_TOKENS",
-           "run_cell", "bench_grid", "predictor_comment"]
+__all__ = ["RunRecord", "CSV_HEADER", "run_cell", "bench_grid",
+           "predictor_comment"]
 
 CSV_HEADER = ("family,n,alpha,rho,solver,variant,stages,inner_iters,"
               "nnz_touched,full_gradients,support_size,vol_supp,ivol_supp,"
               "gap,wall_ns")
-
-BENCH_FAMILIES = ("grid", "sbm", "star", "path", "cycle")
-
-# solver tokens accepted by --solvers; aspr carries its variant after a colon
-SOLVER_TOKENS = ("ista", "cdpr", "aspr", "aspr:early", "aspr:constraints")
 
 
 @dataclasses.dataclass
@@ -94,25 +89,16 @@ def run_cell(family, size, alpha, rho, solver_token, seed, eps=1e-6,
     inst = random_graph_instance(family, p, seed)
     q = build_pagerank_quadratic(inst)
 
-    name, _, variant = solver_token.partition(":")
-    variant = variant or "plain"
     t0 = time.perf_counter_ns()
-    if name == "cdpr":
-        sol = cdpr(q, tol_neg=tol_neg)
-    elif name == "ista":
-        sol = ista_baseline(q, eps, tol_neg=tol_neg)
-    elif name == "aspr":
-        sol = aspr(q, eps, variant=variant, tol_neg=tol_neg)
-    else:
-        raise ValueError("unknown solver token %r (choose from %s)"
-                         % (solver_token, ", ".join(SOLVER_TOKENS)))
+    sol = solve(q, solver_token, eps, tol_neg)
     wall = time.perf_counter_ns() - t0
+    name, _, variant = solver_token.partition(":")
 
     supp = sol.support
     gap = 0.0 if sol.gap_bound == "exact" else float(sol.gap_bound)
     return RunRecord(
         family=family, n=q.n, alpha=float(alpha), rho=float(rho),
-        solver=name, variant=variant,
+        solver=name, variant=variant or "plain",
         stages=sol.counters.stages, inner_iters=sol.counters.inner_iters,
         nnz_touched=sol.counters.nnz_touched,
         full_gradients=sol.counters.full_gradients,

@@ -16,12 +16,12 @@ import argparse
 import json
 import sys
 
-from .bench import CSV_HEADER, SOLVER_TOKENS, bench_grid, predictor_comment
+from .bench import CSV_HEADER, bench_grid, predictor_comment
 from .graph_io import FORMATS, GraphFormatError, load_distribution, load_graph
-from .oracle import OracleError
+from .oracle import GRAPH_KINDS, OracleError
 from .problem import (PageRankInstance, build_pagerank_quadratic,
                       check_optimality, pagerank_upper_bounds)
-from .solvers import SolverError, aspr, cdpr, ista_baseline
+from .solvers import SOLVER_TOKENS, SolverError, solve
 from .suites import SUITE_NAMES, run_suites
 
 __all__ = ["main", "build_parser"]
@@ -73,8 +73,7 @@ def build_parser():
     pv.set_defaults(func=cmd_verify)
 
     pb = sub.add_parser("bench", help="sweep solvers over an instance grid, emit CSV")
-    pb.add_argument("--family", choices=("grid", "sbm", "star", "path", "cycle"),
-                    required=True)
+    pb.add_argument("--family", choices=GRAPH_KINDS, required=True)
     pb.add_argument("--sizes", type=_int_list, required=True,
                     help="comma-separated sizes (grid: side length)")
     pb.add_argument("--alphas", type=_float_list, required=True)
@@ -89,8 +88,7 @@ def build_parser():
 
 
 def cmd_solve(args):
-    if args.variant is not None and args.solver != "aspr":
-        raise ValueError("--variant only applies to the aspr solver")
+    token = args.solver + (":" + args.variant if args.variant else "")
     graph = load_graph(args.graph, fmt=args.format)
     if args.dist is not None:
         s = load_distribution(args.dist, graph.n)
@@ -98,16 +96,7 @@ def cmd_solve(args):
         s = args.seed_node
     inst = PageRankInstance(graph, args.alpha, args.rho, s)
     q = build_pagerank_quadratic(inst)
-    if args.solver == "cdpr":
-        sol = cdpr(q, tol_neg=args.tolneg)
-        token = "cdpr"
-    elif args.solver == "ista":
-        sol = ista_baseline(q, args.eps, tol_neg=args.tolneg)
-        token = "ista"
-    else:
-        variant = args.variant or "plain"
-        sol = aspr(q, args.eps, variant=variant, tol_neg=args.tolneg)
-        token = "aspr" if variant == "plain" else "aspr:" + variant
+    sol = solve(q, token, args.eps, args.tolneg)
     report = check_optimality(q, sol.x, pagerank_box=pagerank_upper_bounds(inst))
     out = {
         "solver": token,
@@ -153,10 +142,6 @@ def cmd_bench(args):
     if not args.sizes or not args.alphas or not args.rhos:
         raise ValueError("--sizes, --alphas and --rhos must be nonempty")
     solvers = [tok for tok in args.solvers.split(",") if tok]
-    for tok in solvers:
-        if tok not in SOLVER_TOKENS:
-            raise ValueError("unknown solver token %r (choose from %s)"
-                             % (tok, ", ".join(SOLVER_TOKENS)))
     records = list(bench_grid([args.family], args.sizes, args.alphas,
                               args.rhos, solvers, args.seed,
                               repeat=args.repeat, eps=args.eps))

@@ -21,6 +21,7 @@ from .problem import (
     PageRankInstance,
     build_pagerank_quadratic,
     objective,
+    restrict,
 )
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "verify_geometry",
     "random_m_matrix",
     "random_graph_instance",
+    "GRAPH_KINDS",
 ]
 
 ENUMERATE_MAX_N = 16
@@ -175,19 +177,9 @@ def dense_solve_projected(q, gap=1e-12, max_iter=None):
     )
 
 
-def _restrict(q, S):
-    S = np.asarray(S, dtype=np.int64)
-    Qs = q.Q[S][:, S].tocsr()
-    return MQuadratic(Qs, q.b[S], q.alpha, q.L, validate=False)
-
-
 def subspace_solve(q, S, gap=1e-12):
-    """Minimizer over {x >= 0, x_i = 0 off S}, embedded back into R^n.
-
-    Principal submatrices of an SPD M-matrix keep the M-matrix structure and
-    only tighten the spectral bounds, so the restricted problem is solved
-    with the same oracles and (alpha, L).
-    """
+    """Minimizer over {x >= 0, x_i = 0 off S}, embedded back into R^n,
+    found by the dense oracles on the principal restriction to S."""
     S = np.unique(np.asarray(S, dtype=np.int64))
     n = q.n
     if S.size and (S[0] < 0 or S[-1] >= n):
@@ -195,7 +187,7 @@ def subspace_solve(q, S, gap=1e-12):
     x = np.zeros(n)
     if S.size == 0:
         return _finish(q, x)
-    sub = _restrict(q, S)
+    sub = restrict(q, S)
     if S.size <= ENUMERATE_MAX_N:
         sol = dense_solve_enumerate(sub)
     else:
@@ -291,7 +283,7 @@ def verify_geometry(q, S, x0, x_star=None, grad_tol=None):
     return GeometryReport(ok, checks, messages, xc)
 
 
-def random_m_matrix(n, density, seed, target_kappa=None, b_scale=1.0):
+def random_m_matrix(n, density, seed, target_kappa=None):
     """Random SPD M-matrix quadratic with mixed-sign linear term.
 
     Off-diagonal entries are -Uniform(0,1) on a symmetric Bernoulli(density)
@@ -311,7 +303,7 @@ def random_m_matrix(n, density, seed, target_kappa=None, b_scale=1.0):
     if target_kappa == 1:
         c = rng.uniform(0.5, 1.5)
         Q = sp.identity(n, format="csr") * c
-        b = b_scale * rng.uniform(-1.0, 1.0, size=n)
+        b = rng.uniform(-1.0, 1.0, size=n)
         return MQuadratic(Q, b, alpha=c, L=c, validate=False)
 
     iu, ju = np.triu_indices(n, k=1)
@@ -342,11 +334,11 @@ def random_m_matrix(n, density, seed, target_kappa=None, b_scale=1.0):
             raise ValueError("target_kappa needs n <= 64")
         lo = float(np.min(diag - absrow))  # Gershgorin
         hi = float(np.max(diag + absrow))
-    b = b_scale * rng.uniform(-1.0, 1.0, size=n)
+    b = rng.uniform(-1.0, 1.0, size=n)
     return MQuadratic(Q, b, alpha=lo, L=hi, validate=False)
 
 
-_GRAPH_KINDS = ("path", "cycle", "grid", "star", "sbm")
+GRAPH_KINDS = ("path", "cycle", "grid", "star", "sbm")
 
 
 def _build_graph(kind, params, rng):
@@ -387,7 +379,7 @@ def _build_graph(kind, params, rng):
             except ValueError:
                 continue
         raise OracleError("could not draw a connected stochastic block model")
-    raise ValueError("unknown graph kind %r (choose from %s)" % (kind, ", ".join(_GRAPH_KINDS)))
+    raise ValueError("unknown graph kind %r (choose from %s)" % (kind, ", ".join(GRAPH_KINDS)))
 
 
 def random_graph_instance(kind, params, seed,

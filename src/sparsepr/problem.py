@@ -32,6 +32,7 @@ __all__ = [
     "MatrixValidation",
     "build_pagerank_quadratic",
     "pagerank_upper_bounds",
+    "restrict",
     "gradient",
     "objective",
     "check_optimality",
@@ -315,14 +316,24 @@ def pagerank_upper_bounds(instance):
     return instance.alpha * (instance.rho * sqrt_d)
 
 
-def negative_tolerance(q, scale=1e-12):
+def restrict(q, S):
+    """The principal restriction of q to the sorted index set S.
+
+    Principal submatrices of an SPD M-matrix keep the M-matrix structure and
+    only tighten the spectral bounds, so the restriction keeps (alpha, L).
+    """
+    S = np.asarray(S, dtype=np.int64)
+    return MQuadratic(q.Q[S][:, S], q.b[S], q.alpha, q.L, validate=False)
+
+
+def negative_tolerance(q):
     """Default threshold below which a gradient entry counts as negative.
 
     Strict sign tests only make sense in exact arithmetic; this scales a tiny
     relative tolerance by the problem's natural gradient magnitude L*max|b|.
     """
     nb = float(np.max(np.abs(q.b))) if q.n else 0.0
-    return scale * q.L * nb
+    return 1e-12 * q.L * nb
 
 
 def _segment_row_products(q, rows, x):

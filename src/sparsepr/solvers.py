@@ -31,9 +31,9 @@ import math
 import numpy as np
 
 from .problem import (
-    check_optimality,
     gradient,
     negative_tolerance,
+    restrict,
     _segment_row_products,
 )
 
@@ -41,7 +41,6 @@ __all__ = [
     "SolverError",
     "Counters",
     "Solution",
-    "SupportState",
     "ConjugateBasis",
     "select_pivot",
     "pgd",
@@ -50,9 +49,14 @@ __all__ = [
     "cdpr",
     "aspr",
     "ASPR_VARIANTS",
+    "SOLVER_TOKENS",
+    "solve",
 ]
 
 ASPR_VARIANTS = ("plain", "early", "constraints")
+
+# solver tokens accepted by solve(); aspr carries its variant after a colon
+SOLVER_TOKENS = ("ista", "cdpr", "aspr", "aspr:early", "aspr:constraints")
 
 
 class SolverError(RuntimeError):
@@ -83,35 +87,14 @@ class Counters:
 @dataclasses.dataclass
 class Solution:
     """Solver output: the iterate, its support, the certified gap bound
-    ("exact" for the conjugate solver), first-order diagnostics, work
-    counters, and every coordinate the solver ever made positive."""
+    ("exact" for the conjugate solver), work counters, and every coordinate
+    the solver ever made positive."""
 
     x: np.ndarray
     support: np.ndarray
     gap_bound: object
-    report: object
     counters: Counters
     ever_positive: np.ndarray
-
-
-@dataclasses.dataclass
-class SupportState:
-    """Working set bookkeeping: membership mask plus per-stage history."""
-
-    member: np.ndarray
-    history: list
-
-    @classmethod
-    def empty(cls, n):
-        return cls(np.zeros(n, dtype=bool), [])
-
-    @property
-    def indices(self):
-        return np.flatnonzero(self.member)
-
-    def add(self, coords):
-        self.member[coords] = True
-        self.history.append(self.indices)
 
 
 @dataclasses.dataclass
@@ -122,7 +105,6 @@ class ConjugateBasis:
     idx: list = dataclasses.field(default_factory=list)
     vals: list = dataclasses.field(default_factory=list)
     normalized: list = dataclasses.field(default_factory=list)
-    curvatures: list = dataclasses.field(default_factory=list)
 
     def __len__(self):
         return len(self.idx)
@@ -131,7 +113,6 @@ class ConjugateBasis:
         self.idx.append(idx)
         self.vals.append(vals)
         self.normalized.append(vals / curvature)
-        self.curvatures.append(curvature)
 
 
 def select_pivot(candidates, grads):
@@ -177,28 +158,9 @@ def pgd(q, S, x0, T, counters=None, monitor=None):
     return x
 
 
-class _Restriction:
-    """Row/column restriction of q to a sorted index set, with the
-    restricted-gradient cost model."""
-
-    def __init__(self, q, S):
-        self.q = q
-        self.S = S
-        self.Qss = q.Q[S][:, S].tocsr()
-        self.bs = q.b[S]
-        self.col_nnz = np.diff(self.Qss.indptr)
-
-    def grad(self, xs, counters):
-        if counters is not None:
-            counters.restricted_gradients += 1
-            counters.nnz_touched += int(self.col_nnz[xs != 0].sum())
-        return self.Qss @ xs - self.bs
-
-
 @dataclasses.dataclass
 class _InnerResult:
     y: np.ndarray
-    iters: int
     aborted: bool = False
     abort_x: np.ndarray = None
     abort_grad_full: np.ndarray = None
@@ -209,12 +171,12 @@ def _coeff_growth(kappa):
     return 2.0 * kappa / (2.0 * kappa + 1.0 - math.sqrt(1.0 + 4.0 * kappa))
 
 
-def _apgd_loop(q, rest, x0s, T, counters, lower=None, monitor=None,
-               full_every=0, member=None, tol_neg=0.0, mono_tol=0.0,
-               observe=None):
-    """Accelerated projected gradient on a restriction.
+def _apgd_loop(q, S, x0s, T, counters, lower=None, monitor=None,
+               full_every=0, member=None, tol_neg=0.0, mono_tol=0.0):
+    """Accelerated projected gradient on the restriction of q to S.
 
-    ``lower`` (same length as the restriction) turns the clamp into
+    A restricted gradient is charged the nonzeros of the columns of Q[S, S]
+    in supp(x_S).  ``lower`` (same length as S) turns the clamp into
     max(lower, .) and is raised in place whenever an iterate is observed
     with nonpositive restricted gradient.  ``full_every`` > 0 swaps every
     full_every-th restricted gradient for a full one; if that full gradient
@@ -224,32 +186,32 @@ def _apgd_loop(q, rest, x0s, T, counters, lower=None, monitor=None,
     kappa = q.kappa
     alpha = q.alpha
     growth = _coeff_growth(kappa)
+    sub = restrict(q, S)
+    col_nnz = np.diff(sub.Q.indptr)
     y = x0s.copy()
     z = x0s.copy()
     A, a = 0.0, 1.0
-    observed = False
     for t in range(T):
         A1 = A + a
         x_in = (A / A1) * y + (a / A1) * z
         g_full = None
         if full_every and (t + 1) % full_every == 0:
             xg = np.zeros(q.n)
-            xg[rest.S] = x_in
+            xg[S] = x_in
             g_full = gradient(q, xg, counters=counters)
-            gs = g_full[rest.S]
+            gs = g_full[S]
         else:
-            gs = rest.grad(x_in, counters)
+            counters.restricted_gradients += 1
+            counters.nnz_touched += int(col_nnz[x_in != 0].sum())
+            gs = sub.Q @ x_in - sub.b
         nonpos_on_set = bool((gs <= mono_tol).all())
         if lower is not None and nonpos_on_set:
             np.maximum(lower, x_in, out=lower)
-            if observe is not None and not observed:
-                observed = True
-                observe(x_in.copy())
         if g_full is not None and nonpos_on_set:
             fresh = np.flatnonzero((g_full < -tol_neg) & ~member)
             if fresh.size:
                 counters.inner_iters += 1
-                return _InnerResult(y, t + 1, aborted=True, abort_x=x_in,
+                return _InnerResult(y, aborted=True, abort_x=x_in,
                                     abort_grad_full=g_full, fresh=fresh)
         znew = ((kappa - 1.0 + A) / (kappa - 1.0 + A1)) * z \
             + (a / (kappa - 1.0 + A1)) * (x_in - gs / alpha)
@@ -270,7 +232,7 @@ def _apgd_loop(q, rest, x0s, T, counters, lower=None, monitor=None,
         counters.inner_iters += 1
         if monitor is not None:
             monitor(t, y)
-    return _InnerResult(y, T)
+    return _InnerResult(y)
 
 
 def apgd(q, S, x0, T, counters=None, monitor=None):
@@ -291,7 +253,6 @@ def apgd(q, S, x0, T, counters=None, monitor=None):
     if S.size == 0 or T == 0:
         out[S] = x0[S]
         return out
-    rest = _Restriction(q, S)
     counters = Counters() if counters is None else counters
     wrapped = None
     if monitor is not None:
@@ -299,20 +260,34 @@ def apgd(q, S, x0, T, counters=None, monitor=None):
             full = np.zeros(q.n)
             full[S] = ys
             monitor(t, full)
-    res = _apgd_loop(q, rest, x0[S], T, counters, monitor=wrapped)
+    res = _apgd_loop(q, S, x0[S], T, counters, monitor=wrapped)
     out[S] = res.y
     return out
 
 
-def _solution(q, x, gap_bound, counters, ever, pagerank_box=None):
-    support = np.flatnonzero(x > 0)
-    report = check_optimality(q, x, pagerank_box=pagerank_box)
-    return Solution(x, support, gap_bound, report, counters,
-                    np.flatnonzero(ever) if ever.dtype == bool else ever)
+def _solution(x, gap_bound, counters, ever):
+    return Solution(x, np.flatnonzero(x > 0), gap_bound, counters,
+                    np.flatnonzero(ever))
 
 
-def ista_baseline(q, eps, tol_neg=None, max_iter=None, counters=None,
-                  iter_hook=None):
+def _check_eps(eps):
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be positive and finite, got %r" % (eps,))
+
+
+def _negative_threshold(q, tol_neg):
+    """The certainly-negative gradient threshold: ``tol_neg`` if given,
+    else :func:`negative_tolerance`."""
+    if tol_neg is None:
+        return negative_tolerance(q)
+    tol = float(tol_neg)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol_neg must be nonnegative and finite, got %r"
+                         % (tol_neg,))
+    return tol
+
+
+def ista_baseline(q, eps, tol_neg=None, max_iter=None, counters=None):
     """Projected gradient from zero over the full orthant, sparsely.
 
     Only the active set (positive coordinates plus certainly-negative
@@ -323,17 +298,16 @@ def ista_baseline(q, eps, tol_neg=None, max_iter=None, counters=None,
     objective gap of at most eps by strong convexity.  ``stages`` counts
     support-expansion events, so the already-optimal instance reports 0.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     counters = Counters() if counters is None else counters
-    tol = negative_tolerance(q) if tol_neg is None else float(tol_neg)
+    tol = _negative_threshold(q, tol_neg)
     n = q.n
     x = np.zeros(n)
     ever = np.zeros(n, dtype=bool)
     g = gradient(q, x, counters=counters)
     active = g < -tol
     if not active.any():
-        return _solution(q, x, eps, counters, ever)
+        return _solution(x, eps, counters, ever)
     counters.stages += 1
     A = np.flatnonzero(active)
     target = 2.0 * q.alpha * eps
@@ -346,7 +320,7 @@ def ista_baseline(q, eps, tol_neg=None, max_iter=None, counters=None,
         if not np.any((g < -tol) & ~pos):
             on = g[pos]
             if float(on @ on) <= target:
-                return _solution(q, x, eps, counters, ever)
+                return _solution(x, eps, counters, ever)
         fresh = (g < -tol) & ~active
         if fresh.any():
             active |= fresh
@@ -356,8 +330,6 @@ def ista_baseline(q, eps, tol_neg=None, max_iter=None, counters=None,
         counters.inner_iters += 1
         ever |= x > 0
         g = gradient(q, x, counters=counters)
-        if iter_hook is not None:
-            iter_hook(it, x, g, A)
     raise SolverError("baseline failed to converge in %d iterations" % max_iter)
 
 
@@ -372,7 +344,7 @@ def cdpr(q, tol_neg=None, counters=None, stage_hook=None):
     final iterate is the exact optimizer.
     """
     counters = Counters() if counters is None else counters
-    tol = negative_tolerance(q) if tol_neg is None else float(tol_neg)
+    tol = _negative_threshold(q, tol_neg)
     n = q.n
     x = np.zeros(n)
     ever = np.zeros(n, dtype=bool)
@@ -431,11 +403,11 @@ def cdpr(q, tol_neg=None, counters=None, stage_hook=None):
                 "x": x.copy(),
                 "grad": g.copy(),
             })
-    return _solution(q, x, "exact", counters, ever)
+    return _solution(x, "exact", counters, ever)
 
 
-def aspr(q, eps, variant="plain", tol_neg=None, full_grad_period=None,
-         counters=None, stage_hook=None, observe_hook=None):
+def aspr(q, eps, variant="plain", tol_neg=None, counters=None,
+         stage_hook=None):
     """Staged accelerated solver with working-set expansion.
 
     Per stage: run the accelerated inner loop on the working set long enough
@@ -446,36 +418,33 @@ def aspr(q, eps, variant="plain", tol_neg=None, full_grad_period=None,
     makes every expansion coordinate provably part of the optimal support.
     Terminates with a certified objective gap of at most eps.
 
-    variant="early": every ``full_grad_period`` inner iterations (default:
-    the working-set size) the restricted gradient is upgraded to a full one;
+    variant="early": every |S| inner iterations, with S the stage's working
+    set, the restricted gradient is upgraded to a full one;
     when it is nonpositive on the working set and certainly negative off it,
     the stage aborts there and the new coordinates join immediately.
     variant="constraints": coordinatewise lower bounds, certified at any
     iterate observed with nonpositive working-set gradient, replace zero in
     every clamp (inner projection and retraction).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if variant not in ASPR_VARIANTS:
         raise ValueError("variant must be one of %s" % (ASPR_VARIANTS,))
     counters = Counters() if counters is None else counters
-    tol = negative_tolerance(q) if tol_neg is None else float(tol_neg)
+    tol = _negative_threshold(q, tol_neg)
     n = q.n
     alpha, L, kappa = q.alpha, q.L, q.kappa
     x = np.zeros(n)
     g = gradient(q, x, counters=counters)
-    state = SupportState.empty(n)
-    fresh0 = np.flatnonzero(g < -tol)
-    if fresh0.size == 0:
-        return _solution(q, x, eps, counters, np.zeros(n, dtype=bool))
-    state.add(fresh0)
+    member = g < -tol
+    if not member.any():
+        return _solution(x, eps, counters, member)
     lower = np.zeros(n) if variant == "constraints" else None
 
     while True:
         if counters.stages > n:
             raise SolverError("stage count exceeded the dimension")
         counters.stages += 1
-        S = state.indices
+        S = np.flatnonzero(member)
         shrink = math.sqrt(eps * alpha / ((1.0 + S.size) * L * L))
         inner_gap = shrink * shrink * alpha / 2.0
         gs0 = g[S]
@@ -490,20 +459,11 @@ def aspr(q, eps, variant="plain", tol_neg=None, full_grad_period=None,
                 T = 1
             else:
                 T = 1 + math.ceil(2.0 * math.sqrt(kappa) * math.log(arg))
-        rest = _Restriction(q, S)
         lower_s = lower[S].copy() if lower is not None else None
-        period = 0
-        if variant == "early":
-            period = int(full_grad_period) if full_grad_period else int(S.size)
-        observe = None
-        if observe_hook is not None and lower is not None:
-            def observe(xs, _S=S):
-                full = np.zeros(n)
-                full[_S] = xs
-                observe_hook(full, _S)
-        res = _apgd_loop(q, rest, x[S], T, counters, lower=lower_s,
-                         full_every=period, member=state.member,
-                         tol_neg=tol, mono_tol=tol, observe=observe)
+        period = int(S.size) if variant == "early" else 0
+        res = _apgd_loop(q, S, x[S], T, counters, lower=lower_s,
+                         full_every=period, member=member,
+                         tol_neg=tol, mono_tol=tol)
         if res.aborted:
             x = np.zeros(n)
             x[S] = res.abort_x
@@ -511,7 +471,7 @@ def aspr(q, eps, variant="plain", tol_neg=None, full_grad_period=None,
             if stage_hook is not None:
                 stage_hook({"stage": counters.stages - 1, "S": S,
                             "x": x.copy(), "aborted": True})
-            state.add(res.fresh)
+            member[res.fresh] = True
             continue
         if lower is not None:
             lower[S] = lower_s
@@ -526,8 +486,21 @@ def aspr(q, eps, variant="plain", tol_neg=None, full_grad_period=None,
         if stage_hook is not None:
             stage_hook({"stage": counters.stages - 1, "S": S,
                         "x": x.copy(), "aborted": False})
-        fresh = np.flatnonzero((g < -tol) & ~state.member)
-        if fresh.size == 0:
+        fresh = (g < -tol) & ~member
+        if not fresh.any():
             break
-        state.add(fresh)
-    return _solution(q, x, eps, counters, state.member.copy())
+        member |= fresh
+    return _solution(x, eps, counters, member)
+
+
+def solve(q, token, eps, tol_neg=None):
+    """Run the solver named by one of SOLVER_TOKENS."""
+    if token not in SOLVER_TOKENS:
+        raise ValueError("unknown solver token %r (choose from %s)"
+                         % (token, ", ".join(SOLVER_TOKENS)))
+    name, _, variant = token.partition(":")
+    if name == "cdpr":
+        return cdpr(q, tol_neg=tol_neg)
+    if name == "ista":
+        return ista_baseline(q, eps, tol_neg=tol_neg)
+    return aspr(q, eps, variant=variant or "plain", tol_neg=tol_neg)

@@ -21,7 +21,7 @@ from .oracle import (OracleError, dense_solve_enumerate, dense_solve_projected,
                      random_graph_instance, random_m_matrix, subspace_solve,
                      verify_geometry)
 from .problem import (MQuadratic, build_pagerank_quadratic, gradient,
-                      negative_tolerance, objective, volume)
+                      negative_tolerance, objective, restrict, volume)
 from .solvers import (ASPR_VARIANTS, _coeff_growth, apgd, aspr, cdpr,
                       ista_baseline, pgd)
 
@@ -341,8 +341,7 @@ def suite_rates(instances, max_n, seed, corpus=None):
         else:
             size = int(rng.integers(3, n + 1))
             S = np.sort(rng.choice(n, size=size, replace=False))
-            qsub = MQuadratic(q.Q[S][:, S].tocsr(), q.b[S], q.alpha, q.L,
-                              validate=False)
+            qsub = restrict(q, S)
         try:
             xsub, gsub = _exact_reference(qsub)
         except OracleError as exc:

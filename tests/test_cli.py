@@ -159,6 +159,19 @@ class TestSolveErrors:
         assert res.returncode == 3
         assert "solver error:" in res.stderr
 
+    @pytest.mark.parametrize("solver, flag, value", [
+        ("aspr", "--eps", "inf"),
+        ("ista", "--eps", "nan"),
+        ("cdpr", "--tolneg", "nan"),
+        ("cdpr", "--tolneg", "-1"),
+    ])
+    def test_bad_tolerance_is_input_error(self, two_node_file, solver, flag,
+                                          value):
+        res = run_cli(*solve_args(two_node_file, solver, extra=[flag, value]))
+        assert res.returncode == 2
+        assert "error:" in res.stderr and "finite" in res.stderr
+        assert res.stdout == ""
+
     def test_seed_node_out_of_range(self, two_node_file):
         res = run_cli("solve", "--graph", two_node_file, "--alpha", "0.5",
                       "--rho", "0.1", "--seed-node", "9", "--solver", "cdpr")

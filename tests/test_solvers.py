@@ -13,6 +13,7 @@ from sparsepr import (
     aspr,
     build_pagerank_quadratic,
     cdpr,
+    check_optimality,
     dense_solve_enumerate,
     gradient,
     ista_baseline,
@@ -21,7 +22,7 @@ from sparsepr import (
     select_pivot,
     subspace_solve,
 )
-from sparsepr.solvers import ASPR_VARIANTS, _coeff_growth
+from sparsepr.solvers import ASPR_VARIANTS, SOLVER_TOKENS, _coeff_growth, solve
 
 from conftest import assert_close, two_node_instance
 
@@ -316,4 +317,18 @@ class TestASPR:
             # the certificate comes from the shrink margin, so the first-order
             # residuals must be modest relative to the gradient scale
             scale = max(1.0, float(np.max(np.abs(item.q.b))))
-            assert sol.report.max_violation_zero_low <= 1e-3 * scale
+            report = check_optimality(item.q, sol.x)
+            assert report.max_violation_zero_low <= 1e-3 * scale
+
+
+class TestSolveDispatch:
+    @pytest.mark.parametrize("token", SOLVER_TOKENS)
+    def test_token_runs_its_solver(self, two_node, token):
+        sol = solve(two_node, token, 1e-6)
+        assert sol.support.tolist() == [0, 1]
+        assert sol.gap_bound == ("exact" if token == "cdpr" else 1e-6)
+
+    @pytest.mark.parametrize("token", ["sgd", "cdpr:early", "aspr:plain"])
+    def test_unknown_token_rejected(self, two_node, token):
+        with pytest.raises(ValueError, match="unknown solver token"):
+            solve(two_node, token, 1e-6)
