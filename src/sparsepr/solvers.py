@@ -172,7 +172,7 @@ def _coeff_growth(kappa):
 
 
 def _apgd_loop(q, S, x0s, T, counters, lower=None, monitor=None,
-               full_every=0, member=None, tol_neg=0.0, mono_tol=0.0):
+               full_every=0, member=None, tol_neg=0.0):
     """Accelerated projected gradient on the restriction of q to S.
 
     A restricted gradient is charged the nonzeros of the columns of Q[S, S]
@@ -182,6 +182,7 @@ def _apgd_loop(q, S, x0s, T, counters, lower=None, monitor=None,
     full_every-th restricted gradient for a full one; if that full gradient
     is nonpositive on the working set and certainly negative somewhere off
     it, the loop aborts at that point and reports the new coordinates.
+    Both sign tests allow ``tol_neg`` of slack.
     """
     kappa = q.kappa
     alpha = q.alpha
@@ -204,7 +205,7 @@ def _apgd_loop(q, S, x0s, T, counters, lower=None, monitor=None,
             counters.restricted_gradients += 1
             counters.nnz_touched += int(col_nnz[x_in != 0].sum())
             gs = sub.Q @ x_in - sub.b
-        nonpos_on_set = bool((gs <= mono_tol).all())
+        nonpos_on_set = bool((gs <= tol_neg).all())
         if lower is not None and nonpos_on_set:
             np.maximum(lower, x_in, out=lower)
         if g_full is not None and nonpos_on_set:
@@ -315,7 +316,7 @@ def ista_baseline(q, eps, tol_neg=None, max_iter=None, counters=None):
         scale = float(np.max(np.abs(q.b))) + q.alpha
         max_iter = int(200 + 4 * q.kappa * max(
             4.0, math.log((q.L * scale / q.alpha) ** 2 / target + 2.0)))
-    for it in range(max_iter):
+    for _ in range(max_iter):
         pos = x > 0
         if not np.any((g < -tol) & ~pos):
             on = g[pos]
@@ -462,8 +463,7 @@ def aspr(q, eps, variant="plain", tol_neg=None, counters=None,
         lower_s = lower[S].copy() if lower is not None else None
         period = int(S.size) if variant == "early" else 0
         res = _apgd_loop(q, S, x[S], T, counters, lower=lower_s,
-                         full_every=period, member=member,
-                         tol_neg=tol, mono_tol=tol)
+                         full_every=period, member=member, tol_neg=tol)
         if res.aborted:
             x = np.zeros(n)
             x[S] = res.abort_x
