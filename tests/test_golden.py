@@ -1,5 +1,5 @@
 """Golden outputs: counters, supports and iterate bytes of every solver token
-on two fixed instances, and the exact stdout of one ``sparsepr solve``.
+on three fixed instances, and the exact stdout of one ``sparsepr solve``.
 
 These pin behaviour that refactors must not change.  A failure here means an
 output moved, not that it became wrong; update a value only together with a
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sparsepr.oracle import random_graph_instance
-from sparsepr.problem import build_pagerank_quadratic
+from sparsepr.problem import PageRankInstance, build_pagerank_quadratic
 from sparsepr.solvers import aspr, cdpr, ista_baseline
 
 EPS = 1e-6
@@ -26,6 +26,19 @@ GRID_SUPPORT = [148, 149, 150, 151, 152, 167, 168, 169, 170, 171, 172, 173,
                 187, 188, 189, 190, 191, 192, 193, 207, 208, 209, 210, 211,
                 212, 213, 227, 228, 229, 230, 231, 232, 233, 247, 248, 249,
                 250, 251, 252, 253, 268, 269, 270, 271, 272]
+
+# the same grid seeded by the distribution 0.7/0.3 on the far-apart nodes 21
+# and 378: while the solvers work near node 21, node 378 is a negative
+# gradient far outside every coordinate touched so far
+TWO_SEED = {21: 0.7, 378: 0.3}
+TWO_OPT = [0, 1, 2, 3, 4, 5, 20, 21, 22, 23, 24, 25, 40, 41, 42, 43, 44, 60,
+           61, 62, 63, 64, 80, 81, 82, 83, 100, 101, 318, 319, 336, 337, 338,
+           339, 356, 357, 358, 359, 375, 376, 377, 378, 379, 395, 396, 397,
+           398, 399]
+TWO_ISTA = [0, 1, 2, 3, 4, 5, 20, 21, 22, 23, 24, 40, 41, 42, 43, 44, 60, 61,
+            62, 63, 80, 81, 82, 100, 318, 319, 337, 338, 339, 356, 357, 358,
+            359, 375, 376, 377, 378, 379, 395, 396, 397, 398, 399]
+TWO_ASPR = [i for i in TWO_OPT if i != 336]
 
 # an irregular two-block graph on which aspr:early aborts stages
 SBM = {"sizes": [30, 30], "p_in": 0.3, "p_out": 0.02, "alpha": 0.15,
@@ -76,6 +89,21 @@ GOLDEN = {
     ("sbm", "aspr:constraints"): (
         _counters(4, 275, 11812, 5, 275), SBM_OPT, SBM_OPT,
         "576e3ed825d6e1b36cf103b07ae4af224765596da870e446294f86e12d79e48e"),
+    ("two_seed", "ista"): (
+        _counters(13, 25, 3798, 26, 0), TWO_ISTA, TWO_ISTA,
+        "948c4d93e7867e6d9abd27fad6a2d713cad4122835a39035958564b8117e0dbc"),
+    ("two_seed", "cdpr"): (
+        _counters(48, 0, 7804, 49, 0), TWO_OPT, TWO_OPT,
+        "da1935eea762884dc0d0716384b247844bdbd900c9be49dbf31520434909510e"),
+    ("two_seed", "aspr"): (
+        _counters(7, 625, 60159, 8, 625), TWO_ASPR, TWO_OPT,
+        "5d069cb38974cf3a2624159970b51d66d51f8ab1dff2c6109212deb9dc3c7b26"),
+    ("two_seed", "aspr:early"): (
+        _counters(6, 265, 38125, 11, 256), TWO_ASPR, TWO_OPT,
+        "36aadc779dc193a752a44891b7d71c6e41dc8311a391bfcddca7b5b6603d909a"),
+    ("two_seed", "aspr:constraints"): (
+        _counters(6, 577, 51162, 7, 577), TWO_OPT, TWO_OPT,
+        "d8495acfd6e6caddfd12ea410685ca463d019b9ae767f7617d0f568f1529dfbf"),
 }
 
 # sha256 of the stdout of the solve in test_cli_stdout_is_pinned
@@ -85,8 +113,14 @@ CLI_STDOUT_SHA256 = \
 
 @pytest.fixture(scope="module")
 def quadratics():
+    grid = random_graph_instance("grid", GRID, 0)
+    dist = np.zeros(grid.graph.n)
+    for node, weight in TWO_SEED.items():
+        dist[node] = weight
     return {
-        "grid": build_pagerank_quadratic(random_graph_instance("grid", GRID, 0)),
+        "grid": build_pagerank_quadratic(grid),
+        "two_seed": build_pagerank_quadratic(
+            PageRankInstance(grid.graph, GRID["alpha"], GRID["rho"], dist)),
         "sbm": build_pagerank_quadratic(
             random_graph_instance("sbm", SBM, SBM_SEED)),
     }
