@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .problem import Graph
@@ -168,6 +170,8 @@ def load_distribution(path, n):
                     "line %d: expected '<node> <weight>'" % lineno)
             if not 0 <= node < n:
                 raise GraphFormatError("line %d: node %d out of range" % (lineno, node))
+            if not math.isfinite(w):
+                raise GraphFormatError("line %d: non-finite weight" % lineno)
             if w < 0:
                 raise GraphFormatError("line %d: negative weight" % lineno)
             if s[node] != 0:

@@ -19,6 +19,7 @@ of the requested rows whose column lies in ``supp(x)`` for a restricted one.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,6 +35,7 @@ __all__ = [
     "pagerank_upper_bounds",
     "restrict",
     "gradient",
+    "GradientWorkspace",
     "objective",
     "check_optimality",
     "volume",
@@ -127,8 +129,8 @@ class PageRankInstance:
         rho = float(rho)
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1), got %r" % alpha)
-        if rho <= 0.0:
-            raise ValueError("rho must be positive, got %r" % rho)
+        if not (math.isfinite(rho) and rho > 0.0):
+            raise ValueError("rho must be positive and finite, got %r" % rho)
         if np.isscalar(s) or getattr(s, "ndim", 1) == 0:
             v = int(s)
             if not 0 <= v < graph.n:
@@ -139,6 +141,8 @@ class PageRankInstance:
             dist = np.asarray(s, dtype=float).copy()
             if dist.shape != (graph.n,):
                 raise ValueError("seed distribution has wrong length")
+            if not np.isfinite(dist).all():
+                raise ValueError("seed distribution has non-finite entries")
             if (dist < 0).any():
                 raise ValueError("seed distribution has negative entries")
             if abs(dist.sum() - 1.0) > 1e-12:
@@ -323,7 +327,23 @@ def restrict(q, S):
     only tighten the spectral bounds, so the restriction keeps (alpha, L).
     """
     S = np.asarray(S, dtype=np.int64)
-    return MQuadratic(q.Q[S][:, S], q.b[S], q.alpha, q.L, validate=False)
+    if S.size > 1 and np.any(S[1:] <= S[:-1]):
+        raise ValueError("restriction indices must be strictly increasing")
+    # gather the rows S and keep the entries whose column lies in S, relabelled
+    # by position in S; this reads O(vol(S)) entries, where scipy's column
+    # index would build an n-length lookup
+    Q = q.Q
+    pos, counts = _row_entries(Q, S)
+    cols = Q.indices[pos]
+    at = np.searchsorted(S, cols)
+    hit = at < S.size
+    hit[hit] = S[at[hit]] == cols[hit]
+    row_hits = np.bincount(np.repeat(np.arange(S.size), counts)[hit],
+                           minlength=S.size)
+    indptr = np.concatenate([[0], np.cumsum(row_hits)])
+    sub = sp.csr_matrix((Q.data[pos[hit]], at[hit], indptr),
+                        shape=(S.size, S.size))
+    return MQuadratic(sub, q.b[S], q.alpha, q.L, validate=False)
 
 
 def negative_tolerance(q):
@@ -346,29 +366,31 @@ def _segment_row_products(q, rows, x):
     """
     Q = q.Q
     rows = np.asarray(rows, dtype=np.int64)
-    starts = Q.indptr[rows]
-    counts = Q.indptr[rows + 1] - starts
-    total = int(counts.sum())
+    pos, counts = _row_entries(Q, rows)
     out = np.zeros(rows.size)
-    if total == 0:
-        return out, np.empty(0, dtype=Q.indices.dtype)
-    cum = np.cumsum(counts)
-    seg_starts = cum - counts
-    pos = np.arange(total) - np.repeat(seg_starts, counts) + np.repeat(starts, counts)
     cols = Q.indices[pos]
+    if pos.size == 0:
+        return out, cols
     prod = Q.data[pos] * x[cols]
     nz = counts > 0
-    out[nz] = np.add.reduceat(prod, seg_starts[nz])
+    out[nz] = np.add.reduceat(prod, (np.cumsum(counts) - counts)[nz])
     return out, cols
+
+
+def _row_entries(Q, rows):
+    """Positions in ``Q.indices``/``Q.data`` of the entries of the given rows,
+    row after row, and each row's entry count."""
+    starts = Q.indptr[rows]
+    counts = Q.indptr[rows + 1] - starts
+    seg_starts = np.cumsum(counts) - counts
+    pos = np.arange(int(counts.sum())) - np.repeat(seg_starts - starts, counts)
+    return pos, counts
 
 
 def _neighborhood(q, support):
     """All rows whose Q-row overlaps the given columns (includes them)."""
-    Q = q.Q
-    if len(support) == 0:
-        return np.empty(0, dtype=np.int64)
-    chunks = [Q.indices[Q.indptr[j] : Q.indptr[j + 1]] for j in support]
-    return np.unique(np.concatenate(chunks)).astype(np.int64)
+    pos, _ = _row_entries(q.Q, np.asarray(support, dtype=np.int64))
+    return np.unique(q.Q.indices[pos]).astype(np.int64)
 
 
 def gradient(q, x, coords=None, counters=None):
@@ -401,6 +423,63 @@ def gradient(q, x, coords=None, counters=None):
         counters.restricted_gradients += 1
         counters.nnz_touched += int(np.count_nonzero(x[cols]))
     return vals - q.b[coords]
+
+
+class GradientWorkspace:
+    """The iterate ``x`` of one solve and its gradient ``g = Qx - b``, kept
+    current at a cost that follows the neighbourhood of the iterate, not n.
+
+    Off the Q-neighbourhood of every coordinate the solve has made nonzero,
+    the gradient is -b.  The workspace lists those neighbourhood rows, plus
+    the rows with ``-b_i < -tol`` (the only coordinates off the neighbourhood
+    whose gradient is certainly negative).  The list only grows.  After the
+    O(n) set-up, :meth:`refresh` and :meth:`negatives` touch the listed rows
+    only.  Every listed row is recomputed by the segmented reduction that
+    :func:`gradient` uses, and rows outside the true neighbourhood add exact
+    zeros, so ``g`` equals ``gradient(q, x)`` bit for bit up to the sign of
+    a zero.
+
+    The set-up starts at x = 0, where g = -b, and charges ``counters`` one
+    full gradient for it, as ``gradient(q, 0, counters=counters)`` would.
+    """
+
+    def __init__(self, q, tol, counters):
+        counters.full_gradients += 1
+        self.q = q
+        self.tol = tol
+        self.x = np.zeros(q.n)
+        self.g = -q.b
+        self.rows = np.flatnonzero(self.g < -tol)
+        self._listed = np.zeros(q.n, dtype=bool)
+        self._listed[self.rows] = True
+        self._spread = np.zeros(q.n, dtype=bool)
+
+    def refresh(self, cols, counters):
+        """Recompute ``g`` at ``x``, whose nonzeros must all lie in ``cols``
+        (unique indices).  Charges ``counters`` exactly as a full
+        :func:`gradient` call: one full gradient and the column nonzeros of
+        supp(x)."""
+        Q = self.q.Q
+        cols = np.asarray(cols, dtype=np.int64)
+        new = cols[~self._spread[cols]]
+        if new.size:
+            self._spread[new] = True
+            rows = _neighborhood(self.q, new)
+            rows = rows[~self._listed[rows]]
+            self._listed[rows] = True
+            self.rows = np.concatenate([self.rows, rows])
+        vals, _ = _segment_row_products(self.q, self.rows, self.x)
+        self.g[self.rows] = vals - self.q.b[self.rows]
+        support = cols[self.x[cols] != 0]
+        counters.full_gradients += 1
+        counters.nnz_touched += int(
+            (Q.indptr[support + 1] - Q.indptr[support]).sum()
+        )
+
+    def negatives(self):
+        """Sorted coordinates whose gradient is below ``-tol``."""
+        rows = self.rows
+        return np.sort(rows[self.g[rows] < -self.tol])
 
 
 def objective(q, x):

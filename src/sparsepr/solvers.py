@@ -31,6 +31,7 @@ import math
 import numpy as np
 
 from .problem import (
+    GradientWorkspace,
     gradient,
     negative_tolerance,
     restrict,
@@ -161,9 +162,6 @@ def pgd(q, S, x0, T, counters=None, monitor=None):
 @dataclasses.dataclass
 class _InnerResult:
     y: np.ndarray
-    aborted: bool = False
-    abort_x: np.ndarray = None
-    abort_grad_full: np.ndarray = None
     fresh: np.ndarray = None
 
 
@@ -172,17 +170,20 @@ def _coeff_growth(kappa):
 
 
 def _apgd_loop(q, S, x0s, T, counters, lower=None, monitor=None,
-               full_every=0, member=None, tol_neg=0.0):
+               full_every=0, ws=None, member=None):
     """Accelerated projected gradient on the restriction of q to S.
 
     A restricted gradient is charged the nonzeros of the columns of Q[S, S]
     in supp(x_S).  ``lower`` (same length as S) turns the clamp into
     max(lower, .) and is raised in place whenever an iterate is observed
-    with nonpositive restricted gradient.  ``full_every`` > 0 swaps every
-    full_every-th restricted gradient for a full one; if that full gradient
-    is nonpositive on the working set and certainly negative somewhere off
-    it, the loop aborts at that point and reports the new coordinates.
-    Both sign tests allow ``tol_neg`` of slack.
+    with nonpositive working-set gradient.  ``full_every`` > 0 swaps every
+    full_every-th restricted gradient for a full one, taken in the
+    workspace ``ws`` (whose ``x`` is then overwritten on S); if that full
+    gradient is nonpositive on the working set and certainly negative
+    somewhere off it (off ``member``), the loop aborts at that point with
+    ``ws`` holding the point and its gradient, and reports the new
+    coordinates.  Both features need ``ws``, whose tolerance both sign
+    tests allow as slack.
     """
     kappa = q.kappa
     alpha = q.alpha
@@ -195,25 +196,24 @@ def _apgd_loop(q, S, x0s, T, counters, lower=None, monitor=None,
     for t in range(T):
         A1 = A + a
         x_in = (A / A1) * y + (a / A1) * z
-        g_full = None
-        if full_every and (t + 1) % full_every == 0:
-            xg = np.zeros(q.n)
-            xg[S] = x_in
-            g_full = gradient(q, xg, counters=counters)
-            gs = g_full[S]
+        full = full_every and (t + 1) % full_every == 0
+        if full:
+            ws.x[S] = x_in
+            ws.refresh(S, counters)
+            gs = ws.g[S]
         else:
             counters.restricted_gradients += 1
             counters.nnz_touched += int(col_nnz[x_in != 0].sum())
             gs = sub.Q @ x_in - sub.b
-        nonpos_on_set = bool((gs <= tol_neg).all())
+        nonpos_on_set = ws is not None and bool((gs <= ws.tol).all())
         if lower is not None and nonpos_on_set:
             np.maximum(lower, x_in, out=lower)
-        if g_full is not None and nonpos_on_set:
-            fresh = np.flatnonzero((g_full < -tol_neg) & ~member)
+        if full and nonpos_on_set:
+            fresh = ws.negatives()
+            fresh = fresh[~member[fresh]]
             if fresh.size:
                 counters.inner_iters += 1
-                return _InnerResult(y, aborted=True, abort_x=x_in,
-                                    abort_grad_full=g_full, fresh=fresh)
+                return _InnerResult(y, fresh=fresh)
         znew = ((kappa - 1.0 + A) / (kappa - 1.0 + A1)) * z \
             + (a / (kappa - 1.0 + A1)) * (x_in - gs / alpha)
         if lower is None:
@@ -301,36 +301,37 @@ def ista_baseline(q, eps, tol_neg=None, max_iter=None, counters=None):
     """
     _check_eps(eps)
     counters = Counters() if counters is None else counters
-    tol = _negative_threshold(q, tol_neg)
-    n = q.n
-    x = np.zeros(n)
-    ever = np.zeros(n, dtype=bool)
-    g = gradient(q, x, counters=counters)
-    active = g < -tol
-    if not active.any():
+    ws = GradientWorkspace(q, _negative_threshold(q, tol_neg), counters)
+    x, g = ws.x, ws.g
+    ever = np.zeros(q.n, dtype=bool)
+    # x vanishes off the sorted active set A, so every scan below runs over A
+    # or over the workspace's candidates
+    A = ws.negatives()
+    if not A.size:
         return _solution(x, eps, counters, ever)
     counters.stages += 1
-    A = np.flatnonzero(active)
+    active = np.zeros(q.n, dtype=bool)
+    active[A] = True
     target = 2.0 * q.alpha * eps
     if max_iter is None:
         scale = float(np.max(np.abs(q.b))) + q.alpha
         max_iter = int(200 + 4 * q.kappa * max(
             4.0, math.log((q.L * scale / q.alpha) ** 2 / target + 2.0)))
     for _ in range(max_iter):
-        pos = x > 0
-        if not np.any((g < -tol) & ~pos):
-            on = g[pos]
+        neg = ws.negatives()
+        if (x[neg] > 0).all():
+            on = g[A[x[A] > 0]]
             if float(on @ on) <= target:
                 return _solution(x, eps, counters, ever)
-        fresh = (g < -tol) & ~active
-        if fresh.any():
-            active |= fresh
-            A = np.flatnonzero(active)
+        fresh = neg[~active[neg]]
+        if fresh.size:
+            active[fresh] = True
+            A = np.union1d(A, fresh)
             counters.stages += 1
         x[A] = np.maximum(0.0, x[A] - g[A] / q.L)
         counters.inner_iters += 1
-        ever |= x > 0
-        g = gradient(q, x, counters=counters)
+        ever[A] |= x[A] > 0
+        ws.refresh(A, counters)
     raise SolverError("baseline failed to converge in %d iterations" % max_iter)
 
 
@@ -345,17 +346,18 @@ def cdpr(q, tol_neg=None, counters=None, stage_hook=None):
     final iterate is the exact optimizer.
     """
     counters = Counters() if counters is None else counters
-    tol = _negative_threshold(q, tol_neg)
+    ws = GradientWorkspace(q, _negative_threshold(q, tol_neg), counters)
+    x, g = ws.x, ws.g
     n = q.n
-    x = np.zeros(n)
     ever = np.zeros(n, dtype=bool)
     basis = ConjugateBasis()
     pivots = []
     member = np.zeros(n, dtype=bool)
     rowbuf = np.zeros(n)
-    g = gradient(q, x, counters=counters)
+    # the direction under construction; zero off the pivots between stages
+    accum = np.zeros(n)
     while True:
-        neg = np.flatnonzero(g < -tol)
+        neg = ws.negatives()
         if neg.size == 0:
             break
         if len(pivots) >= n:
@@ -369,7 +371,6 @@ def cdpr(q, tol_neg=None, counters=None, stage_hook=None):
         counters.nnz_touched += int(cols_i.size)
         rowbuf[cols_i] = vals_i
 
-        accum = np.zeros(n)
         accum[i] = gi
         for idx_k, vals_k, norm_k in zip(basis.idx, basis.vals, basis.normalized):
             coeff = -gi * float(rowbuf[idx_k] @ norm_k)
@@ -385,13 +386,14 @@ def cdpr(q, tol_neg=None, counters=None, stage_hook=None):
         step = -float(g[supp] @ d_vals) / curvature
         x[supp] += step * d_vals
         rowbuf[cols_i] = 0.0
+        accum[supp] = 0.0
 
         basis.add(supp, d_vals.copy(), curvature)
         pivots.append(i)
         member[i] = True
         counters.stages += 1
-        ever |= x > 0
-        g = gradient(q, x, counters=counters)
+        ever[supp] |= x[supp] > 0
+        ws.refresh(supp, counters)
         if stage_hook is not None:
             stage_hook({
                 "stage": len(pivots) - 1,
@@ -431,13 +433,15 @@ def aspr(q, eps, variant="plain", tol_neg=None, counters=None,
     if variant not in ASPR_VARIANTS:
         raise ValueError("variant must be one of %s" % (ASPR_VARIANTS,))
     counters = Counters() if counters is None else counters
-    tol = _negative_threshold(q, tol_neg)
+    ws = GradientWorkspace(q, _negative_threshold(q, tol_neg), counters)
+    x, g = ws.x, ws.g
     n = q.n
     alpha, L, kappa = q.alpha, q.L, q.kappa
-    x = np.zeros(n)
-    g = gradient(q, x, counters=counters)
-    member = g < -tol
-    if not member.any():
+    # the working set, sorted, and its mask; x vanishes off S
+    S = ws.negatives()
+    member = np.zeros(n, dtype=bool)
+    member[S] = True
+    if not S.size:
         return _solution(x, eps, counters, member)
     lower = np.zeros(n) if variant == "constraints" else None
 
@@ -445,7 +449,6 @@ def aspr(q, eps, variant="plain", tol_neg=None, counters=None,
         if counters.stages > n:
             raise SolverError("stage count exceeded the dimension")
         counters.stages += 1
-        S = np.flatnonzero(member)
         shrink = math.sqrt(eps * alpha / ((1.0 + S.size) * L * L))
         inner_gap = shrink * shrink * alpha / 2.0
         gs0 = g[S]
@@ -463,33 +466,32 @@ def aspr(q, eps, variant="plain", tol_neg=None, counters=None,
         lower_s = lower[S].copy() if lower is not None else None
         period = int(S.size) if variant == "early" else 0
         res = _apgd_loop(q, S, x[S], T, counters, lower=lower_s,
-                         full_every=period, member=member, tol_neg=tol)
-        if res.aborted:
-            x = np.zeros(n)
-            x[S] = res.abort_x
-            g = res.abort_grad_full
+                         full_every=period, ws=ws, member=member)
+        if res.fresh is not None:
             if stage_hook is not None:
                 stage_hook({"stage": counters.stages - 1, "S": S,
                             "x": x.copy(), "aborted": True})
             member[res.fresh] = True
+            S = np.union1d(S, res.fresh)
             continue
         if lower is not None:
             lower[S] = lower_s
             floor = lower_s
         else:
             floor = 0.0
-        x = np.zeros(n)
         x[S] = np.maximum(floor, res.y - shrink)
-        g = gradient(q, x, counters=counters)
-        if lower is not None and float(np.max(g[S])) <= tol:
-            np.maximum(lower, x, out=lower)
+        ws.refresh(S, counters)
+        if lower is not None and float(np.max(g[S])) <= ws.tol:
+            lower[S] = np.maximum(lower[S], x[S])
         if stage_hook is not None:
             stage_hook({"stage": counters.stages - 1, "S": S,
                         "x": x.copy(), "aborted": False})
-        fresh = (g < -tol) & ~member
-        if not fresh.any():
+        fresh = ws.negatives()
+        fresh = fresh[~member[fresh]]
+        if not fresh.size:
             break
-        member |= fresh
+        member[fresh] = True
+        S = np.union1d(S, fresh)
     return _solution(x, eps, counters, member)
 
 
@@ -498,6 +500,7 @@ def solve(q, token, eps, tol_neg=None):
     if token not in SOLVER_TOKENS:
         raise ValueError("unknown solver token %r (choose from %s)"
                          % (token, ", ".join(SOLVER_TOKENS)))
+    _check_eps(eps)
     name, _, variant = token.partition(":")
     if name == "cdpr":
         return cdpr(q, tol_neg=tol_neg)

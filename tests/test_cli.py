@@ -164,12 +164,33 @@ class TestSolveErrors:
         ("ista", "--eps", "nan"),
         ("cdpr", "--tolneg", "nan"),
         ("cdpr", "--tolneg", "-1"),
+        ("cdpr", "--eps", "nan"),
+        ("cdpr", "--eps", "inf"),
+        ("cdpr", "--eps", "0"),
+        ("cdpr", "--eps", "-1"),
     ])
     def test_bad_tolerance_is_input_error(self, two_node_file, solver, flag,
                                           value):
         res = run_cli(*solve_args(two_node_file, solver, extra=[flag, value]))
         assert res.returncode == 2
         assert "error:" in res.stderr and "finite" in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_non_finite_rho_is_input_error(self, two_node_file, rho):
+        res = run_cli(*solve_args(two_node_file, "cdpr", rho=rho))
+        assert res.returncode == 2
+        assert "rho must be positive and finite" in res.stderr
+        assert res.stdout == ""
+
+    def test_non_finite_distribution_weight_is_input_error(self, two_node_file,
+                                                           tmp_path):
+        dist = tmp_path / "dist.txt"
+        dist.write_text("0 nan\n")
+        res = run_cli("solve", "--graph", two_node_file, "--alpha", "0.5",
+                      "--rho", "0.1", "--dist", str(dist), "--solver", "cdpr")
+        assert res.returncode == 2
+        assert "line 1: non-finite weight" in res.stderr
         assert res.stdout == ""
 
     def test_seed_node_out_of_range(self, two_node_file):

@@ -112,6 +112,12 @@ class TestDistribution:
         with pytest.raises(GraphFormatError, match="negative weight"):
             load_distribution(write(tmp_path, "d.txt", "0 -0.5\n1 1.5\n"), 2)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        with pytest.raises(GraphFormatError, match="line 2: non-finite weight"):
+            load_distribution(
+                write(tmp_path, "d.txt", "1 0.5\n0 %s\n" % weight), 2)
+
     def test_repeated_node_rejected(self, tmp_path):
         with pytest.raises(GraphFormatError, match="repeated"):
             load_distribution(write(tmp_path, "d.txt", "0 0.5\n0 0.5\n"), 2)

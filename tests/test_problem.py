@@ -20,6 +20,7 @@ from sparsepr import (
     volume,
 )
 from sparsepr.oracle import random_graph_instance, random_m_matrix
+from sparsepr.problem import restrict
 from sparsepr.solvers import cdpr
 
 from conftest import assert_close, two_node_instance
@@ -64,6 +65,16 @@ class TestPageRankInstance:
     def test_rho_positive(self):
         with pytest.raises(ValueError):
             PageRankInstance(Graph(2, [(0, 1)]), 0.5, 0.0, 0)
+
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
+    def test_rho_finite(self, rho):
+        with pytest.raises(ValueError, match="finite"):
+            PageRankInstance(Graph(2, [(0, 1)]), 0.5, rho, 0)
+
+    def test_distribution_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            PageRankInstance(Graph(2, [(0, 1)]), 0.5, 0.1,
+                             np.array([np.nan, 1.0]))
 
     def test_distribution_off_simplex_rejected(self):
         with pytest.raises(ValueError):
@@ -220,6 +231,16 @@ class TestCheckOptimality:
         rep = check_optimality(q, cdpr(q).x,
                                pagerank_box=pagerank_upper_bounds(inst))
         assert rep.upper_box_violations == []
+
+
+class TestRestrict:
+    def test_empty_set_gives_empty_quadratic(self, two_node):
+        assert restrict(two_node, []).n == 0
+
+    @pytest.mark.parametrize("S", [[1, 0], [0, 0]])
+    def test_indices_must_increase(self, two_node, S):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            restrict(two_node, S)
 
 
 class TestVolumes:

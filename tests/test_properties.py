@@ -4,16 +4,22 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from sparsepr import (
+    Counters,
+    MQuadratic,
+    build_pagerank_quadratic,
     cdpr,
     dense_solve_enumerate,
     gradient,
     internal_volume,
+    negative_tolerance,
     objective,
+    random_graph_instance,
     select_pivot,
     validate_m_matrix,
     volume,
 )
-from sparsepr.oracle import random_m_matrix
+from sparsepr.oracle import GRAPH_KINDS, random_m_matrix
+from sparsepr.problem import GradientWorkspace, restrict
 
 common = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -41,6 +47,51 @@ def test_restricted_gradient_is_a_bitwise_slice(seed, n, density):
     part = gradient(q, x, coords=coords)
     full = gradient(q, x)
     assert np.array_equal(part, full[coords])
+
+
+@common
+@given(seed=seeds, n=dims, density=densities,
+       kind=st.sampled_from(("m-matrix",) + GRAPH_KINDS))
+def test_workspace_gradient_is_the_full_gradient(seed, n, density, kind):
+    if kind == "m-matrix":
+        q = random_m_matrix(n, density, seed=seed)
+    else:
+        q = build_pagerank_quadratic(random_graph_instance(kind, {}, seed))
+    tol = negative_tolerance(q)
+    rng = np.random.default_rng(seed + 5)
+    mine = Counters()
+    ws = GradientWorkspace(q, tol, mine)
+    ref = Counters()
+    assert np.array_equal(ws.g, gradient(q, np.zeros(q.n), counters=ref))
+    assert mine == ref
+    cols = np.empty(0, dtype=np.int64)
+    for _ in range(4):
+        # grow the coordinate set; some coordinates stay or fall back to zero
+        cols = np.union1d(cols, rng.choice(q.n, size=rng.integers(0, 3),
+                                           replace=False))
+        ws.x[cols] = rng.uniform(0.0, 2.0, cols.size) * (
+            rng.uniform(size=cols.size) < 0.7)
+        mine, ref = Counters(), Counters()
+        ws.refresh(cols, mine)
+        g = gradient(q, ws.x, counters=ref)
+        # + 0.0 makes the signed zeros compare equal
+        assert np.array_equal(ws.g + 0.0, g + 0.0)
+        assert np.array_equal(ws.negatives(), np.flatnonzero(g < -tol))
+        assert mine == ref
+
+
+@common
+@given(seed=seeds, n=dims, density=densities)
+def test_restriction_matches_scipy_indexing(seed, n, density):
+    q = random_m_matrix(n, density, seed=seed)
+    rng = np.random.default_rng(seed + 6)
+    S = np.flatnonzero(rng.uniform(size=n) < 0.6)
+    sub = restrict(q, S)
+    ref = MQuadratic(q.Q[S][:, S], q.b[S], q.alpha, q.L, validate=False)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(sub.Q, name), getattr(ref.Q, name))
+    assert np.array_equal(sub.b, ref.b)
+    assert (sub.alpha, sub.L) == (ref.alpha, ref.L)
 
 
 @common
