@@ -240,6 +240,11 @@ class MQuadratic:
 
     ``alpha`` and ``L`` are valid strong-convexity/smoothness bounds
     (alpha*I <= Q <= L*I); solvers step with 1/L and certify with alpha.
+
+    Two facts about the immutable ``b`` are computed once, in O(n), so that
+    a solve need not scan ``b`` again: ``max_abs_b`` (max |b_i|, 0 when
+    n = 0) and ``positive_b`` (the sorted indices with b_i > 0, the only
+    coordinates whose gradient -b_i at x = 0 can be negative).
     """
 
     def __init__(self, Q, b, alpha, L, validate=True):
@@ -257,6 +262,9 @@ class MQuadratic:
         b.setflags(write=False)
         self.Q = Q
         self.b = b
+        self.max_abs_b = float(np.max(np.abs(b))) if b.size else 0.0
+        self.positive_b = np.flatnonzero(b > 0.0)
+        self.positive_b.setflags(write=False)
         self.alpha = float(alpha)
         self.L = float(L)
 
@@ -329,6 +337,8 @@ def restrict(q, S):
     S = np.asarray(S, dtype=np.int64)
     if S.size > 1 and np.any(S[1:] <= S[:-1]):
         raise ValueError("restriction indices must be strictly increasing")
+    if S.size and (S[0] < 0 or S[-1] >= q.n):
+        raise ValueError("restriction index out of range")
     # gather the rows S and keep the entries whose column lies in S, relabelled
     # by position in S; this reads O(vol(S)) entries, where scipy's column
     # index would build an n-length lookup
@@ -352,8 +362,7 @@ def negative_tolerance(q):
     Strict sign tests only make sense in exact arithmetic; this scales a tiny
     relative tolerance by the problem's natural gradient magnitude L*max|b|.
     """
-    nb = float(np.max(np.abs(q.b))) if q.n else 0.0
-    return 1e-12 * q.L * nb
+    return 1e-12 * q.L * q.max_abs_b
 
 
 def _segment_row_products(q, rows, x):
@@ -430,14 +439,15 @@ class GradientWorkspace:
     current at a cost that follows the neighbourhood of the iterate, not n.
 
     Off the Q-neighbourhood of every coordinate the solve has made nonzero,
-    the gradient is -b.  The workspace lists those neighbourhood rows, plus
-    the rows with ``-b_i < -tol`` (the only coordinates off the neighbourhood
-    whose gradient is certainly negative).  The list only grows.  After the
-    O(n) set-up, :meth:`refresh` and :meth:`negatives` touch the listed rows
-    only.  Every listed row is recomputed by the segmented reduction that
-    :func:`gradient` uses, and rows outside the true neighbourhood add exact
-    zeros, so ``g`` equals ``gradient(q, x)`` bit for bit up to the sign of
-    a zero.
+    the gradient is -b.  The workspace lists the coordinates it was given,
+    their neighbourhood rows, and the rows with ``-b_i < -tol`` (the only
+    coordinates off the neighbourhood whose gradient is certainly negative;
+    ``tol`` >= 0, so they lie in ``q.positive_b``).  The list only grows.
+    After the O(n) set-up, :meth:`refresh` and :meth:`negatives` touch the
+    listed rows only.  Every listed row is recomputed by the segmented
+    reduction that :func:`gradient` uses, and rows outside the true
+    neighbourhood add exact zeros, so ``g`` equals ``gradient(q, x)`` bit
+    for bit up to the sign of a zero.
 
     The set-up starts at x = 0, where g = -b, and charges ``counters`` one
     full gradient for it, as ``gradient(q, 0, counters=counters)`` would.
@@ -449,7 +459,8 @@ class GradientWorkspace:
         self.tol = tol
         self.x = np.zeros(q.n)
         self.g = -q.b
-        self.rows = np.flatnonzero(self.g < -tol)
+        pos = q.positive_b
+        self.rows = pos[self.g[pos] < -tol]
         self._listed = np.zeros(q.n, dtype=bool)
         self._listed[self.rows] = True
         self._spread = np.zeros(q.n, dtype=bool)
@@ -464,7 +475,7 @@ class GradientWorkspace:
         new = cols[~self._spread[cols]]
         if new.size:
             self._spread[new] = True
-            rows = _neighborhood(self.q, new)
+            rows = np.union1d(_neighborhood(self.q, new), new)
             rows = rows[~self._listed[rows]]
             self._listed[rows] = True
             self.rows = np.concatenate([self.rows, rows])

@@ -266,9 +266,13 @@ def apgd(q, S, x0, T, counters=None, monitor=None):
     return out
 
 
-def _solution(x, gap_bound, counters, ever):
-    return Solution(x, np.flatnonzero(x > 0), gap_bound, counters,
-                    np.flatnonzero(ever))
+def _solution(ws, gap_bound, counters, ever):
+    """The solve's answer; ``ws.x`` and the n-length mask ``ever`` must
+    vanish off the workspace's listed rows."""
+    rows = np.sort(ws.rows)
+    x = ws.x
+    return Solution(x, rows[x[rows] > 0], gap_bound, counters,
+                    rows[ever[rows]])
 
 
 def _check_eps(eps):
@@ -308,13 +312,13 @@ def ista_baseline(q, eps, tol_neg=None, max_iter=None, counters=None):
     # or over the workspace's candidates
     A = ws.negatives()
     if not A.size:
-        return _solution(x, eps, counters, ever)
+        return _solution(ws, eps, counters, ever)
     counters.stages += 1
     active = np.zeros(q.n, dtype=bool)
     active[A] = True
     target = 2.0 * q.alpha * eps
     if max_iter is None:
-        scale = float(np.max(np.abs(q.b))) + q.alpha
+        scale = q.max_abs_b + q.alpha
         max_iter = int(200 + 4 * q.kappa * max(
             4.0, math.log((q.L * scale / q.alpha) ** 2 / target + 2.0)))
     for _ in range(max_iter):
@@ -322,7 +326,7 @@ def ista_baseline(q, eps, tol_neg=None, max_iter=None, counters=None):
         if (x[neg] > 0).all():
             on = g[A[x[A] > 0]]
             if float(on @ on) <= target:
-                return _solution(x, eps, counters, ever)
+                return _solution(ws, eps, counters, ever)
         fresh = neg[~active[neg]]
         if fresh.size:
             active[fresh] = True
@@ -406,7 +410,7 @@ def cdpr(q, tol_neg=None, counters=None, stage_hook=None):
                 "x": x.copy(),
                 "grad": g.copy(),
             })
-    return _solution(x, "exact", counters, ever)
+    return _solution(ws, "exact", counters, ever)
 
 
 def aspr(q, eps, variant="plain", tol_neg=None, counters=None,
@@ -442,7 +446,7 @@ def aspr(q, eps, variant="plain", tol_neg=None, counters=None,
     member = np.zeros(n, dtype=bool)
     member[S] = True
     if not S.size:
-        return _solution(x, eps, counters, member)
+        return _solution(ws, eps, counters, member)
     lower = np.zeros(n) if variant == "constraints" else None
 
     while True:
@@ -492,7 +496,7 @@ def aspr(q, eps, variant="plain", tol_neg=None, counters=None,
             break
         member[fresh] = True
         S = np.union1d(S, fresh)
-    return _solution(x, eps, counters, member)
+    return _solution(ws, eps, counters, member)
 
 
 def solve(q, token, eps, tol_neg=None):

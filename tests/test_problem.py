@@ -242,6 +242,11 @@ class TestRestrict:
         with pytest.raises(ValueError, match="strictly increasing"):
             restrict(two_node, S)
 
+    @pytest.mark.parametrize("S", [[-1, 0], [1, 2]])
+    def test_indices_must_lie_in_range(self, two_node, S):
+        with pytest.raises(ValueError, match="out of range"):
+            restrict(two_node, S)
+
 
 class TestVolumes:
     def test_two_node_counts(self, two_node):
