@@ -134,7 +134,7 @@ def _polish_support(q, x, threshold=1e-9):
     polished = np.zeros(q.n)
     polished[S] = xs
     g = q.Q @ polished - q.b
-    slack = 1e-9 * max(1.0, float(np.max(np.abs(q.b))))
+    slack = 1e-9 * max(1.0, q.max_abs_b)
     off = np.ones(q.n, dtype=bool)
     off[S] = False
     if off.any() and float(np.min(g[off])) < -slack:
@@ -225,7 +225,7 @@ def verify_geometry(q, S, x0, x_star=None, grad_tol=None):
     x0 = np.asarray(x0, dtype=float)
     n = q.n
     g0 = q.Q @ x0 - q.b
-    scale = max(1.0, float(np.max(np.abs(q.b))) if n else 0.0)
+    scale = max(1.0, q.max_abs_b)
     if grad_tol is None:
         grad_tol = 1e-7 * scale
     member = np.zeros(n, dtype=bool)

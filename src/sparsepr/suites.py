@@ -176,7 +176,7 @@ def suite_cdpr(instances, max_n, seed, corpus=None):
                                  % (item.label, sol.counters.stages, ref.support_size))
 
         struct.checked += 1
-        scale = max(1.0, float(np.max(np.abs(q.b), initial=0.0)))
+        scale = max(1.0, q.max_abs_b)
         Qd = q.Q.toarray()
         dirs = np.zeros((q.n, len(hooks)))
         for k, h in enumerate(hooks):
@@ -424,7 +424,7 @@ def _candidate_states(item, rng, ref):
     """
     q = item.q
     tol = negative_tolerance(q)
-    grad_tol = 1e-7 * max(1.0, float(np.max(np.abs(q.b), initial=0.0)))
+    grad_tol = 1e-7 * max(1.0, q.max_abs_b)
     zero = np.zeros(q.n)
 
     def admissible(x0, S):
