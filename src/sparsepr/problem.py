@@ -444,10 +444,14 @@ class GradientWorkspace:
     coordinates off the neighbourhood whose gradient is certainly negative;
     ``tol`` >= 0, so they lie in ``q.positive_b``).  The list only grows.
     After the O(n) set-up, :meth:`refresh` and :meth:`negatives` touch the
-    listed rows only.  Every listed row is recomputed by the segmented
+    listed rows only.
+
+    ``g`` holds the gradient on the listed ``rows`` only and is never
+    written elsewhere, where the gradient is -b; :meth:`gradient` returns
+    the dense vector.  Every listed row is recomputed by the segmented
     reduction that :func:`gradient` uses, and rows outside the true
-    neighbourhood add exact zeros, so ``g`` equals ``gradient(q, x)`` bit
-    for bit up to the sign of a zero.
+    neighbourhood add exact zeros, so the dense vector equals
+    ``gradient(q, x)`` bit for bit up to the sign of a zero.
 
     The set-up starts at x = 0, where g = -b, and charges ``counters`` one
     full gradient for it, as ``gradient(q, 0, counters=counters)`` would.
@@ -458,9 +462,10 @@ class GradientWorkspace:
         self.q = q
         self.tol = tol
         self.x = np.zeros(q.n)
-        self.g = -q.b
         pos = q.positive_b
-        self.rows = pos[self.g[pos] < -tol]
+        self.rows = pos[-q.b[pos] < -tol]
+        self.g = np.empty(q.n)
+        self.g[self.rows] = -q.b[self.rows]
         self._listed = np.zeros(q.n, dtype=bool)
         self._listed[self.rows] = True
         self._spread = np.zeros(q.n, dtype=bool)
@@ -491,6 +496,12 @@ class GradientWorkspace:
         """Sorted coordinates whose gradient is below ``-tol``."""
         rows = self.rows
         return np.sort(rows[self.g[rows] < -self.tol])
+
+    def gradient(self):
+        """The dense gradient at ``x``, in O(n)."""
+        g = -self.q.b
+        g[self.rows] = self.g[self.rows]
+        return g
 
 
 def objective(q, x):

@@ -408,7 +408,7 @@ def cdpr(q, tol_neg=None, counters=None, stage_hook=None):
                 "curvature": curvature,
                 "step": step,
                 "x": x.copy(),
-                "grad": g.copy(),
+                "grad": ws.gradient(),
             })
     return _solution(ws, "exact", counters, ever)
 

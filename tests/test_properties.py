@@ -62,7 +62,8 @@ def test_workspace_gradient_is_the_full_gradient(seed, n, density, kind):
     mine = Counters()
     ws = GradientWorkspace(q, tol, mine)
     ref = Counters()
-    assert np.array_equal(ws.g, gradient(q, np.zeros(q.n), counters=ref))
+    assert np.array_equal(ws.gradient(),
+                          gradient(q, np.zeros(q.n), counters=ref))
     assert mine == ref
     cols = np.empty(0, dtype=np.int64)
     for _ in range(4):
@@ -75,7 +76,7 @@ def test_workspace_gradient_is_the_full_gradient(seed, n, density, kind):
         ws.refresh(cols, mine)
         g = gradient(q, ws.x, counters=ref)
         # + 0.0 makes the signed zeros compare equal
-        assert np.array_equal(ws.g + 0.0, g + 0.0)
+        assert np.array_equal(ws.gradient() + 0.0, g + 0.0)
         assert np.array_equal(ws.negatives(), np.flatnonzero(g < -tol))
         assert mine == ref
 
