@@ -2,6 +2,7 @@
 exit codes."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 CLI = [sys.executable, "-m", "sparsepr.cli"]
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args):
@@ -207,6 +209,18 @@ class TestVerify:
         assert "PASS" in res.stdout
         assert "FAIL" not in res.stdout
         assert "all 2 invariants passed" in res.stdout
+
+    def test_readme_sample_is_byte_identical(self, capsys):
+        # the README's Verify block is the documented output of this command
+        from sparsepr import cli
+        args = ["verify", "--suite", "all", "--instances", "20",
+                "--max-n", "8", "--seed", "7"]
+        prompt = "$ sparsepr " + " ".join(args) + "\n"
+        text = README.read_text(encoding="utf-8")
+        start = text.index(prompt) + len(prompt)
+        expected = text[start:text.index("```", start)]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == expected
 
     def test_geometry_suite_small(self):
         res = run_cli("verify", "--suite", "geometry", "--instances", "3",
