@@ -447,11 +447,11 @@ class GradientWorkspace:
     listed rows only.
 
     ``g`` holds the gradient on the listed ``rows`` only and is never
-    written elsewhere, where the gradient is -b; :meth:`gradient` returns
-    the dense vector.  Every listed row is recomputed by the segmented
-    reduction that :func:`gradient` uses, and rows outside the true
-    neighbourhood add exact zeros, so the dense vector equals
-    ``gradient(q, x)`` bit for bit up to the sign of a zero.
+    written elsewhere, where the gradient is -b.  Every listed row is
+    recomputed by the segmented reduction that :func:`gradient` uses, and
+    rows outside the true neighbourhood add exact zeros, so ``g`` on the
+    listed rows equals ``gradient(q, x)`` there bit for bit up to the sign
+    of a zero.
 
     The set-up starts at x = 0, where g = -b, and charges ``counters`` one
     full gradient for it, as ``gradient(q, 0, counters=counters)`` would.
@@ -496,12 +496,6 @@ class GradientWorkspace:
         """Sorted coordinates whose gradient is below ``-tol``."""
         rows = self.rows
         return np.sort(rows[self.g[rows] < -self.tol])
-
-    def gradient(self):
-        """The dense gradient at ``x``, in O(n)."""
-        g = -self.q.b
-        g[self.rows] = self.g[self.rows]
-        return g
 
 
 def objective(q, x):

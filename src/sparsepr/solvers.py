@@ -21,6 +21,17 @@ Four algorithms, all driven by sign information in the gradient:
 
 Every solver is deterministic and charges its sparse-matrix touches to a
 :class:`Counters` object.
+
+Observing a run: ``pgd``, ``apgd``, ``cdpr`` and ``aspr`` take one
+``observe`` keyword, called as ``observe(x, S, d)`` after each step of
+``pgd``/``apgd`` and after each stage of ``cdpr``/``aspr`` (including an
+``aspr`` stage that the early variant aborts).  ``x`` is the live dense
+iterate; copy it to keep it.  ``S`` is the sorted set of coordinates the
+solver worked on: the subspace for ``pgd``/``apgd``, the pivots so far for
+``cdpr`` (also the support of its new direction), and the working set for
+``aspr``.  ``d`` holds ``cdpr``'s new conjugate direction on ``S``; the
+other solvers pass None.  ``S`` and ``d`` are never written after the call,
+so they may be kept; an observer must not write to any of the three.
 """
 
 from __future__ import annotations
@@ -139,23 +150,23 @@ def _check_start(q, S, x0):
     return x0
 
 
-def pgd(q, S, x0, T, counters=None, monitor=None):
+def pgd(q, S, x0, T, counters=None, observe=None):
     """T projected-gradient steps with step 1/L on the coordinates S.
 
-    Coordinates outside S are never touched.  ``monitor(t, x)`` is invoked
-    after each step (x is live; copy it if you keep it).
+    Coordinates outside S are never touched.  ``observe`` sees the iterate
+    after each step (see the module docstring).
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
     S = np.arange(q.n) if S is None else np.unique(np.asarray(S, dtype=np.int64))
     x = _check_start(q, S, x0).copy()
-    for t in range(T):
+    for _ in range(T):
         gs = gradient(q, x, coords=S, counters=counters)
         x[S] = np.maximum(0.0, x[S] - gs / q.L)
         if counters is not None:
             counters.inner_iters += 1
-        if monitor is not None:
-            monitor(t, x)
+        if observe is not None:
+            observe(x, S, None)
     return x
 
 
@@ -169,7 +180,7 @@ def _coeff_growth(kappa):
     return 2.0 * kappa / (2.0 * kappa + 1.0 - math.sqrt(1.0 + 4.0 * kappa))
 
 
-def _apgd_loop(q, S, x0s, T, counters, lower=None, monitor=None,
+def _apgd_loop(q, S, x0s, T, counters, lower=None, observe=None, out=None,
                full_every=0, ws=None, member=None):
     """Accelerated projected gradient on the restriction of q to S.
 
@@ -183,7 +194,8 @@ def _apgd_loop(q, S, x0s, T, counters, lower=None, monitor=None,
     somewhere off it (off ``member``), the loop aborts at that point with
     ``ws`` holding the point and its gradient, and reports the new
     coordinates.  Both features need ``ws``, whose tolerance both sign
-    tests allow as slack.
+    tests allow as slack.  ``observe`` sees each output iterate embedded in
+    the dense ``out``, which must vanish off S.
     """
     kappa = q.kappa
     alpha = q.alpha
@@ -231,18 +243,19 @@ def _apgd_loop(q, S, x0s, T, counters, lower=None, monitor=None,
             A *= 1e-200
             a *= 1e-200
         counters.inner_iters += 1
-        if monitor is not None:
-            monitor(t, y)
+        if observe is not None:
+            out[S] = y
+            observe(out, S, None)
     return _InnerResult(y)
 
 
-def apgd(q, S, x0, T, counters=None, monitor=None):
+def apgd(q, S, x0, T, counters=None, observe=None):
     """T accelerated projected-gradient steps on the coordinates S.
 
     Uses the estimate-sequence coefficient recurrence whose accumulated
     weight grows at least like (1 - 1/(2*sqrt(kappa)))^{-1} per step.
-    Requires L >= alpha; ``monitor(t, y)`` sees the embedded output iterate
-    after each step.
+    Requires L >= alpha; ``observe`` sees the output iterate after each step
+    (see the module docstring).
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -255,13 +268,7 @@ def apgd(q, S, x0, T, counters=None, monitor=None):
         out[S] = x0[S]
         return out
     counters = Counters() if counters is None else counters
-    wrapped = None
-    if monitor is not None:
-        def wrapped(t, ys):
-            full = np.zeros(q.n)
-            full[S] = ys
-            monitor(t, full)
-    res = _apgd_loop(q, S, x0[S], T, counters, monitor=wrapped)
+    res = _apgd_loop(q, S, x0[S], T, counters, observe=observe, out=out)
     out[S] = res.y
     return out
 
@@ -339,7 +346,7 @@ def ista_baseline(q, eps, tol_neg=None, max_iter=None, counters=None):
     raise SolverError("baseline failed to converge in %d iterations" % max_iter)
 
 
-def cdpr(q, tol_neg=None, counters=None, stage_hook=None):
+def cdpr(q, tol_neg=None, counters=None, observe=None):
     """Conjugate-directions solver: exact in |support| stages.
 
     Each stage pivots on the most negative gradient coordinate, extends the
@@ -347,7 +354,8 @@ def cdpr(q, tol_neg=None, counters=None, stage_hook=None):
     directions (touching a single matrix row plus the direction supports),
     and takes the exact line-search step.  The gradient stays zero on all
     previous pivots, iterates are coordinatewise nondecreasing, and the
-    final iterate is the exact optimizer.
+    final iterate is the exact optimizer.  ``observe`` sees each stage's
+    iterate, pivots and direction (see the module docstring).
     """
     counters = Counters() if counters is None else counters
     ws = GradientWorkspace(q, _negative_threshold(q, tol_neg), counters)
@@ -392,29 +400,18 @@ def cdpr(q, tol_neg=None, counters=None, stage_hook=None):
         rowbuf[cols_i] = 0.0
         accum[supp] = 0.0
 
-        basis.add(supp, d_vals.copy(), curvature)
+        basis.add(supp, d_vals, curvature)
         pivots.append(i)
         member[i] = True
         counters.stages += 1
         ever[supp] |= x[supp] > 0
         ws.refresh(supp, counters)
-        if stage_hook is not None:
-            stage_hook({
-                "stage": len(pivots) - 1,
-                "pivot": i,
-                "pivots": list(pivots),
-                "direction_idx": supp,
-                "direction_vals": d_vals.copy(),
-                "curvature": curvature,
-                "step": step,
-                "x": x.copy(),
-                "grad": ws.gradient(),
-            })
+        if observe is not None:
+            observe(x, supp, d_vals)
     return _solution(ws, "exact", counters, ever)
 
 
-def aspr(q, eps, variant="plain", tol_neg=None, counters=None,
-         stage_hook=None):
+def aspr(q, eps, variant="plain", tol_neg=None, counters=None, observe=None):
     """Staged accelerated solver with working-set expansion.
 
     Per stage: run the accelerated inner loop on the working set long enough
@@ -432,6 +429,9 @@ def aspr(q, eps, variant="plain", tol_neg=None, counters=None,
     variant="constraints": coordinatewise lower bounds, certified at any
     iterate observed with nonpositive working-set gradient, replace zero in
     every clamp (inner projection and retraction).
+
+    ``observe`` sees each stage's iterate and working set (see the module
+    docstring); an aborted stage is observed at its abort point.
     """
     _check_eps(eps)
     if variant not in ASPR_VARIANTS:
@@ -472,9 +472,8 @@ def aspr(q, eps, variant="plain", tol_neg=None, counters=None,
         res = _apgd_loop(q, S, x[S], T, counters, lower=lower_s,
                          full_every=period, ws=ws, member=member)
         if res.fresh is not None:
-            if stage_hook is not None:
-                stage_hook({"stage": counters.stages - 1, "S": S,
-                            "x": x.copy(), "aborted": True})
+            if observe is not None:
+                observe(x, S, None)
             member[res.fresh] = True
             S = np.union1d(S, res.fresh)
             continue
@@ -487,9 +486,8 @@ def aspr(q, eps, variant="plain", tol_neg=None, counters=None,
         ws.refresh(S, counters)
         if lower is not None and float(np.max(g[S])) <= ws.tol:
             lower[S] = np.maximum(lower[S], x[S])
-        if stage_hook is not None:
-            stage_hook({"stage": counters.stages - 1, "S": S,
-                        "x": x.copy(), "aborted": False})
+        if observe is not None:
+            observe(x, S, None)
         fresh = ws.negatives()
         fresh = fresh[~member[fresh]]
         if not fresh.size:

@@ -153,9 +153,13 @@ def suite_cdpr(instances, max_n, seed, corpus=None):
     for item in corpus:
         q = item.q
         ref = item.reference()
-        hooks = []
+        stages = []
+
+        def observe(x, S, d):
+            stages.append((S, d, x.copy(), gradient(q, x, coords=S)))
+
         try:
-            sol = cdpr(q, stage_hook=hooks.append)
+            sol = cdpr(q, observe=observe)
         except Exception as exc:  # a solver crash is a failed check, not a crash
             exact.checked += 1
             exact.record_failure("%s: solver raised %r" % (item.label, exc))
@@ -178,11 +182,11 @@ def suite_cdpr(instances, max_n, seed, corpus=None):
         struct.checked += 1
         scale = max(1.0, q.max_abs_b)
         Qd = q.Q.toarray()
-        dirs = np.zeros((q.n, len(hooks)))
-        for k, h in enumerate(hooks):
-            dirs[h["direction_idx"], k] = h["direction_vals"]
+        dirs = np.zeros((q.n, len(stages)))
+        for k, (S, d, _, _) in enumerate(stages):
+            dirs[S, k] = d
         gram = dirs.T @ (Qd @ dirs)
-        if len(hooks) > 1:
+        if len(stages) > 1:
             norms = np.sqrt(np.diag(gram))
             cross = gram / np.outer(norms, norms)
             np.fill_diagonal(cross, 0.0)
@@ -192,17 +196,17 @@ def suite_cdpr(instances, max_n, seed, corpus=None):
                 struct.record_failure("%s: directions lose conjugacy (%.3e)"
                                       % (item.label, ortho))
         x_prev = np.zeros(q.n)
-        for h in hooks:
-            annih = float(np.max(np.abs(h["grad"][h["pivots"]])))
+        for stage, (_, _, x, g_pivots) in enumerate(stages):
+            annih = float(np.max(np.abs(g_pivots)))
             struct.worst = max(struct.worst, annih / scale)
             if annih > 1e-8 * scale:
                 struct.record_failure("%s: stage %d pivot gradient %.3e"
-                                      % (item.label, h["stage"], annih))
-            drop = float(np.min(h["x"] - x_prev, initial=0.0))
+                                      % (item.label, stage, annih))
+            drop = float(np.min(x - x_prev, initial=0.0))
             if drop < -1e-10:
                 struct.record_failure("%s: stage %d coordinate decreased %.3e"
-                                      % (item.label, h["stage"], drop))
-            x_prev = h["x"]
+                                      % (item.label, stage, drop))
+            x_prev = x
     return [exact, struct]
 
 
@@ -251,25 +255,25 @@ def suite_aspr(instances, max_n, seed, corpus=None):
     for item in corpus[:50]:
         q = item.q
         ref = item.reference()
-        hooks = []
+        stages = []
         try:
-            aspr(q, 1e-6, stage_hook=hooks.append)
+            aspr(q, 1e-6, observe=lambda x, S, d: stages.append((S, x.copy())))
         except Exception as exc:
             sandwich.checked += 1
             sandwich.record_failure("%s: aspr raised %r" % (item.label, exc))
             continue
-        for h in hooks:
+        for stage, (S, x) in enumerate(stages):
             sandwich.checked += 1
-            xc = subspace_solve(q, h["S"]).x_star
-            lo = float(np.max(h["x"] - xc, initial=0.0))
+            xc = subspace_solve(q, S).x_star
+            lo = float(np.max(x - xc, initial=0.0))
             hi = float(np.max(xc - ref.x_star, initial=0.0))
             sandwich.worst = max(sandwich.worst, lo, hi)
             if lo > 1e-9:
                 sandwich.record_failure("%s: stage %d iterate above subspace "
-                                        "optimum by %.3e" % (item.label, h["stage"], lo))
+                                        "optimum by %.3e" % (item.label, stage, lo))
             if hi > 1e-9:
                 sandwich.record_failure("%s: stage %d subspace optimum above "
-                                        "global by %.3e" % (item.label, h["stage"], hi))
+                                        "global by %.3e" % (item.label, stage, hi))
     return [gap, purity, sandwich]
 
 
@@ -357,7 +361,7 @@ def suite_rates(instances, max_n, seed, corpus=None):
         atol_d = 1e-13 * max(1.0, d0)
         dists = []
         pgd(q, S, np.zeros(n), T,
-            monitor=lambda t, x: dists.append(float(((x - x_star) ** 2).sum())))
+            observe=lambda x, S, d: dists.append(float(((x - x_star) ** 2).sum())))
         pgd_chk.checked += 1
         bound = d0
         for t, d2 in enumerate(dists, start=1):
@@ -374,11 +378,11 @@ def suite_rates(instances, max_n, seed, corpus=None):
         atol_g = 1e-13 * max(1.0, q.L * d0)
         gaps = []
 
-        def taylor_gap(t, y, _gs=g_star, _xs=x_star, _acc=gaps):
+        def taylor_gap(y, S, d, _gs=g_star, _xs=x_star, _acc=gaps):
             delta = y - _xs
             _acc.append(float(_gs @ delta + 0.5 * (delta @ (q.Q @ delta))))
 
-        apgd(q, S, np.zeros(n), T, monitor=taylor_gap)
+        apgd(q, S, np.zeros(n), T, observe=taylor_gap)
         apgd_chk.checked += 1
         bound = pref
         for t, gp in enumerate(gaps, start=1):
@@ -446,17 +450,16 @@ def _candidate_states(item, rng, ref):
     if neg0.size:
         yield zero, neg0
         seen.add((neg0.tobytes(), zero.tobytes()))
-    hooks = []
+    stages = []
     try:
-        cdpr(q, stage_hook=hooks.append)
+        cdpr(q, observe=lambda x, S, d: stages.append((S, x.copy())))
     except Exception:
-        hooks = []
+        stages = []
     x_prev = zero
-    for h in hooks:
-        S = np.sort(np.asarray(h["pivots"]))
+    for S, x in stages:
         if once(x_prev, S):
             yield x_prev, S
-        x_prev = h["x"]
+        x_prev = x
     if ref.support.size and once(ref.x_star, ref.support):
         yield ref.x_star, ref.support
     for _ in range(200):

@@ -27,6 +27,13 @@ from sparsepr.solvers import ASPR_VARIANTS, SOLVER_TOKENS, _coeff_growth, solve
 from conftest import assert_close, two_node_instance
 
 
+def recorder(q, calls):
+    """An observer that appends (S, d, x, gradient at x) for every call."""
+    def observe(x, S, d):
+        calls.append((S.tolist(), d, x.copy(), gradient(q, x)))
+    return observe
+
+
 class TestSelectPivot:
     def test_most_negative_wins(self):
         assert select_pivot([0, 1], [-0.45, -0.05]) == 0
@@ -71,12 +78,12 @@ class TestPGD:
         with pytest.raises(ValueError):
             pgd(two_node, [0, 1], np.array([-0.1, 0.0]), 1)
 
-    def test_monitor_sees_every_iterate(self, two_node):
+    def test_observer_sees_every_iterate(self, two_node):
         seen = []
-        pgd(two_node, [0, 1], np.zeros(2), 5,
-            monitor=lambda t, x: seen.append((t, x.copy())))
-        assert [t for t, _ in seen] == [0, 1, 2, 3, 4]
-        assert_close(seen[0][1], [0.45, 0.0], 1e-15)
+        pgd(two_node, [0, 1], np.zeros(2), 5, observe=recorder(two_node, seen))
+        assert len(seen) == 5
+        assert all(S == [0, 1] and d is None for S, d, _, _ in seen)
+        assert_close(seen[0][2], [0.45, 0.0], 1e-15)
 
 
 class TestAPGDCoefficients:
@@ -118,16 +125,25 @@ class TestAPGD:
         x0 = np.array([0.2, 0.0])
         assert np.array_equal(apgd(two_node, [0, 1], x0, 0), x0)
 
+    def test_observer_sees_every_iterate_on_the_subspace(self, two_node):
+        seen = []
+        y = apgd(two_node, [0], np.zeros(2), 6, observe=recorder(two_node, seen))
+        assert len(seen) == 6
+        assert all(S == [0] and d is None and x[1] == 0.0
+                   for S, d, x, _ in seen)
+        assert np.array_equal(seen[-1][2], y)
+
 
 class TestCDPR:
     def test_two_node_stage_trace(self, two_node):
-        hooks = []
+        stages = []
         counters = Counters()
-        sol = cdpr(two_node, counters=counters, stage_hook=hooks.append)
-        assert [h["pivot"] for h in hooks] == [0, 1]
-        assert_close(hooks[0]["x"], [0.6, 0.0], 1e-12)
-        assert_close(hooks[1]["x"], [0.65, 0.15], 1e-12)
-        assert_close(hooks[0]["grad"][1], -0.1, 1e-12)
+        sol = cdpr(two_node, counters=counters,
+                   observe=recorder(two_node, stages))
+        assert [S for S, _, _, _ in stages] == [[0], [0, 1]]
+        assert_close(stages[0][2], [0.6, 0.0], 1e-12)
+        assert_close(stages[1][2], [0.65, 0.15], 1e-12)
+        assert_close(stages[0][3][1], -0.1, 1e-12)
         assert sol.gap_bound == "exact"
         assert counters.stages == 2
         assert counters.inner_iters == 0
@@ -154,22 +170,22 @@ class TestCDPR:
         assert sol.gap_bound == "exact"
 
     def test_first_stage_is_exact_line_minimum(self, two_node):
-        hooks = []
-        cdpr(two_node, stage_hook=hooks.append)
+        stages = []
+        cdpr(two_node, observe=recorder(two_node, stages))
         # minimizing along e_0 alone gives b_0 / Q_00 = 0.45 / 0.75
-        assert_close(hooks[0]["x"][0], 0.6, 1e-14)
+        assert_close(stages[0][2][0], 0.6, 1e-14)
 
     def test_iterates_monotone_and_pivots_annihilated(self, small_corpus):
         for item in small_corpus:
             q = item.q
-            hooks = []
-            sol = cdpr(q, stage_hook=hooks.append)
+            stages = []
+            cdpr(q, observe=recorder(q, stages))
             prev = np.zeros(q.n)
-            for h in hooks:
-                assert np.min(h["x"] - prev) >= -1e-10
-                prev = h["x"]
+            for S, _, x, g in stages:
+                assert np.min(x - prev) >= -1e-10
+                prev = x
                 scale = max(1.0, float(np.max(np.abs(q.b))))
-                assert np.max(np.abs(h["grad"][h["pivots"]])) <= 1e-8 * scale
+                assert np.max(np.abs(g[S])) <= 1e-8 * scale
 
     def test_stage_count_equals_support(self, small_corpus):
         for item in small_corpus:
@@ -182,13 +198,13 @@ class TestCDPR:
     def test_directions_conjugate(self, small_corpus):
         for item in small_corpus[:5]:
             q = item.q
-            hooks = []
-            cdpr(q, stage_hook=hooks.append)
-            if len(hooks) < 2:
+            stages = []
+            cdpr(q, observe=recorder(q, stages))
+            if len(stages) < 2:
                 continue
-            D = np.zeros((q.n, len(hooks)))
-            for k, h in enumerate(hooks):
-                D[h["direction_idx"], k] = h["direction_vals"]
+            D = np.zeros((q.n, len(stages)))
+            for k, (S, d, _, _) in enumerate(stages):
+                D[S, k] = d
             G = D.T @ (q.Q @ D)
             norms = np.sqrt(np.diag(G))
             off = G / np.outer(norms, norms)
@@ -239,10 +255,12 @@ class TestASPRSchedule:
 
 class TestASPR:
     def test_two_node_stage_trace(self, two_node):
-        hooks = []
+        stages = []
         counters = Counters()
-        sol = aspr(two_node, 1e-6, counters=counters, stage_hook=hooks.append)
-        assert [list(h["S"]) for h in hooks] == [[0], [0, 1]]
+        sol = aspr(two_node, 1e-6, counters=counters,
+                   observe=recorder(two_node, stages))
+        assert [S for S, _, _, _ in stages] == [[0], [0, 1]]
+        assert all(d is None for _, d, _, _ in stages)
         ref = dense_solve_enumerate(two_node)
         assert objective(two_node, sol.x) - ref.objective_value <= 1e-6
         assert sol.gap_bound == 1e-6
@@ -273,11 +291,11 @@ class TestASPR:
         for item in small_corpus[:6]:
             q = item.q
             ref = item.reference()
-            hooks = []
-            aspr(q, 1e-6, variant=variant, stage_hook=hooks.append)
-            for h in hooks:
-                xc = subspace_solve(q, h["S"]).x_star
-                assert np.max(h["x"] - xc) <= 1e-9
+            stages = []
+            aspr(q, 1e-6, variant=variant, observe=recorder(q, stages))
+            for S, _, x, _ in stages:
+                xc = subspace_solve(q, S).x_star
+                assert np.max(x - xc) <= 1e-9
                 assert np.max(xc - ref.x_star) <= 1e-9
 
     def test_nonpositive_b_terminates_at_zero(self):
@@ -306,10 +324,10 @@ class TestASPR:
     def test_early_variant_never_adds_bad_coordinates(self, small_corpus):
         for item in small_corpus:
             ref = item.reference()
-            hooks = []
-            aspr(item.q, 1e-6, variant="early", stage_hook=hooks.append)
-            for h in hooks:
-                assert set(h["S"]) <= set(ref.support)
+            stages = []
+            aspr(item.q, 1e-6, variant="early", observe=recorder(item.q, stages))
+            for S, _, _, _ in stages:
+                assert set(S) <= set(ref.support)
 
     def test_final_iterate_is_reported_stationary_enough(self, small_corpus):
         for item in small_corpus[:6]:
