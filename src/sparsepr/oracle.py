@@ -80,7 +80,7 @@ def dense_solve_enumerate(q):
         raise ValueError("enumeration oracle limited to n <= %d" % ENUMERATE_MAX_N)
     Qd = q.Q.toarray()
     b = q.b
-    slack = 1e-12 * max(1.0, float(np.max(np.abs(b))) if n else 0.0)
+    slack = 1e-12 * max(1.0, q.max_abs_b)
 
     near_misses = []
     for mask in range(1 << n):
@@ -115,6 +115,12 @@ def dense_solve_enumerate(q):
     )
 
 
+def _refined_solve(sub, rhs):
+    """Solve the dense system sub @ xs = rhs, plus one refinement step."""
+    xs = np.linalg.solve(sub, rhs)
+    return xs + np.linalg.solve(sub, rhs - sub @ xs)
+
+
 def _polish_support(q, x, threshold=1e-9):
     """Dense principal solve on the detected support of x (plus one
     refinement step).  Returns the polished iterate, or x unchanged when the
@@ -125,8 +131,7 @@ def _polish_support(q, x, threshold=1e-9):
         return np.zeros(q.n) if (x <= threshold * scale).all() else x
     sub = q.Q[np.ix_(S, S)].toarray() if sp.issparse(q.Q) else q.Q[np.ix_(S, S)]
     try:
-        xs = np.linalg.solve(sub, q.b[S])
-        xs = xs + np.linalg.solve(sub, q.b[S] - sub @ xs)
+        xs = _refined_solve(sub, q.b[S])
     except np.linalg.LinAlgError:
         return x
     if not (xs > 0).all():
@@ -163,8 +168,8 @@ def dense_solve_projected(q, gap=1e-12, max_iter=None):
     L = q.L
     tol = math.sqrt(2.0 * q.alpha * gap / max(1, n))
     if max_iter is None:
-        scale = float(np.max(np.abs(b))) if n else 0.0
-        max_iter = int(1000 + 8 * q.kappa * max(1.0, math.log(2.0 + scale / tol)))
+        max_iter = int(1000 + 8 * q.kappa
+                       * max(1.0, math.log(2.0 + q.max_abs_b / tol)))
     x = np.zeros(n)
     for _ in range(max_iter):
         g = Q @ x - b

@@ -558,16 +558,5 @@ def volume(q, S):
 
 
 def internal_volume(q, S):
-    """Stored nonzeros of the S-by-S principal submatrix of Q."""
-    S = np.asarray(S, dtype=np.int64)
-    if S.size == 0:
-        return 0
-    member = np.zeros(q.n, dtype=bool)
-    member[S] = True
-    Q = q.Q
-    count = 0
-    starts = Q.indptr[S]
-    stops = Q.indptr[S + 1]
-    for a, b in zip(starts, stops):
-        count += int(np.count_nonzero(member[Q.indices[a:b]]))
-    return count
+    """Stored nonzeros of the S-by-S principal submatrix of Q (S sorted)."""
+    return restrict(q, S).Q.nnz

@@ -17,9 +17,9 @@ import math
 
 import numpy as np
 
-from .oracle import (OracleError, dense_solve_enumerate, dense_solve_projected,
-                     random_graph_instance, random_m_matrix, subspace_solve,
-                     verify_geometry)
+from .oracle import (OracleError, _refined_solve, dense_solve_enumerate,
+                     dense_solve_projected, random_graph_instance,
+                     random_m_matrix, subspace_solve, verify_geometry)
 from .problem import (MQuadratic, build_pagerank_quadratic, gradient,
                       negative_tolerance, objective, restrict, volume)
 from .solvers import (ASPR_VARIANTS, _coeff_growth, apgd, aspr, cdpr,
@@ -292,14 +292,12 @@ def _exact_reference(q):
     Qd = q.Q.toarray()
     b = q.b
     n = q.n
-    scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    scale = max(1.0, q.max_abs_b)
     member = b > 0
     for _ in range(n + 2):
         S = np.flatnonzero(member)
         if S.size:
-            sub = Qd[np.ix_(S, S)]
-            xs = np.linalg.solve(sub, b[S])
-            xs = xs + np.linalg.solve(sub, b[S] - sub @ xs)
+            xs = _refined_solve(Qd[np.ix_(S, S)], b[S])
             if (xs <= 0).any():
                 member[S[xs <= 0]] = False
                 continue
