@@ -17,8 +17,20 @@ class GraphFormatError(ValueError):
     """Malformed graph or distribution file (message carries line numbers)."""
 
 
+def _add_edge(seen, lineno, i, j):
+    """Record the undirected edge (i, j) read at line ``lineno`` in ``seen``
+    (edge -> first line, in file order), rejecting self-loops and repeats."""
+    if i == j:
+        raise GraphFormatError("line %d: self-loop at node %d" % (lineno, i))
+    key = (min(i, j), max(i, j))
+    if key in seen:
+        raise GraphFormatError(
+            "line %d: duplicate edge (%d, %d), first seen at line %d"
+            % (lineno, key[0], key[1], seen[key]))
+    seen[key] = lineno
+
+
 def _parse_edgelist(lines):
-    edges = []
     seen = {}
     declared_n = None
     for lineno, raw in enumerate(lines, start=1):
@@ -34,29 +46,18 @@ def _parse_edgelist(lines):
                     raise GraphFormatError(
                         "line %d: malformed node-count header" % lineno)
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(
-                "line %d: expected two node ids, got %r" % (lineno, line))
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = map(int, line.split())
         except ValueError:
             raise GraphFormatError(
                 "line %d: expected two node ids, got %r" % (lineno, line))
         if i < 0 or j < 0:
             raise GraphFormatError("line %d: negative node id" % lineno)
-        if i == j:
-            raise GraphFormatError("line %d: self-loop at node %d" % (lineno, i))
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise GraphFormatError(
-                "line %d: duplicate edge (%d, %d), first seen at line %d"
-                % (lineno, key[0], key[1], seen[key]))
-        seen[key] = lineno
-        edges.append(key)
-    if not edges:
+        _add_edge(seen, lineno, i, j)
+    if not seen:
         raise GraphFormatError("no edges found")
-    max_id = max(max(e) for e in edges)
+    edges = list(seen)
+    max_id = max(j for _, j in edges)
     n = max_id + 1
     if declared_n is not None:
         if declared_n < n:
@@ -84,10 +85,10 @@ def _parse_matrixmarket(lines):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
-        parts = line.split()
-        if len(parts) != 3:
+        try:
+            rows, cols, nnz = map(int, line.split())
+        except ValueError:
             raise GraphFormatError("line %d: expected 'rows cols nnz'" % lineno)
-        rows, cols, nnz = (int(p) for p in parts)
         if rows != cols:
             raise GraphFormatError("line %d: adjacency must be square" % lineno)
         dims = (rows, nnz)
@@ -95,31 +96,23 @@ def _parse_matrixmarket(lines):
     if dims is None:
         raise GraphFormatError("missing dimension line")
     n, nnz = dims
-    edges = []
     seen = {}
     for lineno, raw in it:
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
+        try:
+            i, j = map(int, line.split())
+        except ValueError:
             raise GraphFormatError("line %d: expected two 1-based ids" % lineno)
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
+        i, j = i - 1, j - 1
         if not (0 <= i < n and 0 <= j < n):
             raise GraphFormatError("line %d: id out of declared range" % lineno)
-        if i == j:
-            raise GraphFormatError("line %d: self-loop at node %d" % (lineno, i))
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise GraphFormatError(
-                "line %d: duplicate edge (%d, %d), first seen at line %d"
-                % (lineno, key[0], key[1], seen[key]))
-        seen[key] = lineno
-        edges.append(key)
-    if len(edges) != nnz:
+        _add_edge(seen, lineno, i, j)
+    if len(seen) != nnz:
         raise GraphFormatError(
-            "entry count %d does not match declared nnz %d" % (len(edges), nnz))
-    return n, edges
+            "entry count %d does not match declared nnz %d" % (len(seen), nnz))
+    return n, list(seen)
 
 
 def load_graph(path, fmt="edgelist"):
@@ -153,6 +146,7 @@ def load_distribution(path, n):
     renormalized exactly.
     """
     s = np.zeros(n)
+    seen = set()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -174,8 +168,9 @@ def load_distribution(path, n):
                 raise GraphFormatError("line %d: non-finite weight" % lineno)
             if w < 0:
                 raise GraphFormatError("line %d: negative weight" % lineno)
-            if s[node] != 0:
+            if node in seen:
                 raise GraphFormatError("line %d: node %d repeated" % (lineno, node))
+            seen.add(node)
             s[node] = w
     total = s.sum()
     if abs(total - 1.0) > 1e-6:

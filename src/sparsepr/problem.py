@@ -81,8 +81,15 @@ class Graph:
             if dup.any():
                 i, j = e[1:][dup][0]
                 raise ValueError("duplicate edge (%d, %d)" % (i, j))
+        if n > 2 * e.shape[0]:
+            # m edges cover at most 2m nodes; name the smallest uncovered one
+            # without allocating anything of length n
+            ids = np.unique(e)
+            gaps = np.flatnonzero(ids != np.arange(ids.size))
+            i = int(gaps[0]) if gaps.size else ids.size
+            raise ValueError("isolated node %d (every node needs degree >= 1)" % i)
 
-        rows = np.concatenate([e[:, 0], e[:, 1]])
+        rows =np.concatenate([e[:, 0], e[:, 1]])
         cols = np.concatenate([e[:, 1], e[:, 0]])
         adj = sp.csr_matrix(
             (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n)

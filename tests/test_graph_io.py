@@ -1,5 +1,7 @@
 """Edge-list and MatrixMarket parsing, seed-distribution loading."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,19 @@ class TestMatrixMarket:
             load_graph(write(tmp_path, "g.mtx", self.HEADER + "2 2 1\n1 5\n"),
                        fmt="matrixmarket")
 
+    def test_non_integer_dimension_reports_line(self, tmp_path):
+        with pytest.raises(GraphFormatError,
+                           match="^line 2: expected 'rows cols nnz'$"):
+            load_graph(write(tmp_path, "g.mtx", self.HEADER + "3 3 x\n1 2\n"),
+                       fmt="matrixmarket")
+
+    def test_non_integer_entry_reports_line(self, tmp_path):
+        with pytest.raises(GraphFormatError,
+                           match="^line 4: expected two 1-based ids$"):
+            load_graph(write(tmp_path, "g.mtx",
+                             self.HEADER + "3 3 2\n1 2\n2 y\n"),
+                       fmt="matrixmarket")
+
     def test_one_indexing_converted(self, tmp_path):
         text = self.HEADER + "2 2 1\n1 2\n"
         g = load_graph(write(tmp_path, "g.mtx", text), fmt="matrixmarket")
@@ -122,6 +137,10 @@ class TestDistribution:
         with pytest.raises(GraphFormatError, match="repeated"):
             load_distribution(write(tmp_path, "d.txt", "0 0.5\n0 0.5\n"), 2)
 
+    def test_repeated_node_after_zero_weight_rejected(self, tmp_path):
+        with pytest.raises(GraphFormatError, match="line 2: node 0 repeated"):
+            load_distribution(write(tmp_path, "d.txt", "0 0\n0 1\n"), 3)
+
     def test_out_of_range_node_rejected(self, tmp_path):
         with pytest.raises(GraphFormatError, match="out of range"):
             load_distribution(write(tmp_path, "d.txt", "5 1.0\n"), 2)
@@ -129,3 +148,19 @@ class TestDistribution:
     def test_malformed_line_rejected(self, tmp_path):
         with pytest.raises(GraphFormatError, match="line 1"):
             load_distribution(write(tmp_path, "d.txt", "0 0.5 extra\n"), 2)
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("edgelist", "# nodes: 3000000\n0 1\n"),
+    ("matrixmarket", TestMatrixMarket.HEADER + "3000000 3000000 1\n1 2\n"),
+], ids=["edgelist", "matrixmarket"])
+def test_declared_node_count_does_not_drive_memory(tmp_path, fmt, text):
+    path = write(tmp_path, "g.txt", text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError, match="isolated node 2 "):
+            load_graph(path, fmt=fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
