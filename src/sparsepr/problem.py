@@ -89,7 +89,7 @@ class Graph:
             i = int(gaps[0]) if gaps.size else ids.size
             raise ValueError("isolated node %d (every node needs degree >= 1)" % i)
 
-        rows =np.concatenate([e[:, 0], e[:, 1]])
+        rows = np.concatenate([e[:, 0], e[:, 1]])
         cols = np.concatenate([e[:, 1], e[:, 0]])
         adj = sp.csr_matrix(
             (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n)
