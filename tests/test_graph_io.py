@@ -1,11 +1,17 @@
 """Edge-list and MatrixMarket parsing, seed-distribution loading."""
 
+import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sparsepr import Graph, random_graph_instance
 from sparsepr.graph_io import GraphFormatError, load_distribution, load_graph
+from sparsepr.oracle import GRAPH_KINDS
 
 
 def write(tmp_path, name, text):
@@ -164,3 +170,74 @@ def test_declared_node_count_does_not_drive_memory(tmp_path, fmt, text):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+MM = TestMatrixMarket.HEADER
+
+# One fault per file, each after comment and blank lines, so the reported
+# line number differs from the faulty pair's row among the edges.
+SINGLE_FAULTS = [
+    ("edgelist", "0 1\n\n# c\n1 two\n",
+     "line 4: expected two node ids, got '1 two'"),
+    ("edgelist", "0 1\n# c\n\n1 2 3\n",
+     "line 4: expected two node ids, got '1 2 3'"),
+    ("edgelist", "# c\n\n# nodes: x\n0 1\n",
+     "line 3: malformed node-count header"),
+    ("edgelist", "# nodes: 2\n0 1\n# c\n\n1 2\n",
+     "declared node count 2 is below the largest id 2"),
+    ("edgelist", "0 1\n# c\n\n1 -2\n",
+     "line 4: negative node id"),
+    ("edgelist", "0 1\n# c\n\n1 1\n1 2\n",
+     "line 4: self-loop at node 1"),
+    ("edgelist", "0 1\n1 2\n# c\n\n2 1\n",
+     "line 5: duplicate edge (1, 2), first seen at line 2"),
+    ("matrixmarket", MM + "% c\n3 3 2\n1 2\n% c\n\n0 3\n",
+     "line 7: id out of declared range"),
+    ("matrixmarket", MM + "% c\n3 3 2\n1 2\n% c\n\n2 4\n",
+     "line 7: id out of declared range"),
+    ("matrixmarket", MM + "% c\n3 3 2\n1 2\n% c\n\n2 y\n",
+     "line 7: expected two 1-based ids"),
+    ("matrixmarket", MM + "% c\n3 3 3\n1 2\n% c\n\n2 2\n2 3\n",
+     "line 7: self-loop at node 1"),
+    ("matrixmarket", MM + "% c\n3 3 3\n1 2\n2 3\n% c\n\n2 1\n",
+     "line 8: duplicate edge (0, 1), first seen at line 4"),
+    ("matrixmarket", MM + "% c\n3 3 3\n1 2\n% c\n\n2 3\n",
+     "entry count 2 does not match declared nnz 3"),
+]
+
+
+@pytest.mark.parametrize("fmt, text, message", SINGLE_FAULTS)
+def test_single_fault_message(tmp_path, fmt, text, message):
+    with pytest.raises(GraphFormatError, match="^%s$" % re.escape(message)):
+        load_graph(write(tmp_path, "g.txt", text), fmt=fmt)
+
+
+def _render(graph, fmt, rng):
+    """The graph's edges shuffled and randomly oriented, and the file text
+    that lists them with comment and blank lines in between."""
+    e = np.asarray(graph.edges)[rng.permutation(graph.num_edges)]
+    flip = rng.random(len(e)) < 0.5
+    e[flip] = e[flip][:, ::-1]
+    base = 1 if fmt == "matrixmarket" else 0
+    lines = ["%d %d" % (i + base, j + base) for i, j in e]
+    for k in sorted(rng.choice(len(lines) + 1, size=3), reverse=True):
+        lines.insert(k, "% between" if rng.random() < 0.5 else "")
+    if fmt == "matrixmarket":
+        lines = [MM.strip(), "% c", "%d %d %d" % (graph.n, graph.n, len(e))] + lines
+    return e, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(GRAPH_KINDS), seed=st.integers(0, 2**31 - 1),
+       fmt=st.sampled_from(["edgelist", "matrixmarket"]))
+def test_loaded_graph_matches_constructed_graph(kind, seed, fmt):
+    graph = random_graph_instance(kind, {}, seed).graph
+    edges, text = _render(graph, fmt, np.random.default_rng(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_text(text)
+        loaded = load_graph(str(path), fmt=fmt)
+    direct = Graph(graph.n, edges)
+    assert loaded.n == direct.n
+    assert np.array_equal(loaded.edges, direct.edges)
+    assert np.array_equal(loaded.degrees, direct.degrees)
