@@ -80,7 +80,7 @@ def _size_params(family, size):
 
 
 def run_cell(family, size, alpha, rho, solver_token, seed, eps=1e-6,
-             tol_neg=None, params=None):
+             params=None):
     """Build one deterministic instance and run one solver on it."""
     p = dict(params or {})
     p.update(_size_params(family, size))
@@ -90,7 +90,7 @@ def run_cell(family, size, alpha, rho, solver_token, seed, eps=1e-6,
     q = build_pagerank_quadratic(inst)
 
     t0 = time.perf_counter_ns()
-    sol = solve(q, solver_token, eps, tol_neg)
+    sol = solve(q, solver_token, eps)
     wall = time.perf_counter_ns() - t0
     name, _, variant = solver_token.partition(":")
 

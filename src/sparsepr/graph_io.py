@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
-from .problem import Graph
+from .problem import EdgeError, Graph
 
 __all__ = ["GraphFormatError", "load_graph", "load_distribution"]
 
@@ -17,21 +18,10 @@ class GraphFormatError(ValueError):
     """Malformed graph or distribution file (message carries line numbers)."""
 
 
-def _add_edge(seen, lineno, i, j):
-    """Record the undirected edge (i, j) read at line ``lineno`` in ``seen``
-    (edge -> first line, in file order), rejecting self-loops and repeats."""
-    if i == j:
-        raise GraphFormatError("line %d: self-loop at node %d" % (lineno, i))
-    key = (min(i, j), max(i, j))
-    if key in seen:
-        raise GraphFormatError(
-            "line %d: duplicate edge (%d, %d), first seen at line %d"
-            % (lineno, key[0], key[1], seen[key]))
-    seen[key] = lineno
-
-
 def _parse_edgelist(lines):
-    seen = {}
+    """Return (n, edges, at): the node count, the (m, 2) int64 id pairs in
+    file order, and the line number of each pair."""
+    ids, at = array("q"), array("q")
     declared_n = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -48,24 +38,22 @@ def _parse_edgelist(lines):
             continue
         try:
             i, j = map(int, line.split())
-        except ValueError:
+            ids.extend((i, j))
+        except (ValueError, OverflowError):
             raise GraphFormatError(
                 "line %d: expected two node ids, got %r" % (lineno, line))
-        if i < 0 or j < 0:
-            raise GraphFormatError("line %d: negative node id" % lineno)
-        _add_edge(seen, lineno, i, j)
-    if not seen:
+        at.append(lineno)
+    if not at:
         raise GraphFormatError("no edges found")
-    edges = list(seen)
-    max_id = max(j for _, j in edges)
-    n = max_id + 1
+    edges = np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
+    n = int(edges.max()) + 1
     if declared_n is not None:
         if declared_n < n:
             raise GraphFormatError(
                 "declared node count %d is below the largest id %d"
-                % (declared_n, max_id))
+                % (declared_n, n - 1))
         n = declared_n
-    return n, edges
+    return n, edges, at
 
 
 def _parse_matrixmarket(lines):
@@ -80,39 +68,40 @@ def _parse_matrixmarket(lines):
             or fields[3] != "pattern" or fields[4] != "symmetric"):
         raise GraphFormatError(
             "line 1: expected '%%MatrixMarket matrix coordinate pattern symmetric'")
-    dims = None
     for lineno, raw in it:
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
         try:
-            rows, cols, nnz = map(int, line.split())
+            n, cols, nnz = map(int, line.split())
         except ValueError:
             raise GraphFormatError("line %d: expected 'rows cols nnz'" % lineno)
-        if rows != cols:
+        if n != cols:
             raise GraphFormatError("line %d: adjacency must be square" % lineno)
-        dims = (rows, nnz)
         break
-    if dims is None:
+    else:
         raise GraphFormatError("missing dimension line")
-    n, nnz = dims
-    seen = {}
+    ids, at = array("q"), array("q")
     for lineno, raw in it:
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
         try:
             i, j = map(int, line.split())
-        except ValueError:
+            ids.extend((i - 1, j - 1))
+        except (ValueError, OverflowError):
             raise GraphFormatError("line %d: expected two 1-based ids" % lineno)
-        i, j = i - 1, j - 1
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphFormatError("line %d: id out of declared range" % lineno)
-        _add_edge(seen, lineno, i, j)
-    if len(seen) != nnz:
+        at.append(lineno)
+    if len(at) != nnz:
         raise GraphFormatError(
-            "entry count %d does not match declared nnz %d" % (len(seen), nnz))
-    return n, list(seen)
+            "entry count %d does not match declared nnz %d" % (len(at), nnz))
+    return n, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), at
+
+
+# What an out-of-range endpoint means in each format: the edge list sizes
+# the graph from its largest id, so only a negative id can fall outside.
+RANGE_FAULT = {"edgelist": "negative node id",
+               "matrixmarket": "id out of declared range"}
 
 
 def load_graph(path, fmt="edgelist"):
@@ -121,20 +110,23 @@ def load_graph(path, fmt="edgelist"):
     edgelist: one '<i> <j>' pair per line, 0-indexed; '#'/'%' start comments;
     an optional '# nodes: N' header declares isolated-free node count above
     the largest id.  matrixmarket: coordinate pattern symmetric, 1-indexed.
-    Self-loops and duplicate edges are rejected with their line numbers;
-    connectivity is enforced by the Graph constructor.
+    The parsers only read ids; the :class:`Graph` constructor checks the
+    edges and connectivity, and its first invalid pair is reported here
+    with its line number.
     """
     if fmt not in FORMATS:
         raise GraphFormatError("unknown format %r (choose from %s)"
                                % (fmt, ", ".join(FORMATS)))
+    parse = _parse_edgelist if fmt == "edgelist" else _parse_matrixmarket
     with open(path) as fh:
-        lines = fh.readlines()
-    if fmt == "edgelist":
-        n, edges = _parse_edgelist(lines)
-    else:
-        n, edges = _parse_matrixmarket(lines)
+        n, edges, at = parse(fh)
     try:
         return Graph(n, edges)
+    except EdgeError as exc:
+        text = RANGE_FAULT[fmt] if exc.kind == "range" else str(exc)
+        if exc.first is not None:
+            text += ", first seen at line %d" % at[exc.first]
+        raise GraphFormatError("line %d: %s" % (at[exc.position], text))
     except ValueError as exc:
         raise GraphFormatError(str(exc))
 

@@ -121,14 +121,14 @@ def _refined_solve(sub, rhs):
     return xs + np.linalg.solve(sub, rhs - sub @ xs)
 
 
-def _polish_support(q, x, threshold=1e-9):
-    """Dense principal solve on the detected support of x (plus one
-    refinement step).  Returns the polished iterate, or x unchanged when the
-    polish does not confirm the sign pattern."""
-    scale = float(np.max(x, initial=0.0))
-    S = np.flatnonzero(x > threshold * scale)
+def _polish_support(q, x):
+    """Dense principal solve on the detected support of x (entries above 1e-9
+    of its maximum) plus one refinement step.  Returns the polished iterate,
+    or x unchanged when the polish does not confirm the sign pattern."""
+    cut = 1e-9 * float(np.max(x, initial=0.0))
+    S = np.flatnonzero(x > cut)
     if S.size == 0:
-        return np.zeros(q.n) if (x <= threshold * scale).all() else x
+        return np.zeros(q.n) if (x <= cut).all() else x
     sub = q.Q[np.ix_(S, S)].toarray() if sp.issparse(q.Q) else q.Q[np.ix_(S, S)]
     try:
         xs = _refined_solve(sub, q.b[S])
@@ -147,7 +147,7 @@ def _polish_support(q, x, threshold=1e-9):
     return polished
 
 
-def dense_solve_projected(q, gap=1e-12, max_iter=None):
+def dense_solve_projected(q, gap=1e-12):
     """Minimizer by plain projected gradient descent, run until the
     projected-gradient residual certifies an objective gap <= ``gap``.
 
@@ -167,9 +167,8 @@ def dense_solve_projected(q, gap=1e-12, max_iter=None):
     b = q.b
     L = q.L
     tol = math.sqrt(2.0 * q.alpha * gap / max(1, n))
-    if max_iter is None:
-        max_iter = int(1000 + 8 * q.kappa
-                       * max(1.0, math.log(2.0 + q.max_abs_b / tol)))
+    max_iter = int(1000 + 8 * q.kappa
+                   * max(1.0, math.log(2.0 + q.max_abs_b / tol)))
     x = np.zeros(n)
     for _ in range(max_iter):
         g = Q @ x - b
@@ -182,7 +181,7 @@ def dense_solve_projected(q, gap=1e-12, max_iter=None):
     )
 
 
-def subspace_solve(q, S, gap=1e-12):
+def subspace_solve(q, S):
     """Minimizer over {x >= 0, x_i = 0 off S}, embedded back into R^n,
     found by the dense oracles on the principal restriction to S."""
     S = np.unique(np.asarray(S, dtype=np.int64))
@@ -196,7 +195,7 @@ def subspace_solve(q, S, gap=1e-12):
     if S.size <= ENUMERATE_MAX_N:
         sol = dense_solve_enumerate(sub)
     else:
-        sol = dense_solve_projected(sub, gap=gap)
+        sol = dense_solve_projected(sub)
     x[S] = sol.x_star
     return _finish(q, x)
 
@@ -211,12 +210,12 @@ class GeometryReport:
     subspace_optimum: np.ndarray
 
 
-def verify_geometry(q, S, x0, x_star=None, grad_tol=None):
+def verify_geometry(q, S, x0, x_star=None):
     """Check the geometry that sparsity-preserving solvers rely on.
 
     Preconditions (violations raise ValueError — they indicate a caller bug):
     x0 >= 0, x0 vanishes off S, and the gradient at x0 is nonpositive on S
-    (within grad_tol).
+    (within 1e-7 * max(1, max|b|)).
 
     Checks, against the subspace optimum x_C = argmin over span(S) ∩ orthant:
       1. x0 <= x_C coordinatewise, and the gradient of the subspace optimum
@@ -231,15 +230,13 @@ def verify_geometry(q, S, x0, x_star=None, grad_tol=None):
     n = q.n
     g0 = q.Q @ x0 - q.b
     scale = max(1.0, q.max_abs_b)
-    if grad_tol is None:
-        grad_tol = 1e-7 * scale
     member = np.zeros(n, dtype=bool)
     member[S] = True
     if (x0 < 0).any():
         raise ValueError("x0 must be nonnegative")
     if np.any(x0[~member] != 0):
         raise ValueError("x0 must vanish off S")
-    if S.size and float(np.max(g0[S])) > grad_tol:
+    if S.size and float(np.max(g0[S])) > 1e-7 * scale:
         raise ValueError(
             "gradient at x0 must be nonpositive on S (max %.3g)" % float(np.max(g0[S]))
         )
@@ -387,17 +384,17 @@ def _build_graph(kind, params, rng):
     raise ValueError("unknown graph kind %r (choose from %s)" % (kind, ", ".join(GRAPH_KINDS)))
 
 
-def random_graph_instance(kind, params, seed,
-                          alpha_range=(0.05, 0.95), rho_range=(0.01, 0.3)):
+def random_graph_instance(kind, params, seed):
     """Random connected-graph PageRank instance of the given family.
 
-    ``params`` may pin ``alpha``, ``rho`` and ``seed_node``; otherwise they
-    are drawn from the configured ranges.  Deterministic given ``seed``.
+    ``params`` may pin ``alpha``, ``rho`` and ``seed_node``; otherwise alpha
+    is drawn uniformly from [0.05, 0.95], rho log-uniformly from [0.01, 0.3]
+    and the seed node uniformly.  Deterministic given ``seed``.
     """
     rng = np.random.default_rng(seed)
     params = dict(params or {})
     g = _build_graph(kind, params, rng)
-    alpha = float(params.get("alpha", rng.uniform(*alpha_range)))
-    rho = float(params.get("rho", np.exp(rng.uniform(np.log(rho_range[0]), np.log(rho_range[1])))))
+    alpha = float(params.get("alpha", rng.uniform(0.05, 0.95)))
+    rho = float(params.get("rho", np.exp(rng.uniform(np.log(0.01), np.log(0.3)))))
     node = int(params.get("seed_node", rng.integers(g.n)))
     return PageRankInstance(g, alpha, rho, node)

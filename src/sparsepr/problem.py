@@ -26,6 +26,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 __all__ = [
+    "EdgeError",
     "Graph",
     "PageRankInstance",
     "MQuadratic",
@@ -45,6 +46,18 @@ __all__ = [
 ]
 
 
+class EdgeError(ValueError):
+    """An invalid edge passed to :class:`Graph`: ``kind`` is "range", "loop"
+    or "duplicate", ``position`` is the pair's index in the input, and
+    ``first`` is the index of a duplicate's first copy (else None)."""
+
+    def __init__(self, message, kind, position, first=None):
+        super().__init__(message)
+        self.kind = kind
+        self.position = position
+        self.first = first
+
+
 class Graph:
     """Immutable connected undirected graph with a CSR adjacency view.
 
@@ -52,35 +65,39 @@ class Graph:
     ----------
     n : int
         Number of nodes; node ids are 0..n-1.
-    edges : iterable of (int, int)
-        Undirected edges. Self-loops and duplicate edges (in either
-        orientation) are rejected, as are graphs that are disconnected or
-        have isolated nodes.
+    edges : array-like of (int, int)
+        Undirected edges, in any order and orientation. The first invalid
+        pair in input order (an endpoint outside [0, n), a self-loop, or a
+        repeat of an earlier pair in either orientation) raises
+        :class:`EdgeError`. Graphs that are disconnected or have isolated
+        nodes are rejected with a plain ``ValueError``.
     """
 
     def __init__(self, n, edges):
         n = int(n)
-        if n < 1:
-            raise ValueError("graph needs at least one node")
-        e = np.asarray(list(edges), dtype=np.int64)
+        e = np.asarray(edges, dtype=np.int64)
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError("edges must be pairs of node ids")
-        if e.size and (e.min() < 0 or e.max() >= n):
-            raise ValueError("edge endpoint out of range [0, %d)" % n)
-        loops = e[:, 0] == e[:, 1]
-        if loops.any():
-            i = int(e[loops][0, 0])
-            raise ValueError("self-loop at node %d" % i)
         e = np.sort(e, axis=1)  # normalize orientation
+        # the sort is stable, so every copy of a pair but the first is marked
         order = np.lexsort((e[:, 1], e[:, 0]))
-        e = e[order]
-        if e.shape[0] > 1:
-            dup = (np.diff(e, axis=0) == 0).all(axis=1)
-            if dup.any():
-                i, j = e[1:][dup][0]
-                raise ValueError("duplicate edge (%d, %d)" % (i, j))
+        s = e[order]
+        bad = (e[:, 0] < 0) | (e[:, 1] >= n) | (e[:, 0] == e[:, 1])
+        bad[order[1:]] |= (s[1:] == s[:-1]).all(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, j = map(int, e[k])
+            if i < 0 or j >= n:
+                raise EdgeError("edge endpoint out of range [0, %d)" % n, "range", k)
+            if i == j:
+                raise EdgeError("self-loop at node %d" % i, "loop", k)
+            first = int(np.flatnonzero((e == e[k]).all(axis=1))[0])
+            raise EdgeError("duplicate edge (%d, %d)" % (i, j), "duplicate", k, first)
+        if n < 1:
+            raise ValueError("graph needs at least one node")
+        e = s
         if n > 2 * e.shape[0]:
             # m edges cover at most 2m nodes; name the smallest uncovered one
             # without allocating anything of length n

@@ -299,7 +299,7 @@ def _negative_threshold(q, tol_neg):
     return tol
 
 
-def ista_baseline(q, eps, tol_neg=None, max_iter=None, counters=None):
+def ista_baseline(q, eps, tol_neg=None, counters=None):
     """Projected gradient from zero over the full orthant, sparsely.
 
     Only the active set (positive coordinates plus certainly-negative
@@ -324,10 +324,9 @@ def ista_baseline(q, eps, tol_neg=None, max_iter=None, counters=None):
     active = np.zeros(q.n, dtype=bool)
     active[A] = True
     target = 2.0 * q.alpha * eps
-    if max_iter is None:
-        scale = q.max_abs_b + q.alpha
-        max_iter = int(200 + 4 * q.kappa * max(
-            4.0, math.log((q.L * scale / q.alpha) ** 2 / target + 2.0)))
+    scale = q.max_abs_b + q.alpha
+    max_iter = int(200 + 4 * q.kappa * max(
+        4.0, math.log((q.L * scale / q.alpha) ** 2 / target + 2.0)))
     for _ in range(max_iter):
         neg = ws.negatives()
         if (x[neg] > 0).all():

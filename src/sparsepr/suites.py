@@ -565,44 +565,31 @@ def suite_geometry(instances, max_n, seed, corpus=None):
 # scaling study (complexity-shape criterion) and suite driver
 # ---------------------------------------------------------------------------
 
-def scaling_slopes(side=5, rho=1e-10, seed_node=12, seed=1234,
-                   alphas=(0.5, 0.05, 0.005, 0.0005), eps=1e-12):
+def scaling_slopes():
     """Log-log slopes of inner-iteration counts against the conditioning.
 
-    Runs the staged accelerated solver and the baseline on one fixed grid
-    graph and seed node while alpha sweeps the given values (kappa = 1/alpha
-    for these instances), then fits log(inner_iters) ~ slope * log(kappa).
+    Runs the staged accelerated solver and the baseline on the 5x5 grid,
+    seeded at its centre node, while alpha sweeps 0.5, 0.05, 0.005 and
+    0.0005 (kappa = 1/alpha for these instances), then fits
+    log(inner_iters) ~ slope * log(kappa).
 
-    The defaults are chosen so the fit isolates the conditioning exponent:
-    the seed sits at the grid center and rho is small enough that the
-    optimal support is the whole grid at every alpha in the sweep (stage
-    counts then agree across the sweep), and eps is small enough that the
-    inner-loop length formula's log term stays near-constant relative to
-    its sqrt(kappa) factor.
+    The settings isolate the conditioning exponent: rho = 1e-10 is small
+    enough that the optimal support is the whole grid at every alpha in the
+    sweep (stage counts then agree across the sweep), and eps = 1e-12 is
+    small enough that the inner-loop length formula's log term stays
+    near-constant relative to its sqrt(kappa) factor.
     """
-    records = []
-    for alpha in alphas:
-        params = {"rows": side, "cols": side, "alpha": float(alpha),
-                  "rho": float(rho), "seed_node": int(seed_node)}
-        inst = random_graph_instance("grid", params, int(seed))
-        q = build_pagerank_quadratic(inst)
-        a_sol = aspr(q, eps)
-        i_sol = ista_baseline(q, eps)
-        records.append({
-            "alpha": float(alpha),
-            "kappa": q.kappa,
-            "aspr_inner_iters": a_sol.counters.inner_iters,
-            "ista_inner_iters": i_sol.counters.inner_iters,
-            "aspr_support": int(a_sol.support.size),
-            "ista_support": int(i_sol.support.size),
-        })
-    logk = np.log([r["kappa"] for r in records])
-    aspr_slope = float(np.polyfit(logk, np.log([r["aspr_inner_iters"]
-                                                for r in records]), 1)[0])
-    ista_slope = float(np.polyfit(logk, np.log([r["ista_inner_iters"]
-                                                for r in records]), 1)[0])
-    return {"aspr_slope": aspr_slope, "ista_slope": ista_slope,
-            "records": records}
+    kappa, aspr_iters, ista_iters = [], [], []
+    for alpha in (0.5, 0.05, 0.005, 0.0005):
+        params = {"rows": 5, "cols": 5, "alpha": alpha, "rho": 1e-10,
+                  "seed_node": 12}
+        q = build_pagerank_quadratic(random_graph_instance("grid", params, 1234))
+        kappa.append(q.kappa)
+        aspr_iters.append(aspr(q, 1e-12).counters.inner_iters)
+        ista_iters.append(ista_baseline(q, 1e-12).counters.inner_iters)
+    logk = np.log(kappa)
+    return {"aspr_slope": float(np.polyfit(logk, np.log(aspr_iters), 1)[0]),
+            "ista_slope": float(np.polyfit(logk, np.log(ista_iters), 1)[0])}
 
 
 _SUITES = {

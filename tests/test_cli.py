@@ -5,6 +5,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,14 @@ class TestSolveErrors:
                       "--rho", "0.1", "--seed-node", "9", "--solver", "cdpr")
         assert res.returncode == 2
 
+    def test_id_beyond_int64_is_an_input_error(self, tmp_path):
+        p = tmp_path / "huge.txt"
+        p.write_text("0 1\n1 99999999999999999999\n")
+        res = run_cli(*solve_args(str(p), "cdpr"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: line 2: ")
+        assert "Traceback" not in res.stderr
+
 
 class TestVerify:
     def test_small_suite_passes(self):
@@ -231,6 +240,19 @@ class TestVerify:
         res = run_cli("verify", "--max-n", "0")
         assert res.returncode == 2
         assert "at least 2" in res.stderr
+
+    def test_max_n_above_oracle_limit_rejected_before_building(self, capsys):
+        from sparsepr import cli
+        tracemalloc.start()
+        try:
+            code = cli.main(["verify", "--instances", "1", "--max-n", "100000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --max-n must be at most 4096, the projected oracle's limit\n")
+        assert peak < 1 << 20
 
     def test_invalid_instances_rejected(self):
         res = run_cli("verify", "--instances", "0")

@@ -212,6 +212,16 @@ def test_single_fault_message(tmp_path, fmt, text, message):
         load_graph(write(tmp_path, "g.txt", text), fmt=fmt)
 
 
+@pytest.mark.parametrize("fmt, text, message", [
+    ("edgelist", "0 1\n1 99999999999999999999\n",
+     "line 2: expected two node ids, got '1 99999999999999999999'"),
+    ("matrixmarket", MM + "3 3 2\n1 2\n2 99999999999999999999\n",
+     "line 4: expected two 1-based ids"),
+], ids=["edgelist", "matrixmarket"])
+def test_id_beyond_int64_is_malformed(tmp_path, fmt, text, message):
+    test_single_fault_message(tmp_path, fmt, text, message)
+
+
 def _render(graph, fmt, rng):
     """The graph's edges shuffled and randomly oriented, and the file text
     that lists them with comment and blank lines in between."""

@@ -20,7 +20,7 @@ from sparsepr import (
     volume,
 )
 from sparsepr.oracle import random_graph_instance, random_m_matrix
-from sparsepr.problem import restrict
+from sparsepr.problem import EdgeError, restrict
 from sparsepr.solvers import cdpr
 
 from conftest import assert_close, two_node_instance
@@ -49,6 +49,21 @@ class TestGraph:
     def test_isolated_node_rejected(self):
         with pytest.raises(ValueError):
             Graph(3, [(0, 1)])
+
+    @pytest.mark.parametrize("edges, message, kind, position, first", [
+        ([(0, 1), (1, 2), (0, 3)], r"edge endpoint out of range \[0, 3\)",
+         "range", 2, None),
+        ([(0, 1), (2, 2), (1, 1)], "self-loop at node 2", "loop", 1, None),
+        # the first repeat in input order, not the smallest repeated pair
+        (np.array([(1, 2), (0, 1), (2, 1), (1, 0)]), r"duplicate edge \(1, 2\)",
+         "duplicate", 2, 0),
+    ])
+    def test_first_bad_pair_in_input_order(self, edges, message, kind,
+                                           position, first):
+        with pytest.raises(EdgeError, match="^%s$" % message) as info:
+            Graph(3, edges)
+        assert (info.value.kind, info.value.position, info.value.first) == (
+            kind, position, first)
 
 
 class TestPageRankInstance:
