@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 from sparsepr import (
     Counters,
     MQuadratic,
+    aspr,
     build_pagerank_quadratic,
     cdpr,
     dense_solve_enumerate,
     gradient,
     internal_volume,
+    ista_baseline,
     negative_tolerance,
     objective,
     random_graph_instance,
@@ -20,6 +22,7 @@ from sparsepr import (
 )
 from sparsepr.oracle import GRAPH_KINDS, random_m_matrix
 from sparsepr.problem import GradientWorkspace, restrict
+from sparsepr.solvers import ASPR_VARIANTS
 
 common = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -82,6 +85,36 @@ def test_workspace_gradient_is_the_full_gradient(seed, n, density, kind):
         assert np.array_equal(g[off], -q.b[off])
         assert np.array_equal(ws.negatives(), np.flatnonzero(g < -tol))
         assert mine == ref
+
+
+@common
+@given(seed=seeds, n=dims, density=densities,
+       kind=st.sampled_from(("m-matrix",) + GRAPH_KINDS))
+def test_ever_positive_records_what_each_solver_made_positive(seed, n, density,
+                                                              kind):
+    if kind == "m-matrix":
+        q = random_m_matrix(n, density, seed=seed)
+    else:
+        q = build_pagerank_quadratic(random_graph_instance(kind, {}, seed))
+    empty = np.empty(0, dtype=np.int64)
+
+    # cdpr: every coordinate positive at some stage iterate
+    made = [empty]
+    sol = cdpr(q, observe=lambda x, S, d: made.append(np.flatnonzero(x > 0)))
+    assert np.array_equal(sol.ever_positive, np.unique(np.concatenate(made)))
+
+    # aspr: the working set of its last stage
+    for variant in ASPR_VARIANTS:
+        last = [empty]
+        sol = aspr(q, 1e-6, variant=variant,
+                   observe=lambda x, S, d: last.append(S.copy()))
+        assert np.array_equal(sol.ever_positive, last[-1]), variant
+
+    # ista: covers its support and stays inside the optimal support
+    sol = ista_baseline(q, 1e-6)
+    ever = set(sol.ever_positive.tolist())
+    assert set(sol.support.tolist()) <= ever
+    assert ever <= set(dense_solve_enumerate(q).support.tolist())
 
 
 @common
