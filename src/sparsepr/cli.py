@@ -21,7 +21,7 @@ from .graph_io import FORMATS, GraphFormatError, load_distribution, load_graph
 from .oracle import GRAPH_KINDS, PROJECTED_MAX_N, OracleError
 from .problem import (PageRankInstance, build_pagerank_quadratic,
                       check_optimality, pagerank_upper_bounds)
-from .solvers import SOLVER_TOKENS, SolverError, solve
+from .solvers import ASPR_VARIANTS, SOLVER_TOKENS, SolverError, solve
 from .suites import SUITE_NAMES, run_suites
 
 __all__ = ["main", "build_parser"]
@@ -54,13 +54,12 @@ def build_parser():
                       help="seed the walk at this single node")
     seed.add_argument("--dist",
                       help="path to a 'node weight' teleportation file")
-    ps.add_argument("--solver", choices=("ista", "cdpr", "aspr"), required=True)
+    ps.add_argument("--solver", required=True, choices=tuple(
+        tok for tok in SOLVER_TOKENS if ":" not in tok))
     ps.add_argument("--eps", type=float, default=1e-6,
                     help="objective gap to certify (ista and aspr)")
-    ps.add_argument("--variant", choices=("early", "constraints"),
+    ps.add_argument("--variant", choices=ASPR_VARIANTS[1:],
                     help="aspr working-set variant (default: plain)")
-    ps.add_argument("--tolneg", type=float, default=None,
-                    help="certainly-negative gradient threshold override")
     ps.add_argument("--json", dest="json_out", metavar="OUT",
                     help="also write the JSON result to this file")
     ps.set_defaults(func=cmd_solve)
@@ -96,7 +95,7 @@ def cmd_solve(args):
         s = args.seed_node
     inst = PageRankInstance(graph, args.alpha, args.rho, s)
     q = build_pagerank_quadratic(inst)
-    sol = solve(q, token, args.eps, args.tolneg)
+    sol = solve(q, token, args.eps)
     report = check_optimality(q, sol.x, pagerank_box=pagerank_upper_bounds(inst))
     out = {
         "solver": token,

@@ -19,8 +19,9 @@ class GraphFormatError(ValueError):
 
 
 def _parse_edgelist(lines):
-    """Return (n, edges, at): the node count, the (m, 2) int64 id pairs in
-    file order, and the line number of each pair."""
+    """Return (n, edges, at, top): the node count, the (m, 2) int64 id pairs
+    in file order, the line number of each pair, and the index of the pair
+    whose largest id set n (None when a header declared n)."""
     ids, at = array("q"), array("q")
     declared_n = None
     for lineno, raw in enumerate(lines, start=1):
@@ -46,14 +47,15 @@ def _parse_edgelist(lines):
     if not at:
         raise GraphFormatError("no edges found")
     edges = np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
-    n = int(edges.max()) + 1
-    if declared_n is not None:
-        if declared_n < n:
-            raise GraphFormatError(
-                "declared node count %d is below the largest id %d"
-                % (declared_n, n - 1))
-        n = declared_n
-    return n, edges, at
+    top = int(np.argmax(edges)) // 2
+    n = int(edges[top].max()) + 1
+    if declared_n is None:
+        return n, edges, at, top
+    if declared_n < n:
+        raise GraphFormatError(
+            "declared node count %d is below the largest id %d"
+            % (declared_n, n - 1))
+    return declared_n, edges, at, None
 
 
 def _parse_matrixmarket(lines):
@@ -95,7 +97,7 @@ def _parse_matrixmarket(lines):
     if len(at) != nnz:
         raise GraphFormatError(
             "entry count %d does not match declared nnz %d" % (len(at), nnz))
-    return n, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), at
+    return n, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), at, None
 
 
 # What an out-of-range endpoint means in each format: the edge list sizes
@@ -112,14 +114,15 @@ def load_graph(path, fmt="edgelist"):
     the largest id.  matrixmarket: coordinate pattern symmetric, 1-indexed.
     The parsers only read ids; the :class:`Graph` constructor checks the
     edges and connectivity, and its first invalid pair is reported here
-    with its line number.
+    with its line number.  An isolated node in a header-less edge list is
+    reported at the line of the largest id, which set the node count.
     """
     if fmt not in FORMATS:
         raise GraphFormatError("unknown format %r (choose from %s)"
                                % (fmt, ", ".join(FORMATS)))
     parse = _parse_edgelist if fmt == "edgelist" else _parse_matrixmarket
     with open(path) as fh:
-        n, edges, at = parse(fh)
+        n, edges, at, top = parse(fh)
     try:
         return Graph(n, edges)
     except EdgeError as exc:
@@ -128,7 +131,11 @@ def load_graph(path, fmt="edgelist"):
             text += ", first seen at line %d" % at[exc.first]
         raise GraphFormatError("line %d: %s" % (at[exc.position], text))
     except ValueError as exc:
-        raise GraphFormatError(str(exc))
+        text = str(exc)
+        if top is not None and text.startswith("isolated node"):
+            text = "line %d: largest id %d sets the node count; %s" % (
+                at[top], n - 1, text)
+        raise GraphFormatError(text)
 
 
 def load_distribution(path, n):

@@ -75,7 +75,10 @@ class Graph:
 
     def __init__(self, n, edges):
         n = int(n)
-        e = np.asarray(edges, dtype=np.int64)
+        try:
+            e = np.asarray(edges, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("edge endpoint out of range [0, %d)" % n)
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
@@ -268,7 +271,9 @@ class MQuadratic:
     Two facts about the immutable ``b`` are computed once, in O(n), so that
     a solve need not scan ``b`` again: ``max_abs_b`` (max |b_i|, 0 when
     n = 0) and ``positive_b`` (the sorted indices with b_i > 0, the only
-    coordinates whose gradient -b_i at x = 0 can be negative).
+    coordinates whose gradient -b_i at x = 0 can be negative).  A
+    non-finite entry of ``b``, ``alpha`` or ``L`` raises ``ValueError``,
+    even with ``validate=False``: every sign test would pass it silently.
     """
 
     def __init__(self, Q, b, alpha, L, validate=True):
@@ -279,6 +284,13 @@ class MQuadratic:
         b = np.asarray(b, dtype=float).copy()
         if b.shape != (Q.shape[0],):
             raise ValueError("b has wrong length for Q")
+        # max propagates NaN, so this one scan also finds every non-finite b_i
+        max_abs_b = float(np.max(np.abs(b))) if b.size else 0.0
+        if not math.isfinite(max_abs_b):
+            raise ValueError("b has non-finite entries")
+        if not (math.isfinite(alpha) and math.isfinite(L)):
+            raise ValueError("alpha and L must be finite, got alpha=%r, L=%r"
+                             % (alpha, L))
         if validate:
             res = validate_m_matrix(Q, alpha, L)
             if not res.ok:
@@ -286,7 +298,7 @@ class MQuadratic:
         b.setflags(write=False)
         self.Q = Q
         self.b = b
-        self.max_abs_b = float(np.max(np.abs(b))) if b.size else 0.0
+        self.max_abs_b = max_abs_b
         self.positive_b = np.flatnonzero(b > 0.0)
         self.positive_b.setflags(write=False)
         self.alpha = float(alpha)
@@ -437,7 +449,6 @@ def gradient(q, x, coords=None, counters=None):
     is in supp(x) and one restricted_gradient.
     """
     x = np.asarray(x, dtype=float)
-    Q = q.Q
     if coords is None:
         support = np.flatnonzero(x)
         rows = _neighborhood(q, support)
@@ -446,9 +457,7 @@ def gradient(q, x, coords=None, counters=None):
         g[rows] += vals
         if counters is not None:
             counters.full_gradients += 1
-            counters.nnz_touched += int(
-                (Q.indptr[support + 1] - Q.indptr[support]).sum()
-            )
+            counters.nnz_touched += volume(q, support)
         return g
     coords = np.asarray(coords, dtype=np.int64)
     vals, cols = _segment_row_products(q, coords, x)
@@ -459,16 +468,18 @@ def gradient(q, x, coords=None, counters=None):
 
 
 class GradientWorkspace:
-    """The iterate ``x`` of one solve and its gradient ``g = Qx - b``, kept
-    current at a cost that follows the neighbourhood of the iterate, not n.
+    """The state of one solve: the iterate ``x``, its gradient
+    ``g = Qx - b``, the sorted working set ``S``, and the coordinates the
+    solve ever made positive, kept current at a cost that follows the
+    neighbourhood of the iterate, not n.
 
     Off the Q-neighbourhood of every coordinate the solve has made nonzero,
     the gradient is -b.  The workspace lists the coordinates it was given,
     their neighbourhood rows, and the rows with ``-b_i < -tol`` (the only
     coordinates off the neighbourhood whose gradient is certainly negative;
-    ``tol`` >= 0, so they lie in ``q.positive_b``).  The list only grows.
-    After the O(n) set-up, :meth:`refresh` and :meth:`negatives` touch the
-    listed rows only.
+    ``tol = negative_tolerance(q)`` >= 0, so they lie in ``q.positive_b``).
+    The list only grows.  After the O(n) set-up, :meth:`refresh`,
+    :meth:`negatives` and :meth:`admit` touch the listed rows only.
 
     ``g`` holds the gradient on the listed ``rows`` only and is never
     written elsewhere, where the gradient is -b.  Every listed row is
@@ -477,14 +488,20 @@ class GradientWorkspace:
     listed rows equals ``gradient(q, x)`` there bit for bit up to the sign
     of a zero.
 
-    The set-up starts at x = 0, where g = -b, and charges ``counters`` one
-    full gradient for it, as ``gradient(q, 0, counters=counters)`` would.
+    ``S`` only grows, through :meth:`admit`, which replaces the array and
+    never writes it, so a caller may keep an old ``S``.  ``ever`` marks
+    every coordinate that was positive at some :meth:`refresh`.
+
+    ``counters`` pays for the solve: the set-up starts at x = 0, where
+    g = -b, and charges one full gradient for it, as
+    ``gradient(q, 0, counters=counters)`` would.
     """
 
-    def __init__(self, q, tol, counters):
+    def __init__(self, q, counters):
         counters.full_gradients += 1
         self.q = q
-        self.tol = tol
+        self.counters = counters
+        self.tol = tol = negative_tolerance(q)
         self.x = np.zeros(q.n)
         pos = q.positive_b
         self.rows = pos[-q.b[pos] < -tol]
@@ -493,14 +510,28 @@ class GradientWorkspace:
         self._listed = np.zeros(q.n, dtype=bool)
         self._listed[self.rows] = True
         self._spread = np.zeros(q.n, dtype=bool)
+        self.S = np.empty(0, dtype=np.int64)
+        self._member = np.zeros(q.n, dtype=bool)
+        self.ever = np.zeros(q.n, dtype=bool)
 
-    def refresh(self, cols, counters):
-        """Recompute ``g`` at ``x``, whose nonzeros must all lie in ``cols``
-        (unique indices).  Charges ``counters`` exactly as a full
-        :func:`gradient` call: one full gradient and the column nonzeros of
-        supp(x)."""
-        Q = self.q.Q
+    def admit(self, coords):
+        """Add to ``S`` the given coordinates (unique indices) that are not
+        in it yet, and return those."""
+        coords = np.asarray(coords, dtype=np.int64)
+        new = coords[~self._member[coords]]
+        if new.size:
+            self._member[new] = True
+            self.S = np.union1d(self.S, new)
+        return new
+
+    def refresh(self, cols):
+        """Record which of ``cols`` are positive, then recompute ``g`` at
+        ``x``, whose nonzeros must all lie in ``cols`` (unique indices).
+        Charges ``counters`` exactly as a full :func:`gradient` call: one
+        full gradient and the column nonzeros of supp(x)."""
         cols = np.asarray(cols, dtype=np.int64)
+        x = self.x
+        self.ever[cols] |= x[cols] > 0
         new = cols[~self._spread[cols]]
         if new.size:
             self._spread[new] = True
@@ -508,13 +539,10 @@ class GradientWorkspace:
             rows = rows[~self._listed[rows]]
             self._listed[rows] = True
             self.rows = np.concatenate([self.rows, rows])
-        vals, _ = _segment_row_products(self.q, self.rows, self.x)
+        vals, _ = _segment_row_products(self.q, self.rows, x)
         self.g[self.rows] = vals - self.q.b[self.rows]
-        support = cols[self.x[cols] != 0]
-        counters.full_gradients += 1
-        counters.nnz_touched += int(
-            (Q.indptr[support + 1] - Q.indptr[support]).sum()
-        )
+        self.counters.full_gradients += 1
+        self.counters.nnz_touched += volume(self.q, cols[x[cols] != 0])
 
     def negatives(self):
         """Sorted coordinates whose gradient is below ``-tol``."""

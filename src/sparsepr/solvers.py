@@ -19,8 +19,13 @@ Four algorithms, all driven by sign information in the gradient:
     loop) and an updating-constraints variant (certified lower bounds
     tighten the clamp).
 
-Every solver is deterministic and charges its sparse-matrix touches to a
-:class:`Counters` object.
+Every solver is deterministic.  ``ista_baseline``, ``cdpr`` and ``aspr``
+keep a solve's state in one :class:`~sparsepr.problem.GradientWorkspace`:
+the iterate and its gradient, the sorted working set they grow from the
+signs of the gradient (the active set, the pivots, the working set), the
+coordinates ever made positive, the certainly-negative threshold
+``negative_tolerance(q)``, and the :class:`Counters` that their
+:class:`Solution` reports.
 
 Observing a run: ``pgd``, ``apgd``, ``cdpr`` and ``aspr`` take one
 ``observe`` keyword, called as ``observe(x, S, d)`` after each step of
@@ -44,7 +49,6 @@ import numpy as np
 from .problem import (
     GradientWorkspace,
     gradient,
-    negative_tolerance,
     restrict,
     _segment_row_products,
 )
@@ -53,7 +57,6 @@ __all__ = [
     "SolverError",
     "Counters",
     "Solution",
-    "ConjugateBasis",
     "select_pivot",
     "pgd",
     "apgd",
@@ -100,31 +103,14 @@ class Counters:
 class Solution:
     """Solver output: the iterate, its support, the certified gap bound
     ("exact" for the conjugate solver), work counters, and every coordinate
-    the solver ever made positive."""
+    the solver ever made positive.  For ``aspr`` that last set is its final
+    working set, which holds every coordinate it made positive."""
 
     x: np.ndarray
     support: np.ndarray
     gap_bound: object
     counters: Counters
     ever_positive: np.ndarray
-
-
-@dataclasses.dataclass
-class ConjugateBasis:
-    """Q-orthogonal directions stored sparsely: support indices, raw values,
-    and values normalized by the curvature <d, Qd>."""
-
-    idx: list = dataclasses.field(default_factory=list)
-    vals: list = dataclasses.field(default_factory=list)
-    normalized: list = dataclasses.field(default_factory=list)
-
-    def __len__(self):
-        return len(self.idx)
-
-    def add(self, idx, vals, curvature):
-        self.idx.append(idx)
-        self.vals.append(vals)
-        self.normalized.append(vals / curvature)
 
 
 def select_pivot(candidates, grads):
@@ -150,7 +136,7 @@ def _check_start(q, S, x0):
     return x0
 
 
-def pgd(q, S, x0, T, counters=None, observe=None):
+def pgd(q, S, x0, T, observe=None):
     """T projected-gradient steps with step 1/L on the coordinates S.
 
     Coordinates outside S are never touched.  ``observe`` sees the iterate
@@ -161,19 +147,11 @@ def pgd(q, S, x0, T, counters=None, observe=None):
     S = np.arange(q.n) if S is None else np.unique(np.asarray(S, dtype=np.int64))
     x = _check_start(q, S, x0).copy()
     for _ in range(T):
-        gs = gradient(q, x, coords=S, counters=counters)
+        gs = gradient(q, x, coords=S)
         x[S] = np.maximum(0.0, x[S] - gs / q.L)
-        if counters is not None:
-            counters.inner_iters += 1
         if observe is not None:
             observe(x, S, None)
     return x
-
-
-@dataclasses.dataclass
-class _InnerResult:
-    y: np.ndarray
-    fresh: np.ndarray = None
 
 
 def _coeff_growth(kappa):
@@ -181,8 +159,9 @@ def _coeff_growth(kappa):
 
 
 def _apgd_loop(q, S, x0s, T, counters, lower=None, observe=None, out=None,
-               full_every=0, ws=None, member=None):
-    """Accelerated projected gradient on the restriction of q to S.
+               full_every=0, ws=None):
+    """Accelerated projected gradient on the restriction of q to S; returns
+    the last output iterate on S and whether the loop aborted.
 
     A restricted gradient is charged the nonzeros of the columns of Q[S, S]
     in supp(x_S).  ``lower`` (same length as S) turns the clamp into
@@ -190,12 +169,12 @@ def _apgd_loop(q, S, x0s, T, counters, lower=None, observe=None, out=None,
     with nonpositive working-set gradient.  ``full_every`` > 0 swaps every
     full_every-th restricted gradient for a full one, taken in the
     workspace ``ws`` (whose ``x`` is then overwritten on S); if that full
-    gradient is nonpositive on the working set and certainly negative
-    somewhere off it (off ``member``), the loop aborts at that point with
-    ``ws`` holding the point and its gradient, and reports the new
-    coordinates.  Both features need ``ws``, whose tolerance both sign
-    tests allow as slack.  ``observe`` sees each output iterate embedded in
-    the dense ``out``, which must vanish off S.
+    gradient is nonpositive on S and certainly negative somewhere off
+    ``ws.S``, the loop admits those coordinates to ``ws.S`` and aborts at
+    that point with ``ws`` holding the point and its gradient.  Both
+    features need ``ws``, whose tolerance both sign tests allow as slack.
+    ``observe`` sees each output iterate embedded in the dense ``out``,
+    which must vanish off S.
     """
     kappa = q.kappa
     alpha = q.alpha
@@ -211,7 +190,7 @@ def _apgd_loop(q, S, x0s, T, counters, lower=None, observe=None, out=None,
         full = full_every and (t + 1) % full_every == 0
         if full:
             ws.x[S] = x_in
-            ws.refresh(S, counters)
+            ws.refresh(S)
             gs = ws.g[S]
         else:
             counters.restricted_gradients += 1
@@ -220,12 +199,9 @@ def _apgd_loop(q, S, x0s, T, counters, lower=None, observe=None, out=None,
         nonpos_on_set = ws is not None and bool((gs <= ws.tol).all())
         if lower is not None and nonpos_on_set:
             np.maximum(lower, x_in, out=lower)
-        if full and nonpos_on_set:
-            fresh = ws.negatives()
-            fresh = fresh[~member[fresh]]
-            if fresh.size:
-                counters.inner_iters += 1
-                return _InnerResult(y, fresh=fresh)
+        if full and nonpos_on_set and ws.admit(ws.negatives()).size:
+            counters.inner_iters += 1
+            return y, True
         znew = ((kappa - 1.0 + A) / (kappa - 1.0 + A1)) * z \
             + (a / (kappa - 1.0 + A1)) * (x_in - gs / alpha)
         if lower is None:
@@ -246,10 +222,10 @@ def _apgd_loop(q, S, x0s, T, counters, lower=None, observe=None, out=None,
         if observe is not None:
             out[S] = y
             observe(out, S, None)
-    return _InnerResult(y)
+    return y, False
 
 
-def apgd(q, S, x0, T, counters=None, observe=None):
+def apgd(q, S, x0, T, observe=None):
     """T accelerated projected-gradient steps on the coordinates S.
 
     Uses the estimate-sequence coefficient recurrence whose accumulated
@@ -267,19 +243,19 @@ def apgd(q, S, x0, T, counters=None, observe=None):
     if S.size == 0 or T == 0:
         out[S] = x0[S]
         return out
-    counters = Counters() if counters is None else counters
-    res = _apgd_loop(q, S, x0[S], T, counters, observe=observe, out=out)
-    out[S] = res.y
+    out[S], _ = _apgd_loop(q, S, x0[S], T, Counters(), observe=observe,
+                           out=out)
     return out
 
 
-def _solution(ws, gap_bound, counters, ever):
-    """The solve's answer; ``ws.x`` and the n-length mask ``ever`` must
-    vanish off the workspace's listed rows."""
+def _solution(ws, gap_bound, ever=None):
+    """The solve's answer; ``ws.x`` must vanish off the workspace's listed
+    rows.  ``ever`` defaults to the coordinates marked in ``ws.ever``."""
     rows = np.sort(ws.rows)
     x = ws.x
-    return Solution(x, rows[x[rows] > 0], gap_bound, counters,
-                    rows[ever[rows]])
+    if ever is None:
+        ever = rows[ws.ever[rows]]
+    return Solution(x, rows[x[rows] > 0], gap_bound, ws.counters, ever)
 
 
 def _check_eps(eps):
@@ -287,42 +263,26 @@ def _check_eps(eps):
         raise ValueError("eps must be positive and finite, got %r" % (eps,))
 
 
-def _negative_threshold(q, tol_neg):
-    """The certainly-negative gradient threshold: ``tol_neg`` if given,
-    else :func:`negative_tolerance`."""
-    if tol_neg is None:
-        return negative_tolerance(q)
-    tol = float(tol_neg)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError("tol_neg must be nonnegative and finite, got %r"
-                         % (tol_neg,))
-    return tol
-
-
-def ista_baseline(q, eps, tol_neg=None, counters=None):
+def ista_baseline(q, eps):
     """Projected gradient from zero over the full orthant, sparsely.
 
     Only the active set (positive coordinates plus certainly-negative
-    gradients) is ever stepped; each step is charged one full gradient under
-    the column cost model (the access pattern is confined to the support's
-    neighborhood).  Terminates once no inactive coordinate has a negative
-    gradient and ||grad on support||^2 <= 2*alpha*eps, which certifies an
-    objective gap of at most eps by strong convexity.  ``stages`` counts
-    support-expansion events, so the already-optimal instance reports 0.
+    gradients, kept as the workspace's working set) is ever stepped; each
+    step is charged one full gradient under the column cost model (the
+    access pattern is confined to the support's neighborhood).  Terminates
+    once no inactive coordinate has a negative gradient and
+    ||grad on support||^2 <= 2*alpha*eps, which certifies an objective gap
+    of at most eps by strong convexity.  ``stages`` counts support-expansion
+    events, so the already-optimal instance reports 0.
     """
     _check_eps(eps)
-    counters = Counters() if counters is None else counters
-    ws = GradientWorkspace(q, _negative_threshold(q, tol_neg), counters)
-    x, g = ws.x, ws.g
-    ever = np.zeros(q.n, dtype=bool)
-    # x vanishes off the sorted active set A, so every scan below runs over A
-    # or over the workspace's candidates
-    A = ws.negatives()
-    if not A.size:
-        return _solution(ws, eps, counters, ever)
+    ws = GradientWorkspace(q, Counters())
+    x, g, counters = ws.x, ws.g, ws.counters
+    # x vanishes off the sorted active set ws.S, so every scan below runs
+    # over it or over the workspace's candidates
+    if not ws.admit(ws.negatives()).size:
+        return _solution(ws, eps)
     counters.stages += 1
-    active = np.zeros(q.n, dtype=bool)
-    active[A] = True
     target = 2.0 * q.alpha * eps
     scale = q.max_abs_b + q.alpha
     max_iter = int(200 + 4 * q.kappa * max(
@@ -330,51 +290,44 @@ def ista_baseline(q, eps, tol_neg=None, counters=None):
     for _ in range(max_iter):
         neg = ws.negatives()
         if (x[neg] > 0).all():
+            A = ws.S
             on = g[A[x[A] > 0]]
             if float(on @ on) <= target:
-                return _solution(ws, eps, counters, ever)
-        fresh = neg[~active[neg]]
-        if fresh.size:
-            active[fresh] = True
-            A = np.union1d(A, fresh)
+                return _solution(ws, eps)
+        if ws.admit(neg).size:
             counters.stages += 1
+        A = ws.S
         x[A] = np.maximum(0.0, x[A] - g[A] / q.L)
         counters.inner_iters += 1
-        ever[A] |= x[A] > 0
-        ws.refresh(A, counters)
+        ws.refresh(A)
     raise SolverError("baseline failed to converge in %d iterations" % max_iter)
 
 
-def cdpr(q, tol_neg=None, counters=None, observe=None):
+def cdpr(q, observe=None):
     """Conjugate-directions solver: exact in |support| stages.
 
     Each stage pivots on the most negative gradient coordinate, extends the
     Q-orthogonal basis by Gram-Schmidt against the stored normalized
     directions (touching a single matrix row plus the direction supports),
-    and takes the exact line-search step.  The gradient stays zero on all
-    previous pivots, iterates are coordinatewise nondecreasing, and the
-    final iterate is the exact optimizer.  ``observe`` sees each stage's
-    iterate, pivots and direction (see the module docstring).
+    and takes the exact line-search step.  The pivots are the workspace's
+    working set.  The gradient stays zero on all previous pivots, iterates
+    are coordinatewise nondecreasing, and the final iterate is the exact
+    optimizer.  ``observe`` sees each stage's iterate, pivots and direction
+    (see the module docstring).
     """
-    counters = Counters() if counters is None else counters
-    ws = GradientWorkspace(q, _negative_threshold(q, tol_neg), counters)
-    x, g = ws.x, ws.g
-    n = q.n
-    ever = np.zeros(n, dtype=bool)
-    basis = ConjugateBasis()
-    pivots = []
-    member = np.zeros(n, dtype=bool)
-    rowbuf = np.zeros(n)
+    ws = GradientWorkspace(q, Counters())
+    x, g, counters = ws.x, ws.g, ws.counters
+    # the stored directions: supports, values, and values over curvature
+    idxs, vals, norms = [], [], []
+    rowbuf = np.zeros(q.n)
     # the direction under construction; zero off the pivots between stages
-    accum = np.zeros(n)
+    accum = np.zeros(q.n)
     while True:
         neg = ws.negatives()
         if neg.size == 0:
             break
-        if len(pivots) >= n:
-            raise SolverError("stage count exceeded the dimension")
         i = select_pivot(neg, g[neg])
-        if member[i]:
+        if not ws.admit([i]).size:
             raise SolverError(
                 "pivot %d revisited; negative tolerance is below noise" % i)
         gi = float(g[i])
@@ -383,10 +336,10 @@ def cdpr(q, tol_neg=None, counters=None, observe=None):
         rowbuf[cols_i] = vals_i
 
         accum[i] = gi
-        for idx_k, vals_k, norm_k in zip(basis.idx, basis.vals, basis.normalized):
+        for idx_k, vals_k, norm_k in zip(idxs, vals, norms):
             coeff = -gi * float(rowbuf[idx_k] @ norm_k)
             accum[idx_k] += coeff * vals_k
-        supp = np.sort(np.append(pivots, i).astype(np.int64))
+        supp = ws.S
         d_vals = accum[supp]
 
         qd, cols = _segment_row_products(q, supp, accum)
@@ -399,18 +352,17 @@ def cdpr(q, tol_neg=None, counters=None, observe=None):
         rowbuf[cols_i] = 0.0
         accum[supp] = 0.0
 
-        basis.add(supp, d_vals, curvature)
-        pivots.append(i)
-        member[i] = True
+        idxs.append(supp)
+        vals.append(d_vals)
+        norms.append(d_vals / curvature)
         counters.stages += 1
-        ever[supp] |= x[supp] > 0
-        ws.refresh(supp, counters)
+        ws.refresh(supp)
         if observe is not None:
             observe(x, supp, d_vals)
-    return _solution(ws, "exact", counters, ever)
+    return _solution(ws, "exact")
 
 
-def aspr(q, eps, variant="plain", tol_neg=None, counters=None, observe=None):
+def aspr(q, eps, variant="plain", observe=None):
     """Staged accelerated solver with working-set expansion.
 
     Per stage: run the accelerated inner loop on the working set long enough
@@ -435,21 +387,17 @@ def aspr(q, eps, variant="plain", tol_neg=None, counters=None, observe=None):
     _check_eps(eps)
     if variant not in ASPR_VARIANTS:
         raise ValueError("variant must be one of %s" % (ASPR_VARIANTS,))
-    counters = Counters() if counters is None else counters
-    ws = GradientWorkspace(q, _negative_threshold(q, tol_neg), counters)
-    x, g = ws.x, ws.g
-    n = q.n
+    ws = GradientWorkspace(q, Counters())
+    x, g, counters = ws.x, ws.g, ws.counters
     alpha, L, kappa = q.alpha, q.L, q.kappa
-    # the working set, sorted, and its mask; x vanishes off S
-    S = ws.negatives()
-    member = np.zeros(n, dtype=bool)
-    member[S] = True
-    if not S.size:
-        return _solution(ws, eps, counters, member)
-    lower = np.zeros(n) if variant == "constraints" else None
+    # x vanishes off the working set ws.S
+    if not ws.admit(ws.negatives()).size:
+        return _solution(ws, eps, ws.S)
+    lower = np.zeros(q.n) if variant == "constraints" else None
 
     while True:
-        if counters.stages > n:
+        S = ws.S
+        if counters.stages > q.n:
             raise SolverError("stage count exceeded the dimension")
         counters.stages += 1
         shrink = math.sqrt(eps * alpha / ((1.0 + S.size) * L * L))
@@ -468,35 +416,29 @@ def aspr(q, eps, variant="plain", tol_neg=None, counters=None, observe=None):
                 T = 1 + math.ceil(2.0 * math.sqrt(kappa) * math.log(arg))
         lower_s = lower[S].copy() if lower is not None else None
         period = int(S.size) if variant == "early" else 0
-        res = _apgd_loop(q, S, x[S], T, counters, lower=lower_s,
-                         full_every=period, ws=ws, member=member)
-        if res.fresh is not None:
+        y, aborted = _apgd_loop(q, S, x[S], T, counters, lower=lower_s,
+                                full_every=period, ws=ws)
+        if aborted:
             if observe is not None:
                 observe(x, S, None)
-            member[res.fresh] = True
-            S = np.union1d(S, res.fresh)
             continue
         if lower is not None:
             lower[S] = lower_s
             floor = lower_s
         else:
             floor = 0.0
-        x[S] = np.maximum(floor, res.y - shrink)
-        ws.refresh(S, counters)
+        x[S] = np.maximum(floor, y - shrink)
+        ws.refresh(S)
         if lower is not None and float(np.max(g[S])) <= ws.tol:
             lower[S] = np.maximum(lower[S], x[S])
         if observe is not None:
             observe(x, S, None)
-        fresh = ws.negatives()
-        fresh = fresh[~member[fresh]]
-        if not fresh.size:
+        if not ws.admit(ws.negatives()).size:
             break
-        member[fresh] = True
-        S = np.union1d(S, fresh)
-    return _solution(ws, eps, counters, member)
+    return _solution(ws, eps, ws.S)
 
 
-def solve(q, token, eps, tol_neg=None):
+def solve(q, token, eps):
     """Run the solver named by one of SOLVER_TOKENS."""
     if token not in SOLVER_TOKENS:
         raise ValueError("unknown solver token %r (choose from %s)"
@@ -504,7 +446,7 @@ def solve(q, token, eps, tol_neg=None):
     _check_eps(eps)
     name, _, variant = token.partition(":")
     if name == "cdpr":
-        return cdpr(q, tol_neg=tol_neg)
+        return cdpr(q)
     if name == "ista":
-        return ista_baseline(q, eps, tol_neg=tol_neg)
-    return aspr(q, eps, variant=variant or "plain", tol_neg=tol_neg)
+        return ista_baseline(q, eps)
+    return aspr(q, eps, variant=variant or "plain")

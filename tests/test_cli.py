@@ -165,8 +165,6 @@ class TestSolveErrors:
     @pytest.mark.parametrize("solver, flag, value", [
         ("aspr", "--eps", "inf"),
         ("ista", "--eps", "nan"),
-        ("cdpr", "--tolneg", "nan"),
-        ("cdpr", "--tolneg", "-1"),
         ("cdpr", "--eps", "nan"),
         ("cdpr", "--eps", "inf"),
         ("cdpr", "--eps", "0"),

@@ -191,6 +191,13 @@ SINGLE_FAULTS = [
      "line 4: self-loop at node 1"),
     ("edgelist", "0 1\n1 2\n# c\n\n2 1\n",
      "line 5: duplicate edge (1, 2), first seen at line 2"),
+    # without a header the largest id sets n, so its line is named
+    ("edgelist", "0 1\n# c\n\n1 9000000000000000000\n",
+     "line 4: largest id 9000000000000000000 sets the node count; "
+     "isolated node 2 (every node needs degree >= 1)"),
+    ("edgelist", "0 1\n# c\n\n1 4\n0 4\n4 3\n",
+     "line 4: largest id 4 sets the node count; "
+     "isolated node 2 (every node needs degree >= 1)"),
     ("matrixmarket", MM + "% c\n3 3 2\n1 2\n% c\n\n0 3\n",
      "line 7: id out of declared range"),
     ("matrixmarket", MM + "% c\n3 3 2\n1 2\n% c\n\n2 4\n",

@@ -50,6 +50,12 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(3, [(0, 1)])
 
+    @pytest.mark.parametrize("end", [2**64, -2**63 - 1])
+    def test_endpoint_beyond_int64_is_a_range_error(self, end):
+        with pytest.raises(ValueError,
+                           match=r"^edge endpoint out of range \[0, 3\)$"):
+            Graph(3, [(0, 1), (1, end)])
+
     @pytest.mark.parametrize("edges, message, kind, position, first", [
         ([(0, 1), (1, 2), (0, 3)], r"edge endpoint out of range \[0, 3\)",
          "range", 2, None),
@@ -332,6 +338,22 @@ class TestMQuadratic:
         Q = sp.csr_matrix(np.array([[1.0, 0.2], [0.2, 1.0]]))
         with pytest.raises(ValueError):
             MQuadratic(Q, np.zeros(2), 0.5, 1.5)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("b, alpha, L", [
+        ([np.nan, 1.0], 0.5, 1.5),
+        ([1.0, np.inf], 0.5, 1.5),
+        ([-np.inf, 1.0], 0.5, 1.5),
+        ([1.0, 1.0], np.nan, 1.5),
+        ([1.0, 1.0], np.inf, 1.5),
+        ([1.0, 1.0], 0.5, np.nan),
+        ([1.0, 1.0], 0.5, np.inf),
+    ])
+    def test_non_finite_data_rejected(self, b, alpha, L, validate):
+        # without the check, cdpr answered x = 0 as "exact" for b = (nan, 1)
+        Q = sp.csr_matrix(np.array([[1.0, -0.2], [-0.2, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            MQuadratic(Q, b, alpha, L, validate=validate)
 
     def test_kappa(self, two_node):
         assert two_node.kappa == 2.0

@@ -62,21 +62,23 @@ def test_workspace_gradient_is_the_full_gradient(seed, n, density, kind):
         q = build_pagerank_quadratic(random_graph_instance(kind, {}, seed))
     tol = negative_tolerance(q)
     rng = np.random.default_rng(seed + 5)
-    mine = Counters()
-    ws = GradientWorkspace(q, tol, mine)
+    ws = GradientWorkspace(q, Counters())
+    assert ws.tol == tol
     ref = Counters()
     assert np.array_equal(ws.g[ws.rows],
                           gradient(q, np.zeros(q.n), counters=ref)[ws.rows])
-    assert mine == ref
+    assert ws.counters == ref
     cols = np.empty(0, dtype=np.int64)
+    made = np.zeros(q.n, dtype=bool)
     for _ in range(4):
         # grow the coordinate set; some coordinates stay or fall back to zero
         cols = np.union1d(cols, rng.choice(q.n, size=rng.integers(0, 3),
                                            replace=False))
         ws.x[cols] = rng.uniform(0.0, 2.0, cols.size) * (
             rng.uniform(size=cols.size) < 0.7)
-        mine, ref = Counters(), Counters()
-        ws.refresh(cols, mine)
+        made |= ws.x > 0
+        ws.refresh(cols)
+        assert np.array_equal(ws.ever, made)
         g = gradient(q, ws.x, counters=ref)
         # + 0.0 makes the signed zeros compare equal
         assert np.array_equal(ws.g[ws.rows] + 0.0, g[ws.rows] + 0.0)
@@ -84,7 +86,12 @@ def test_workspace_gradient_is_the_full_gradient(seed, n, density, kind):
         off[ws.rows] = False
         assert np.array_equal(g[off], -q.b[off])
         assert np.array_equal(ws.negatives(), np.flatnonzero(g < -tol))
-        assert mine == ref
+        assert ws.counters == ref
+        # the working set takes in only what it lacks, and stays sorted
+        before = ws.S
+        new = ws.admit(ws.negatives())
+        assert np.array_equal(new, np.setdiff1d(ws.negatives(), before))
+        assert np.array_equal(ws.S, np.union1d(before, new))
 
 
 @common

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sparsepr import (
-    Counters,
     SolverError,
     apgd,
     aspr,
@@ -137,16 +136,14 @@ class TestAPGD:
 class TestCDPR:
     def test_two_node_stage_trace(self, two_node):
         stages = []
-        counters = Counters()
-        sol = cdpr(two_node, counters=counters,
-                   observe=recorder(two_node, stages))
+        sol = cdpr(two_node, observe=recorder(two_node, stages))
         assert [S for S, _, _, _ in stages] == [[0], [0, 1]]
         assert_close(stages[0][2], [0.6, 0.0], 1e-12)
         assert_close(stages[1][2], [0.65, 0.15], 1e-12)
         assert_close(stages[0][3][1], -0.1, 1e-12)
         assert sol.gap_bound == "exact"
-        assert counters.stages == 2
-        assert counters.inner_iters == 0
+        assert sol.counters.stages == 2
+        assert sol.counters.inner_iters == 0
         assert list(sol.support) == [0, 1]
 
     def test_two_node_counters_frozen(self, two_node):
@@ -256,16 +253,14 @@ class TestASPRSchedule:
 class TestASPR:
     def test_two_node_stage_trace(self, two_node):
         stages = []
-        counters = Counters()
-        sol = aspr(two_node, 1e-6, counters=counters,
-                   observe=recorder(two_node, stages))
+        sol = aspr(two_node, 1e-6, observe=recorder(two_node, stages))
         assert [S for S, _, _, _ in stages] == [[0], [0, 1]]
         assert all(d is None for _, d, _, _ in stages)
         ref = dense_solve_enumerate(two_node)
         assert objective(two_node, sol.x) - ref.objective_value <= 1e-6
         assert sol.gap_bound == 1e-6
-        assert counters.stages == 2
-        assert counters.full_gradients == 3
+        assert sol.counters.stages == 2
+        assert sol.counters.full_gradients == 3
 
     def test_gap_certificate_all_variants(self, small_corpus):
         for item in small_corpus:
@@ -316,8 +311,7 @@ class TestASPR:
     def test_restricted_gradients_dominate_full(self, two_node):
         # the inner loop works on restricted gradients; expansion charges one
         # full gradient per stage (plus the initial and final ones)
-        counters = Counters()
-        aspr(two_node, 1e-6, counters=counters)
+        counters = aspr(two_node, 1e-6).counters
         assert counters.restricted_gradients > counters.full_gradients
         assert counters.full_gradients == counters.stages + 1
 
