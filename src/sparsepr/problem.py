@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +33,7 @@ __all__ = [
     "MQuadratic",
     "OptimalityReport",
     "MatrixValidation",
+    "PageRankOperator",
     "build_pagerank_quadratic",
     "pagerank_upper_bounds",
     "restrict",
@@ -60,6 +62,9 @@ class EdgeError(ValueError):
 
 class Graph:
     """Immutable connected undirected graph with a CSR adjacency view.
+
+    The graph also caches the :class:`PageRankOperator` of the last alpha
+    that a quadratic was built for.
 
     Parameters
     ----------
@@ -129,6 +134,7 @@ class Graph:
         self.degrees = degrees.astype(np.int64)
         self.degrees.setflags(write=False)
         self._adj = adj
+        self._operator = None  # see PageRankOperator.of
 
     @property
     def num_edges(self):
@@ -159,7 +165,13 @@ class PageRankInstance:
         if not (math.isfinite(rho) and rho > 0.0):
             raise ValueError("rho must be positive and finite, got %r" % rho)
         if np.isscalar(s) or getattr(s, "ndim", 1) == 0:
-            v = int(s)
+            # int() would truncate 1.7 and take True as node 1
+            if isinstance(s, bool):
+                raise ValueError("seed node must be an integer, got %r" % (s,))
+            try:
+                v = operator.index(s)
+            except TypeError:
+                raise ValueError("seed node must be an integer, got %r" % (s,))
             if not 0 <= v < graph.n:
                 raise ValueError("seed node %d out of range" % v)
             dist = np.zeros(graph.n)
@@ -274,14 +286,25 @@ class MQuadratic:
     coordinates whose gradient -b_i at x = 0 can be negative).  A
     non-finite entry of ``b``, ``alpha`` or ``L`` raises ``ValueError``,
     even with ``validate=False``: every sign test would pass it silently.
+
+    ``Q`` is copied into a fresh CSR with duplicates summed, explicit zeros
+    removed and indices sorted, and ``b`` is copied, so later writes to the
+    arguments cannot reach the quadratic.  Arguments that already cannot be
+    written are shared instead: a ``csr_matrix`` whose ``data``, ``indices``
+    and ``indptr`` are read-only and whose ``has_canonical_format`` is true,
+    and a read-only float ``b``.  Many quadratics can thus share one Hessian
+    (see :class:`PageRankOperator`).
     """
 
     def __init__(self, Q, b, alpha, L, validate=True):
-        Q = sp.csr_matrix(Q).copy()
-        Q.sum_duplicates()
-        Q.eliminate_zeros()
-        Q.sort_indices()
-        b = np.asarray(b, dtype=float).copy()
+        if not _is_frozen_canonical(Q):
+            Q = sp.csr_matrix(Q).copy()
+            Q.sum_duplicates()
+            Q.eliminate_zeros()
+            Q.sort_indices()
+        b = np.asarray(b, dtype=float)
+        if b.flags.writeable:
+            b = b.copy()
         if b.shape != (Q.shape[0],):
             raise ValueError("b has wrong length for Q")
         # max propagates NaN, so this one scan also finds every non-finite b_i
@@ -327,6 +350,77 @@ class MQuadratic:
         )
 
 
+def _is_frozen_canonical(Q):
+    """Whether Q is a csr_matrix in canonical form that cannot be written."""
+    return (isinstance(Q, sp.csr_matrix)
+            and not any(a.flags.writeable for a in (Q.data, Q.indices, Q.indptr))
+            and Q.has_canonical_format)
+
+
+class PageRankOperator:
+    """The part of the PageRank quadratics on one graph that no seed and no
+    rho changes: the Hessian ``Q`` of :func:`build_pagerank_quadratic` at
+    teleport weight ``alpha``, ``sqrt_d`` = sqrt(d) and ``dinv_sqrt`` =
+    1/sqrt(d), built once in O(n + m) as read-only arrays.  ``Q`` is a
+    canonical CSR, so every quadratic built on it shares it uncopied.
+
+    :meth:`of` keeps one operator on the graph, for the last alpha asked for.
+    The graph is immutable, so the cache never goes stale, and a new alpha
+    replaces it, so the graph holds at most one ``Q``.
+    """
+
+    def __init__(self, graph, alpha):
+        a = float(alpha)
+        n = graph.n
+        adj = graph._adj  # each row's neighbours in increasing order
+        sqrt_d = np.sqrt(graph.degrees.astype(float))
+        dinv_sqrt = 1.0 / sqrt_d
+
+        # Q has adj's pattern plus the diagonal, which goes into row i after
+        # the neighbours below i
+        rows = np.repeat(np.arange(n), graph.degrees)
+        cols = adj.indices
+        indptr = adj.indptr + np.arange(n + 1)
+        diag = indptr[:-1] + np.add.reduceat(cols < rows, adj.indptr[:-1])
+        off = np.ones(indptr[-1], dtype=bool)
+        off[diag] = False
+        indices = np.empty(indptr[-1], dtype=cols.dtype)
+        indices[diag] = np.arange(n)
+        indices[off] = cols
+        data = np.empty(indptr[-1])
+        data[diag] = (1.0 + a) / 2.0
+        data[off] = -(1.0 - a) / 2.0 * (dinv_sqrt[rows] * dinv_sqrt[cols])
+        Q = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+        for arr in (Q.data, Q.indices, Q.indptr, sqrt_d, dinv_sqrt):
+            arr.setflags(write=False)
+        self.alpha = a
+        self.Q = Q
+        self.sqrt_d = sqrt_d
+        self.dinv_sqrt = dinv_sqrt
+        self._base = (None, None)
+
+    @classmethod
+    def of(cls, graph, alpha):
+        """The graph's operator at ``alpha``, built on first use."""
+        op = graph._operator
+        if op is None or op.alpha != alpha:
+            op = graph._operator = cls(graph, alpha)
+        return op
+
+    def base(self, rho):
+        """The read-only linear term b of an unseeded node,
+        alpha*(0 - rho*sqrt(d)); the last rho's vector is kept."""
+        # one read of the slot, so a concurrent query cannot swap it between
+        # the test and the return
+        kept, b0 = self._base
+        if kept != rho:
+            b0 = self.alpha * (0.0 - rho * self.sqrt_d)
+            b0.setflags(write=False)
+            self._base = (rho, b0)
+        return b0
+
+
 def build_pagerank_quadratic(instance):
     """Compile a PageRank instance into its M-matrix quadratic.
 
@@ -335,22 +429,21 @@ def build_pagerank_quadratic(instance):
     of the quadratic over the nonnegative orthant is the rescaled
     l1-regularized PageRank vector.  Spectral bounds: alpha (strong
     convexity) and L = 1.
+
+    The Hessian and the degree vectors are built once per (graph, alpha)
+    and cached on the graph (:class:`PageRankOperator`); every quadratic of
+    the graph at that alpha shares the one read-only ``Q``.  A query then
+    pays one O(n) copy of b at the unseeded value, work on supp(s), and the
+    O(n) scans of b that :class:`MQuadratic` makes.
     """
-    g = instance.graph
-    a = instance.alpha
-    n = g.n
-    dinv_sqrt = 1.0 / np.sqrt(g.degrees.astype(float))
-
-    e = g.edges
-    offv = -(1.0 - a) / 2.0 * (dinv_sqrt[e[:, 0]] * dinv_sqrt[e[:, 1]])
-    rows = np.concatenate([np.arange(n), e[:, 0], e[:, 1]])
-    cols = np.concatenate([np.arange(n), e[:, 1], e[:, 0]])
-    vals = np.concatenate([np.full(n, (1.0 + a) / 2.0), offv, offv])
-    Q = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
-
-    sqrt_d = np.sqrt(g.degrees.astype(float))
-    b = a * (instance.s * dinv_sqrt - instance.rho * sqrt_d)
-    return MQuadratic(Q, b, alpha=a, L=1.0, validate=False)
+    op = PageRankOperator.of(instance.graph, instance.alpha)
+    s = instance.s
+    seeded = np.flatnonzero(s != 0.0)  # numpy scans a bool mask far faster
+    b = op.base(instance.rho).copy()
+    b[seeded] = op.alpha * (s[seeded] * op.dinv_sqrt[seeded]
+                            - instance.rho * op.sqrt_d[seeded])
+    b.setflags(write=False)
+    return MQuadratic(op.Q, b, alpha=op.alpha, L=1.0, validate=False)
 
 
 def pagerank_upper_bounds(instance):
@@ -360,7 +453,7 @@ def pagerank_upper_bounds(instance):
     Rounded as alpha*(rho*sqrt(d_i)), the same association as the term of b,
     so an unseeded zero coordinate whose gradient is exactly -b_i meets its
     cap bit-exactly instead of rounding one ulp above it."""
-    sqrt_d = np.sqrt(instance.graph.degrees.astype(float))
+    sqrt_d = PageRankOperator.of(instance.graph, instance.alpha).sqrt_d
     return instance.alpha * (instance.rho * sqrt_d)
 
 
@@ -389,7 +482,12 @@ def restrict(q, S):
     indptr = np.concatenate([[0], np.cumsum(row_hits)])
     sub = sp.csr_matrix((Q.data[pos[hit]], at[hit], indptr),
                         shape=(S.size, S.size))
-    return MQuadratic(sub, q.b[S], q.alpha, q.L, validate=False)
+    b = q.b[S]
+    # q.Q is canonical, so sub is too: freeze it and b so MQuadratic takes
+    # them as they are
+    for arr in (sub.data, sub.indices, sub.indptr, b):
+        arr.setflags(write=False)
+    return MQuadratic(sub, b, q.alpha, q.L, validate=False)
 
 
 def negative_tolerance(q):
@@ -587,6 +685,9 @@ class OptimalityReport:
 def check_optimality(q, x, pagerank_box=None):
     """Evaluate the sign conditions for optimality of x over the orthant."""
     x = np.asarray(x, dtype=float)
+    # every sign test below is false for NaN, which would pass as stationary
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     if (x < 0).any():
         raise ValueError("x must be nonnegative")
     g = q.Q @ x - q.b

@@ -1,5 +1,7 @@
 """Problem construction, gradients, objectives, optimality, volumes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,11 +21,17 @@ from sparsepr import (
     validate_m_matrix,
     volume,
 )
-from sparsepr.oracle import random_graph_instance, random_m_matrix
-from sparsepr.problem import EdgeError, restrict
+from sparsepr.oracle import GRAPH_KINDS, random_graph_instance, random_m_matrix
+from sparsepr.problem import EdgeError, PageRankOperator, restrict
 from sparsepr.solvers import cdpr
 
 from conftest import assert_close, two_node_instance
+
+
+def _grid(side, seed_node):
+    return random_graph_instance("grid", {
+        "rows": side, "cols": side, "alpha": 0.1, "rho": 1e-3,
+        "seed_node": seed_node}, 0)
 
 
 class TestGraph:
@@ -102,6 +110,18 @@ class TestPageRankInstance:
             PageRankInstance(Graph(2, [(0, 1)]), 0.5, 0.1, np.array([0.6, 0.5]))
         with pytest.raises(ValueError):
             PageRankInstance(Graph(2, [(0, 1)]), 0.5, 0.1, np.array([1.2, -0.2]))
+
+    @pytest.mark.parametrize("s", [1.7, 1.0, True, np.True_, np.float64(1.0),
+                                   np.array(1.0), "1"])
+    def test_seed_node_must_be_an_integer(self, s):
+        # int() truncated 1.7 to node 1 and read True as node 1
+        with pytest.raises(ValueError, match="seed node must be an integer"):
+            PageRankInstance(Graph(3, [(0, 1), (1, 2)]), 0.5, 0.1, s)
+
+    @pytest.mark.parametrize("s", [1, np.int32(1), np.uint8(1), np.array(1)])
+    def test_integer_seed_node_types_accepted(self, s):
+        inst = PageRankInstance(Graph(3, [(0, 1), (1, 2)]), 0.5, 0.1, s)
+        assert inst.s.tolist() == [0.0, 1.0, 0.0]
 
     def test_distribution_within_tolerance_accepted(self):
         s = np.array([0.7, 0.3 + 1e-13])
@@ -229,16 +249,20 @@ class TestCheckOptimality:
         with pytest.raises(ValueError):
             check_optimality(two_node, np.array([-0.1, 0.0]))
 
-    @staticmethod
-    def _grid(side, seed_node):
-        return random_graph_instance("grid", {
-            "rows": side, "cols": side, "alpha": 0.1, "rho": 1e-3,
-            "seed_node": seed_node}, 0)
+    @pytest.mark.parametrize("x", [[np.nan, 0.0, 0.0], [np.nan] * 3,
+                                   [0.0, np.inf, 0.0]])
+    def test_non_finite_x_rejected(self, x):
+        # every sign test is false for NaN: x = (nan, 0, 0) was reported
+        # stationary with both residuals 0
+        q = build_pagerank_quadratic(
+            PageRankInstance(Graph(3, [(0, 1), (1, 2)]), 0.5, 0.1, 0))
+        with pytest.raises(ValueError, match="finite"):
+            check_optimality(q, np.array(x))
 
     def test_no_cap_witness_at_origin(self):
         # off the seed the gradient at x=0 is -b_i = alpha*(rho*sqrt(d_i));
         # the cap must round the same way, or the degree-2 corners trip it
-        inst = self._grid(5, 12)
+        inst = _grid(5, 12)
         q = build_pagerank_quadratic(inst)
         cap = pagerank_upper_bounds(inst)
         off = np.arange(q.n) != 12
@@ -247,11 +271,86 @@ class TestCheckOptimality:
         assert rep.upper_box_violations == []
 
     def test_no_cap_witness_at_exact_optimum(self):
-        inst = self._grid(20, 210)
+        inst = _grid(20, 210)
         q = build_pagerank_quadratic(inst)
         rep = check_optimality(q, cdpr(q).x,
                                pagerank_box=pagerank_upper_bounds(inst))
         assert rep.upper_box_violations == []
+
+
+class TestPageRankOperator:
+    def test_queries_share_one_read_only_hessian(self):
+        inst = _grid(6, 14)
+        q = build_pagerank_quadratic(inst)
+        other = build_pagerank_quadratic(
+            PageRankInstance(inst.graph, inst.alpha, 0.05, 3))
+        assert other.Q is q.Q
+        for arr in (q.Q.data, q.Q.indices, q.Q.indptr, q.b):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+    def test_new_alpha_replaces_the_cached_operator(self):
+        inst = _grid(6, 14)
+        op = PageRankOperator.of(inst.graph, inst.alpha)
+        assert PageRankOperator.of(inst.graph, inst.alpha) is op
+        PageRankOperator.of(inst.graph, 0.5)
+        again = PageRankOperator.of(inst.graph, inst.alpha)
+        assert again is not op
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(again.Q, name), getattr(op.Q, name))
+
+    def test_solution_survives_a_second_query(self):
+        inst = _grid(10, 44)
+        first = cdpr(build_pagerank_quadratic(inst))
+        x = first.x.copy()
+        second = cdpr(build_pagerank_quadratic(
+            PageRankInstance(inst.graph, inst.alpha, inst.rho, 55)))
+        assert second.support.size
+        assert first.x.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_quadratic_and_caps_match_the_edge_list_assembly(self, kind):
+        # the operator slots the diagonal into the sorted adjacency; the
+        # reference assembles Q from the edge list through COO, and b and
+        # the caps from dense degree vectors
+        for seed in range(5):
+            inst = random_graph_instance(kind, {}, seed)
+            g, a, n = inst.graph, inst.alpha, inst.graph.n
+            sqrt_d = np.sqrt(g.degrees.astype(float))
+            dinv = 1.0 / sqrt_d
+            e = g.edges
+            off = -(1.0 - a) / 2.0 * (dinv[e[:, 0]] * dinv[e[:, 1]])
+            rows = np.concatenate([np.arange(n), e[:, 0], e[:, 1]])
+            cols = np.concatenate([np.arange(n), e[:, 1], e[:, 0]])
+            vals = np.concatenate([np.full(n, (1.0 + a) / 2.0), off, off])
+            ref = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+            q = build_pagerank_quadratic(inst)
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(q.Q, name), getattr(ref, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            want = a * (inst.s * dinv - inst.rho * sqrt_d)
+            assert q.b.tobytes() == want.tobytes()
+            want = a * (inst.rho * sqrt_d)
+            assert pagerank_upper_bounds(inst).tobytes() == want.tobytes()
+
+    def test_warm_build_allocates_only_b(self):
+        # with the operator cached, a point-seed query copies b and scans it;
+        # nothing of size O(n + m) is allocated
+        inst = _grid(300, 150 * 300 + 150)
+        n = inst.graph.n
+
+        def peak(instance):
+            tracemalloc.start()
+            try:
+                build_pagerank_quadratic(instance)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cold = peak(inst)
+        warm = peak(PageRankInstance(inst.graph, inst.alpha, inst.rho, 7))
+        assert warm <= 3 * 8 * n, (warm, n)
+        assert 4 * warm < cold, (warm, cold)
 
 
 class TestRestrict:
@@ -267,6 +366,13 @@ class TestRestrict:
     def test_indices_must_lie_in_range(self, two_node, S):
         with pytest.raises(ValueError, match="out of range"):
             restrict(two_node, S)
+
+    def test_restriction_is_frozen_and_canonical(self):
+        q = build_pagerank_quadratic(random_graph_instance("grid", {}, 0))
+        sub = restrict(q, [1, 2, 5, 6, 9])
+        assert sub.Q.has_canonical_format
+        for arr in (sub.Q.data, sub.Q.indices, sub.Q.indptr, sub.b):
+            assert not arr.flags.writeable
 
 
 class TestVolumes:
@@ -354,6 +460,33 @@ class TestMQuadratic:
         Q = sp.csr_matrix(np.array([[1.0, -0.2], [-0.2, 1.0]]))
         with pytest.raises(ValueError, match="finite"):
             MQuadratic(Q, b, alpha, L, validate=validate)
+
+    def test_frozen_canonical_arguments_are_shared(self):
+        Q = sp.csr_matrix(np.array([[1.0, -0.2], [-0.2, 1.0]]))
+        b = np.array([1.0, -1.0])
+        for arr in (Q.data, Q.indices, Q.indptr, b):
+            arr.setflags(write=False)
+        q = MQuadratic(Q, b, 0.5, 1.5)
+        assert q.Q is Q and q.b is b
+
+    def test_writable_arguments_are_copied(self):
+        Q = sp.csr_matrix(np.array([[1.0, -0.2], [-0.2, 1.0]]))
+        b = np.array([1.0, -1.0])
+        q = MQuadratic(Q, b, 0.5, 1.5)
+        Q.data[:] = 7.0
+        b[:] = 7.0
+        assert q.Q.toarray().tolist() == [[1.0, -0.2], [-0.2, 1.0]]
+        assert q.b.tolist() == [1.0, -1.0]
+
+    def test_frozen_unsorted_matrix_is_copied_and_sorted(self):
+        Q = sp.csr_matrix((np.array([-0.2, 1.0, 1.0, -0.2]),
+                           np.array([1, 0, 1, 0]), np.array([0, 2, 4])),
+                          shape=(2, 2))
+        for arr in (Q.data, Q.indices, Q.indptr):
+            arr.setflags(write=False)
+        q = MQuadratic(Q, np.zeros(2), 0.5, 1.5)
+        assert q.Q is not Q
+        assert q.Q.indices.tolist() == [0, 1, 0, 1]
 
     def test_kappa(self, two_node):
         assert two_node.kappa == 2.0

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from sparsepr import (
     Counters,
+    Graph,
     MQuadratic,
+    PageRankInstance,
     aspr,
     build_pagerank_quadratic,
     cdpr,
@@ -122,6 +124,34 @@ def test_ever_positive_records_what_each_solver_made_positive(seed, n, density,
     ever = set(sol.ever_positive.tolist())
     assert set(sol.support.tolist()) <= ever
     assert ever <= set(dense_solve_enumerate(q).support.tolist())
+
+
+@common
+@given(seed=seeds, kind=st.sampled_from(GRAPH_KINDS),
+       queries=st.lists(st.tuples(st.sampled_from((0.1, 0.5, 0.9)),
+                                  st.sampled_from((1e-3, 0.05, 0.2)),
+                                  st.booleans(), seeds),
+                        min_size=2, max_size=6))
+def test_cached_operator_builds_what_a_fresh_graph_builds(seed, kind, queries):
+    # one graph answers a run of queries that switch alpha, rho and seed
+    # kind; each must equal the build on a graph that never cached anything
+    graph = random_graph_instance(kind, {}, seed).graph
+    for alpha, rho, point, qseed in queries:
+        rng = np.random.default_rng(qseed)
+        if point:
+            s = int(rng.integers(graph.n))
+        else:
+            s = rng.uniform(size=graph.n) * (rng.uniform(size=graph.n) < 0.4)
+            s[int(rng.integers(graph.n))] += 1.0
+            s /= s.sum()
+        got = build_pagerank_quadratic(PageRankInstance(graph, alpha, rho, s))
+        ref = build_pagerank_quadratic(
+            PageRankInstance(Graph(graph.n, graph.edges), alpha, rho, s))
+        for a, b in ((got.Q.indptr, ref.Q.indptr), (got.Q.indices, ref.Q.indices),
+                     (got.Q.data, ref.Q.data), (got.b, ref.b),
+                     (got.positive_b, ref.positive_b)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.max_abs_b == ref.max_abs_b
 
 
 @common
