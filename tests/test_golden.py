@@ -1,5 +1,6 @@
 """Golden outputs: counters, supports and iterate bytes of every solver token
-on three fixed instances, and the exact stdout of one ``sparsepr solve``.
+on three fixed instances, and the exact stdout of ``sparsepr solve`` for
+every solver token.
 
 These pin behaviour that refactors must not change.  A failure here means an
 output moved, not that it became wrong; update a value only together with a
@@ -110,6 +111,19 @@ GOLDEN = {
 CLI_STDOUT_SHA256 = \
     "42e4181567cadcd35d9f2f4b85439a353a002cba9175bceaca3d93b2becbeec4"
 
+# sha256 of the stdout of the same solve for every solver token
+CLI_TOKEN_STDOUT_SHA256 = {
+    "ista":
+        "2909c5567f93856f2d148289625e59f36160fdc7c10d09bbbafa64a4f97340f1",
+    "cdpr": CLI_STDOUT_SHA256,
+    "aspr":
+        "8e586e87dfcc1b50b419848d1d49ae90ec76b623c3b469e3fdd8f3a4d7da82ad",
+    "aspr:early":
+        "757f38f78f734cee539c8affc0d934586ee29b8c0c7929ac1c26d32d329943cc",
+    "aspr:constraints":
+        "b962365d84b0dd113a398219e5075baaf184546f3828a9c5aef2ec190dad8833",
+}
+
 
 @pytest.fixture(scope="module")
 def quadratics():
@@ -146,7 +160,8 @@ def test_solver_outputs_are_pinned(quadratics, key):
     assert hashlib.sha256(sol.x.tobytes()).hexdigest() == digest
 
 
-def test_cli_stdout_is_pinned(tmp_path):
+def _cli_solve(tmp_path, token):
+    """``sparsepr solve`` of the golden grid instance, read from an edge list."""
     side = GRID["rows"]
     lines = []
     for v in range(side * side):
@@ -156,12 +171,19 @@ def test_cli_stdout_is_pinned(tmp_path):
             lines.append("%d %d" % (v, v + side))
     path = tmp_path / "grid20.txt"
     path.write_text("\n".join(lines) + "\n")
+    name, _, variant = token.partition(":")
     res = subprocess.run(
         [sys.executable, "-m", "sparsepr.cli", "solve", "--graph", str(path),
          "--alpha", "0.1", "--rho", "0.001", "--seed-node", "210",
-         "--solver", "cdpr"],
+         "--solver", name] + (["--variant", variant] if variant else []),
         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+    return res
+
+
+def test_cli_stdout_is_pinned(tmp_path):
+    side = GRID["rows"]
+    res = _cli_solve(tmp_path, "cdpr")
     out = json.loads(res.stdout)
     # readable checks first, so a drift names the field that moved
     assert out["counters"] == GOLDEN[("grid", "cdpr")][0]
@@ -177,3 +199,14 @@ def test_cli_stdout_is_pinned(tmp_path):
     q = build_pagerank_quadratic(random_graph_instance("grid", GRID, 0))
     assert np.array_equal(x, cdpr(q).x)
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == CLI_STDOUT_SHA256
+
+
+@pytest.mark.parametrize("token", sorted(CLI_TOKEN_STDOUT_SHA256))
+def test_cli_stdout_is_pinned_for_every_token(tmp_path, token):
+    res = _cli_solve(tmp_path, token)
+    out = json.loads(res.stdout)
+    assert out["solver"] == token
+    assert out["counters"] == GOLDEN[("grid", token)][0]
+    assert out["residuals"]["upper_box_violations"] == []
+    digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+    assert digest == CLI_TOKEN_STDOUT_SHA256[token]
