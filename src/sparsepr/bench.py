@@ -11,7 +11,6 @@ the CSV schema stays fixed.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 
 import numpy as np
@@ -23,14 +22,16 @@ from .solvers import solve
 __all__ = ["RunRecord", "CSV_HEADER", "run_cell", "bench_grid",
            "predictor_comment"]
 
-CSV_HEADER = ("family,n,alpha,rho,solver,variant,stages,inner_iters,"
-              "nnz_touched,full_gradients,support_size,vol_supp,ivol_supp,"
-              "gap,wall_ns")
+_CSV_COLUMNS = ("family", "n", "alpha", "rho", "solver", "variant", "stages",
+                "inner_iters", "nnz_touched", "full_gradients", "support_size",
+                "vol_supp", "ivol_supp", "gap", "wall_ns")
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 @dataclasses.dataclass
 class RunRecord:
-    """One benchmark cell, losslessly serializable (floats round-trip)."""
+    """One benchmark cell; its CSV row prints floats with repr, so they
+    round-trip."""
 
     family: str
     n: int
@@ -48,24 +49,10 @@ class RunRecord:
     gap: float
     wall_ns: int
     seed: int = 0
-    eps: float = 0.0
 
     def to_csv_row(self):
-        return ",".join([
-            self.family, str(self.n), repr(self.alpha), repr(self.rho),
-            self.solver, self.variant, str(self.stages),
-            str(self.inner_iters), str(self.nnz_touched),
-            str(self.full_gradients), str(self.support_size),
-            str(self.vol_supp), str(self.ivol_supp), repr(self.gap),
-            str(self.wall_ns),
-        ])
-
-    def to_json(self):
-        return json.dumps(dataclasses.asdict(self))
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
+        # str of a float is its repr
+        return ",".join(str(getattr(self, name)) for name in _CSV_COLUMNS)
 
 
 def _size_params(family, size):
@@ -104,7 +91,7 @@ def run_cell(family, size, alpha, rho, solver_token, seed, eps=1e-6,
         full_gradients=sol.counters.full_gradients,
         support_size=int(supp.size),
         vol_supp=volume(q, supp), ivol_supp=internal_volume(q, supp),
-        gap=gap, wall_ns=int(wall), seed=int(seed), eps=float(eps),
+        gap=gap, wall_ns=int(wall), seed=int(seed),
     )
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "GeometryReport",
     "dense_solve_enumerate",
     "dense_solve_projected",
+    "reference_solve",
     "subspace_solve",
     "verify_geometry",
     "random_m_matrix",
@@ -129,9 +130,9 @@ def _polish_support(q, x):
     S = np.flatnonzero(x > cut)
     if S.size == 0:
         return np.zeros(q.n) if (x <= cut).all() else x
-    sub = q.Q[np.ix_(S, S)].toarray() if sp.issparse(q.Q) else q.Q[np.ix_(S, S)]
+    sub = restrict(q, S)
     try:
-        xs = _refined_solve(sub, q.b[S])
+        xs = _refined_solve(sub.Q.toarray(), sub.b)
     except np.linalg.LinAlgError:
         return x
     if not (xs > 0).all():
@@ -181,6 +182,14 @@ def dense_solve_projected(q, gap=1e-12):
     )
 
 
+def reference_solve(q, gap):
+    """The oracle minimizer: by enumeration up to ``ENUMERATE_MAX_N``
+    coordinates, else by projected descent certified to ``gap``."""
+    if q.n <= ENUMERATE_MAX_N:
+        return dense_solve_enumerate(q)
+    return dense_solve_projected(q, gap=gap)
+
+
 def subspace_solve(q, S):
     """Minimizer over {x >= 0, x_i = 0 off S}, embedded back into R^n,
     found by the dense oracles on the principal restriction to S."""
@@ -191,12 +200,7 @@ def subspace_solve(q, S):
     x = np.zeros(n)
     if S.size == 0:
         return _finish(q, x)
-    sub = restrict(q, S)
-    if S.size <= ENUMERATE_MAX_N:
-        sol = dense_solve_enumerate(sub)
-    else:
-        sol = dense_solve_projected(sub)
-    x[S] = sol.x_star
+    x[S] = reference_solve(restrict(q, S), 1e-12).x_star
     return _finish(q, x)
 
 
@@ -266,10 +270,7 @@ def verify_geometry(q, S, x0, x_star=None):
 
     if S.size and (xc[S] > 0).all():
         if x_star is None:
-            if n <= ENUMERATE_MAX_N:
-                x_star = dense_solve_enumerate(q)
-            else:
-                x_star = dense_solve_projected(q, gap=1e-12)
+            x_star = reference_solve(q, 1e-12)
         xs = x_star.x_star if isinstance(x_star, OracleSolution) else np.asarray(x_star)
         sslack = 1e-9 * max(1.0, float(np.max(np.abs(xs))))
         dominated = bool((xc <= xs + sslack).all())
@@ -344,28 +345,25 @@ GRAPH_KINDS = ("path", "cycle", "grid", "star", "sbm")
 
 
 def _build_graph(kind, params, rng):
-    if kind == "path":
+    # Graph sorts the pairs, so their order here changes no output
+    if kind in ("path", "cycle"):
         n = int(params.get("n", 8))
-        return Graph(n, [(i, i + 1) for i in range(n - 1)])
-    if kind == "cycle":
-        n = int(params.get("n", 8))
-        edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+        v = np.arange(n - 1)
+        edges = np.stack([v, v + 1], axis=1)
+        if kind == "cycle":
+            edges = np.concatenate([edges, [(0, n - 1)]])
         return Graph(n, edges)
     if kind == "grid":
         r = int(params.get("rows", 4))
         c = int(params.get("cols", r))
-        edges = []
-        for i in range(r):
-            for j in range(c):
-                v = i * c + j
-                if j + 1 < c:
-                    edges.append((v, v + 1))
-                if i + 1 < r:
-                    edges.append((v, v + c))
-        return Graph(r * c, edges)
+        v = np.arange(max(r, 0) * max(c, 0)).reshape(max(r, 0), max(c, 0))
+        right = np.stack([v[:, :-1].ravel(), v[:, 1:].ravel()], axis=1)
+        down = np.stack([v[:-1].ravel(), v[1:].ravel()], axis=1)
+        return Graph(r * c, np.concatenate([right, down]))
     if kind == "star":
         k = int(params.get("leaves", 5))
-        return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
+        v = np.arange(1, k + 1)
+        return Graph(k + 1, np.stack([np.zeros_like(v), v], axis=1))
     if kind == "sbm":
         sizes = list(params.get("sizes", [5, 5]))
         p_in = float(params.get("p_in", 0.6))

@@ -376,21 +376,12 @@ class PageRankOperator:
         sqrt_d = np.sqrt(graph.degrees.astype(float))
         dinv_sqrt = 1.0 / sqrt_d
 
-        # Q has adj's pattern plus the diagonal, which goes into row i after
-        # the neighbours below i
+        # the off-diagonal part on adj's pattern plus the diagonal; scipy's
+        # sum of two canonical CSRs is canonical
         rows = np.repeat(np.arange(n), graph.degrees)
-        cols = adj.indices
-        indptr = adj.indptr + np.arange(n + 1)
-        diag = indptr[:-1] + np.add.reduceat(cols < rows, adj.indptr[:-1])
-        off = np.ones(indptr[-1], dtype=bool)
-        off[diag] = False
-        indices = np.empty(indptr[-1], dtype=cols.dtype)
-        indices[diag] = np.arange(n)
-        indices[off] = cols
-        data = np.empty(indptr[-1])
-        data[diag] = (1.0 + a) / 2.0
-        data[off] = -(1.0 - a) / 2.0 * (dinv_sqrt[rows] * dinv_sqrt[cols])
-        Q = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        off = -(1.0 - a) / 2.0 * (dinv_sqrt[rows] * dinv_sqrt[adj.indices])
+        Q = (sp.csr_matrix((off, adj.indices, adj.indptr), shape=(n, n))
+             + sp.identity(n, format="csr") * ((1.0 + a) / 2.0))
 
         for arr in (Q.data, Q.indices, Q.indptr, sqrt_d, dinv_sqrt):
             arr.setflags(write=False)
@@ -450,11 +441,11 @@ def pagerank_upper_bounds(instance):
     """Per-coordinate gradient caps alpha*rho*sqrt(d_i) that a full PageRank
     optimizer must satisfy on its zero coordinates.
 
-    Rounded as alpha*(rho*sqrt(d_i)), the same association as the term of b,
-    so an unseeded zero coordinate whose gradient is exactly -b_i meets its
-    cap bit-exactly instead of rounding one ulp above it."""
-    sqrt_d = PageRankOperator.of(instance.graph, instance.alpha).sqrt_d
-    return instance.alpha * (instance.rho * sqrt_d)
+    The caps are the negated unseeded base of b, so an unseeded zero
+    coordinate whose gradient is exactly -b_i meets its cap bit-exactly
+    instead of rounding one ulp above it."""
+    op = PageRankOperator.of(instance.graph, instance.alpha)
+    return -op.base(instance.rho)
 
 
 def restrict(q, S):
@@ -569,13 +560,14 @@ class GradientWorkspace:
     """The state of one solve: the iterate ``x``, its gradient
     ``g = Qx - b``, the sorted working set ``S``, and the coordinates the
     solve ever made positive, kept current at a cost that follows the
-    neighbourhood of the iterate, not n.
+    neighbourhood of the iterate, not n.  The caller writes ``x`` on ``S``
+    only, so ``x`` vanishes off ``S``.
 
-    Off the Q-neighbourhood of every coordinate the solve has made nonzero,
-    the gradient is -b.  The workspace lists the coordinates it was given,
-    their neighbourhood rows, and the rows with ``-b_i < -tol`` (the only
-    coordinates off the neighbourhood whose gradient is certainly negative;
-    ``tol = negative_tolerance(q)`` >= 0, so they lie in ``q.positive_b``).
+    Off the Q-neighbourhood of ``S``, the gradient is -b.  The workspace
+    lists the rows with ``-b_i < -tol`` (the only coordinates off that
+    neighbourhood whose gradient is certainly negative; ``tol =
+    negative_tolerance(q)`` >= 0, so they lie in ``q.positive_b``) and the
+    neighbourhood rows of every coordinate :meth:`refresh` has covered.
     The list only grows.  After the O(n) set-up, :meth:`refresh`,
     :meth:`negatives` and :meth:`admit` touch the listed rows only.
 
@@ -607,9 +599,9 @@ class GradientWorkspace:
         self.g[self.rows] = -q.b[self.rows]
         self._listed = np.zeros(q.n, dtype=bool)
         self._listed[self.rows] = True
-        self._spread = np.zeros(q.n, dtype=bool)
         self.S = np.empty(0, dtype=np.int64)
         self._member = np.zeros(q.n, dtype=bool)
+        self._unspread = []  # what admit added since the last refresh
         self.ever = np.zeros(q.n, dtype=bool)
 
     def admit(self, coords):
@@ -620,19 +612,19 @@ class GradientWorkspace:
         if new.size:
             self._member[new] = True
             self.S = np.union1d(self.S, new)
+            self._unspread.append(new)
         return new
 
-    def refresh(self, cols):
-        """Record which of ``cols`` are positive, then recompute ``g`` at
-        ``x``, whose nonzeros must all lie in ``cols`` (unique indices).
-        Charges ``counters`` exactly as a full :func:`gradient` call: one
-        full gradient and the column nonzeros of supp(x)."""
-        cols = np.asarray(cols, dtype=np.int64)
-        x = self.x
-        self.ever[cols] |= x[cols] > 0
-        new = cols[~self._spread[cols]]
-        if new.size:
-            self._spread[new] = True
+    def refresh(self):
+        """Record which coordinates of ``S`` are positive, then recompute
+        ``g`` at ``x``.  Charges ``counters`` exactly as a full
+        :func:`gradient` call: one full gradient and the column nonzeros of
+        supp(x)."""
+        S, x = self.S, self.x
+        self.ever[S] |= x[S] > 0
+        if self._unspread:
+            new = np.concatenate(self._unspread)
+            self._unspread = []
             rows = np.union1d(_neighborhood(self.q, new), new)
             rows = rows[~self._listed[rows]]
             self._listed[rows] = True
@@ -640,7 +632,7 @@ class GradientWorkspace:
         vals, _ = _segment_row_products(self.q, self.rows, x)
         self.g[self.rows] = vals - self.q.b[self.rows]
         self.counters.full_gradients += 1
-        self.counters.nnz_touched += volume(self.q, cols[x[cols] != 0])
+        self.counters.nnz_touched += volume(self.q, S[x[S] != 0])
 
     def negatives(self):
         """Sorted coordinates whose gradient is below ``-tol``."""

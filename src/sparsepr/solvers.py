@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -190,7 +191,7 @@ def _apgd_loop(q, S, x0s, T, counters, lower=None, observe=None, out=None,
         full = full_every and (t + 1) % full_every == 0
         if full:
             ws.x[S] = x_in
-            ws.refresh(S)
+            ws.refresh()
             gs = ws.g[S]
         else:
             counters.restricted_gradients += 1
@@ -249,18 +250,23 @@ def apgd(q, S, x0, T, observe=None):
 
 
 def _solution(ws, gap_bound, ever=None):
-    """The solve's answer; ``ws.x`` must vanish off the workspace's listed
-    rows.  ``ever`` defaults to the coordinates marked in ``ws.ever``."""
-    rows = np.sort(ws.rows)
-    x = ws.x
+    """The solve's answer, read on the working set, off which ``ws.x``
+    vanishes.  ``ever`` defaults to the coordinates marked in ``ws.ever``."""
+    S, x = ws.S, ws.x
     if ever is None:
-        ever = rows[ws.ever[rows]]
-    return Solution(x, rows[x[rows] > 0], gap_bound, ws.counters, ever)
+        ever = S[ws.ever[S]]
+    return Solution(x, S[x[S] > 0], gap_bound, ws.counters, ever)
 
 
-def _check_eps(eps):
+def _check_eps(q, eps):
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be positive and finite, got %r" % (eps,))
+    # ista stops on 2*alpha*eps and aspr's inner gaps lie below alpha*eps;
+    # under the normal floats their budgets divide by zero or overflow
+    if 2.0 * q.alpha * eps < sys.float_info.min:
+        raise ValueError("eps=%r is too small for alpha=%r: 2*alpha*eps "
+                         "must be at least %r"
+                         % (eps, q.alpha, sys.float_info.min))
 
 
 def ista_baseline(q, eps):
@@ -275,7 +281,7 @@ def ista_baseline(q, eps):
     of at most eps by strong convexity.  ``stages`` counts support-expansion
     events, so the already-optimal instance reports 0.
     """
-    _check_eps(eps)
+    _check_eps(q, eps)
     ws = GradientWorkspace(q, Counters())
     x, g, counters = ws.x, ws.g, ws.counters
     # x vanishes off the sorted active set ws.S, so every scan below runs
@@ -299,7 +305,7 @@ def ista_baseline(q, eps):
         A = ws.S
         x[A] = np.maximum(0.0, x[A] - g[A] / q.L)
         counters.inner_iters += 1
-        ws.refresh(A)
+        ws.refresh()
     raise SolverError("baseline failed to converge in %d iterations" % max_iter)
 
 
@@ -356,7 +362,7 @@ def cdpr(q, observe=None):
         vals.append(d_vals)
         norms.append(d_vals / curvature)
         counters.stages += 1
-        ws.refresh(supp)
+        ws.refresh()
         if observe is not None:
             observe(x, supp, d_vals)
     return _solution(ws, "exact")
@@ -384,21 +390,19 @@ def aspr(q, eps, variant="plain", observe=None):
     ``observe`` sees each stage's iterate and working set (see the module
     docstring); an aborted stage is observed at its abort point.
     """
-    _check_eps(eps)
+    _check_eps(q, eps)
     if variant not in ASPR_VARIANTS:
         raise ValueError("variant must be one of %s" % (ASPR_VARIANTS,))
     ws = GradientWorkspace(q, Counters())
     x, g, counters = ws.x, ws.g, ws.counters
     alpha, L, kappa = q.alpha, q.L, q.kappa
-    # x vanishes off the working set ws.S
     if not ws.admit(ws.negatives()).size:
         return _solution(ws, eps, ws.S)
     lower = np.zeros(q.n) if variant == "constraints" else None
 
+    # every stage admits a coordinate or stops, so there are at most n
     while True:
         S = ws.S
-        if counters.stages > q.n:
-            raise SolverError("stage count exceeded the dimension")
         counters.stages += 1
         shrink = math.sqrt(eps * alpha / ((1.0 + S.size) * L * L))
         inner_gap = shrink * shrink * alpha / 2.0
@@ -428,7 +432,7 @@ def aspr(q, eps, variant="plain", observe=None):
         else:
             floor = 0.0
         x[S] = np.maximum(floor, y - shrink)
-        ws.refresh(S)
+        ws.refresh()
         if lower is not None and float(np.max(g[S])) <= ws.tol:
             lower[S] = np.maximum(lower[S], x[S])
         if observe is not None:
@@ -443,7 +447,7 @@ def solve(q, token, eps):
     if token not in SOLVER_TOKENS:
         raise ValueError("unknown solver token %r (choose from %s)"
                          % (token, ", ".join(SOLVER_TOKENS)))
-    _check_eps(eps)
+    _check_eps(q, eps)
     name, _, variant = token.partition(":")
     if name == "cdpr":
         return cdpr(q)

@@ -17,9 +17,9 @@ import math
 
 import numpy as np
 
-from .oracle import (OracleError, _refined_solve, dense_solve_enumerate,
-                     dense_solve_projected, random_graph_instance,
-                     random_m_matrix, subspace_solve, verify_geometry)
+from .oracle import (OracleError, _refined_solve, random_graph_instance,
+                     random_m_matrix, reference_solve, subspace_solve,
+                     verify_geometry)
 from .problem import (MQuadratic, build_pagerank_quadratic, gradient,
                       negative_tolerance, objective, restrict, volume)
 from .solvers import (ASPR_VARIANTS, _coeff_growth, apgd, aspr, cdpr,
@@ -76,10 +76,7 @@ class CorpusItem:
 
     def reference(self):
         if self._ref is None:
-            if self.q.n <= 16:
-                self._ref = dense_solve_enumerate(self.q)
-            else:
-                self._ref = dense_solve_projected(self.q, gap=1e-14)
+            self._ref = reference_solve(self.q, 1e-14)
         return self._ref
 
 
@@ -137,16 +134,11 @@ def make_corpus(num_mm, num_pr, max_n, seed):
     return items
 
 
-def _default_corpus(instances, max_n, seed):
-    return make_corpus(instances, max(1, int(instances) // 4), max_n, seed)
-
-
 # ---------------------------------------------------------------------------
 # cdpr suite: exact minimizer in |supp*| stages + structural invariants
 # ---------------------------------------------------------------------------
 
-def suite_cdpr(instances, max_n, seed, corpus=None):
-    corpus = _default_corpus(instances, max_n, seed) if corpus is None else corpus
+def suite_cdpr(corpus):
     exact = CheckResult("cdpr/exact_minimizer_and_stage_count", True, 0, worst=0.0)
     struct = CheckResult("cdpr/conjugacy_annihilation_monotonicity", True, 0,
                          worst=0.0)
@@ -214,8 +206,7 @@ def suite_cdpr(instances, max_n, seed, corpus=None):
 # aspr suite: gap certificates, support purity, subspace sandwich
 # ---------------------------------------------------------------------------
 
-def suite_aspr(instances, max_n, seed, corpus=None):
-    corpus = _default_corpus(instances, max_n, seed) if corpus is None else corpus
+def suite_aspr(corpus):
     gap = CheckResult("aspr/certified_gap", True, 0, worst=0.0)
     purity = CheckResult("aspr+ista/support_purity", True, 0)
     sandwich = CheckResult("aspr/subspace_sandwich", True, 0, worst=0.0)
@@ -317,7 +308,7 @@ def _exact_reference(q):
     raise OracleError("reference active set did not settle")
 
 
-def suite_rates(instances, max_n, seed, corpus=None):
+def suite_rates(instances, seed):
     nprob = max(10, int(instances) // 2)
     rng = np.random.default_rng([int(seed), 0x4A7E5])
     T = 500
@@ -487,8 +478,7 @@ def _candidate_states(item, rng, ref):
             return
 
 
-def suite_geometry(instances, max_n, seed, corpus=None):
-    corpus = _default_corpus(instances, max_n, seed) if corpus is None else corpus
+def suite_geometry(corpus, instances):
     mono = CheckResult("geometry/gradient_monotonicity", True, 0, worst=0.0)
     states = CheckResult("geometry/subspace_states", True, 0)
     vol_chk = CheckResult("geometry/support_volume_bound", True, 0, worst=0.0)
@@ -592,14 +582,6 @@ def scaling_slopes():
             "ista_slope": float(np.polyfit(logk, np.log(ista_iters), 1)[0])}
 
 
-_SUITES = {
-    "geometry": suite_geometry,
-    "rates": suite_rates,
-    "cdpr": suite_cdpr,
-    "aspr": suite_aspr,
-}
-
-
 def run_suites(names, instances, max_n, seed):
     """Run the named suites over one shared corpus; returns CheckResults."""
     if isinstance(names, str):
@@ -608,13 +590,19 @@ def run_suites(names, instances, max_n, seed):
     for name in names:
         if name == "all":
             expanded.extend(SUITE_NAMES)
-        elif name in _SUITES:
+        elif name in SUITE_NAMES:
             expanded.append(name)
         else:
             raise ValueError("unknown suite %r (choose from %s or all)"
                              % (name, ", ".join(SUITE_NAMES)))
-    corpus = _default_corpus(instances, max_n, seed)
+    corpus = make_corpus(instances, max(1, int(instances) // 4), max_n, seed)
+    suites = {
+        "geometry": lambda: suite_geometry(corpus, instances),
+        "rates": lambda: suite_rates(instances, seed),
+        "cdpr": lambda: suite_cdpr(corpus),
+        "aspr": lambda: suite_aspr(corpus),
+    }
     results = []
     for name in expanded:
-        results.extend(_SUITES[name](instances, max_n, seed, corpus=corpus))
+        results.extend(suites[name]())
     return results

@@ -64,25 +64,25 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def cdpr_results(corpus):
-    return {r.name: r for r in suite_cdpr(250, MAX_N, SEED, corpus=corpus)}
+    return {r.name: r for r in suite_cdpr(corpus)}
 
 
 @pytest.fixture(scope="module")
 def aspr_results(corpus):
-    return {r.name: r for r in suite_aspr(250, MAX_N, SEED, corpus=corpus)}
+    return {r.name: r for r in suite_aspr(corpus)}
 
 
 @pytest.fixture(scope="module")
 def rates_results():
     # 50 subspace problems with conditioning spread across [1, 1e4]
-    return {r.name: r for r in suite_rates(100, MAX_N, SEED)}
+    return {r.name: r for r in suite_rates(100, SEED)}
 
 
 @pytest.fixture(scope="module")
 def geometry_results(corpus):
     # 1e5 monotonicity tuples, 1e3 harvested states, volume bound on the
     # PageRank portion of the corpus
-    return {r.name: r for r in suite_geometry(100, MAX_N, SEED, corpus=corpus)}
+    return {r.name: r for r in suite_geometry(corpus, 100)}
 
 
 def test_01_exact_solver_matches_oracle(cdpr_results):

@@ -1,10 +1,9 @@
-"""Benchmark records: serialization, determinism, and counter scaling."""
+"""Benchmark records: CSV rows, determinism, and counter scaling."""
 
 import numpy as np
 
 from sparsepr.bench import (
     CSV_HEADER,
-    RunRecord,
     bench_grid,
     predictor_comment,
     run_cell,
@@ -16,11 +15,6 @@ def sample_record():
 
 
 class TestRunRecord:
-    def test_json_round_trip_lossless(self):
-        rec = sample_record()
-        again = RunRecord.from_json(rec.to_json())
-        assert again == rec
-
     def test_csv_row_matches_header(self):
         rec = sample_record()
         row = rec.to_csv_row()

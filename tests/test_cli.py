@@ -177,6 +177,26 @@ class TestSolveErrors:
         assert "error:" in res.stderr and "finite" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("solver, alpha, eps", [
+        ("ista", "0.1", "5e-324"),
+        ("aspr", "0.1", "5e-324"),
+        ("ista", "0.1", "1e-320"),
+        ("aspr", "0.1", "1e-320"),
+        ("ista", "1e-320", "1e-6"),
+    ])
+    def test_tolerance_too_small_for_alpha_is_input_error(self, tmp_path,
+                                                          solver, alpha, eps):
+        # 2*alpha*eps underflowed: the solvers divided by zero or overflowed
+        path = tmp_path / "path.txt"
+        path.write_text("0 1\n1 2\n2 3\n")
+        res = run_cli("solve", "--graph", str(path), "--alpha", alpha,
+                      "--rho", "1e-3", "--seed-node", "0", "--solver", solver,
+                      "--eps", eps)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.count("\n") == 1
+        assert "eps=" in res.stderr and "alpha=" in res.stderr
+
     @pytest.mark.parametrize("rho", ["nan", "inf"])
     def test_non_finite_rho_is_input_error(self, two_node_file, rho):
         res = run_cli(*solve_args(two_node_file, "cdpr", rho=rho))

@@ -1,10 +1,13 @@
 """Ground-truth solvers, geometry checks, and instance generators."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from sparsepr import (
+    Graph,
     MQuadratic,
     build_pagerank_quadratic,
     dense_solve_enumerate,
@@ -18,6 +21,7 @@ from sparsepr import (
     verify_geometry,
     volume,
 )
+from sparsepr import oracle
 from sparsepr.oracle import OracleError
 
 from conftest import assert_close, two_node_instance
@@ -70,6 +74,18 @@ class TestProjected:
             assert np.max(np.abs(a.x_star - b.x_star)) <= 1e-8 * scale
             assert abs(a.objective_value - b.objective_value) <= 1e-10 * max(
                 1.0, abs(a.objective_value))
+
+
+class TestReferenceSolve:
+    @pytest.mark.parametrize("n, want", [(16, "enumerate"),
+                                         (17, ("projected", 1e-9))])
+    def test_enumerates_up_to_the_limit(self, monkeypatch, n, want):
+        monkeypatch.setattr(oracle, "dense_solve_enumerate",
+                            lambda q: "enumerate")
+        monkeypatch.setattr(oracle, "dense_solve_projected",
+                            lambda q, gap: ("projected", gap))
+        q = MQuadratic(sp.identity(n, format="csr"), np.ones(n), 1.0, 1.0)
+        assert oracle.reference_solve(q, 1e-9) == want
 
 
 class TestSubspace:
@@ -204,6 +220,47 @@ class TestRandomGraphInstance:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             random_graph_instance("hypercube", {}, seed=0)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("path", {"n": 2}), ("path", {"n": 7}), ("path", {"n": 1}),
+        ("cycle", {"n": 3}), ("cycle", {"n": 9}), ("cycle", {"n": 2}),
+        ("grid", {"rows": 1, "cols": 5}), ("grid", {"rows": 3, "cols": 4}),
+        ("grid", {"rows": 5, "cols": 2}), ("grid", {"rows": 1, "cols": 1}),
+        ("star", {"leaves": 1}), ("star", {"leaves": 6}),
+        ("star", {"leaves": 0}),
+    ])
+    def test_generated_graph_matches_the_loop_construction(self, kind, params):
+        # the edge lists these families were first built from, pair by pair
+        if kind in ("path", "cycle"):
+            n = params["n"]
+            edges = [(i, i + 1) for i in range(n - 1)]
+            if kind == "cycle":
+                edges.append((0, n - 1))
+        elif kind == "grid":
+            r, c = params["rows"], params["cols"]
+            n, edges = r * c, []
+            for i in range(r):
+                for j in range(c):
+                    v = i * c + j
+                    if j + 1 < c:
+                        edges.append((v, v + 1))
+                    if i + 1 < r:
+                        edges.append((v, v + c))
+        else:
+            n = params["leaves"] + 1
+            edges = [(0, i) for i in range(1, n)]
+        try:
+            want = Graph(n, edges)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                random_graph_instance(kind, params, seed=0)
+            return
+        got = random_graph_instance(kind, params, seed=0).graph
+        for name in ("edges", "degrees"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for name in ("indptr", "indices", "data"):
+            assert (getattr(got._adj, name).tobytes()
+                    == getattr(want._adj, name).tobytes())
 
 
 class TestVolumeBound:

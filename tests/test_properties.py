@@ -70,17 +70,20 @@ def test_workspace_gradient_is_the_full_gradient(seed, n, density, kind):
     assert np.array_equal(ws.g[ws.rows],
                           gradient(q, np.zeros(q.n), counters=ref)[ws.rows])
     assert ws.counters == ref
-    cols = np.empty(0, dtype=np.int64)
+    candidates = set(np.flatnonzero(-q.b < -tol).tolist())
     made = np.zeros(q.n, dtype=bool)
     for _ in range(4):
-        # grow the coordinate set; some coordinates stay or fall back to zero
-        cols = np.union1d(cols, rng.choice(q.n, size=rng.integers(0, 3),
-                                           replace=False))
-        ws.x[cols] = rng.uniform(0.0, 2.0, cols.size) * (
-            rng.uniform(size=cols.size) < 0.7)
+        # grow the working set; some coordinates stay or fall back to zero
+        ws.admit(rng.choice(q.n, size=rng.integers(0, 3), replace=False))
+        S = ws.S
+        ws.x[S] = rng.uniform(0.0, 2.0, S.size) * (
+            rng.uniform(size=S.size) < 0.7)
         made |= ws.x > 0
-        ws.refresh(cols)
+        ws.refresh()
         assert np.array_equal(ws.ever, made)
+        # the listed rows are the candidates at x = 0 and N(S), once each
+        assert ws.rows.size == np.unique(ws.rows).size
+        assert set(ws.rows.tolist()) == candidates | set(q.Q[S].indices.tolist())
         g = gradient(q, ws.x, counters=ref)
         # + 0.0 makes the signed zeros compare equal
         assert np.array_equal(ws.g[ws.rows] + 0.0, g[ws.rows] + 0.0)
