@@ -48,7 +48,6 @@ class RunRecord:
     ivol_supp: int
     gap: float
     wall_ns: int
-    seed: int = 0
 
     def to_csv_row(self):
         # str of a float is its repr
@@ -66,11 +65,9 @@ def _size_params(family, size):
     return {"n": size}
 
 
-def run_cell(family, size, alpha, rho, solver_token, seed, eps=1e-6,
-             params=None):
+def run_cell(family, size, alpha, rho, solver_token, seed, eps=1e-6):
     """Build one deterministic instance and run one solver on it."""
-    p = dict(params or {})
-    p.update(_size_params(family, size))
+    p = _size_params(family, size)
     p["alpha"] = alpha
     p["rho"] = rho
     inst = random_graph_instance(family, p, seed)
@@ -91,7 +88,7 @@ def run_cell(family, size, alpha, rho, solver_token, seed, eps=1e-6,
         full_gradients=sol.counters.full_gradients,
         support_size=int(supp.size),
         vol_supp=volume(q, supp), ivol_supp=internal_volume(q, supp),
-        gap=gap, wall_ns=int(wall), seed=int(seed),
+        gap=gap, wall_ns=int(wall),
     )
 
 

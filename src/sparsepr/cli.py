@@ -18,7 +18,7 @@ import sys
 
 from .bench import CSV_HEADER, bench_grid, predictor_comment
 from .graph_io import FORMATS, GraphFormatError, load_distribution, load_graph
-from .oracle import GRAPH_KINDS, PROJECTED_MAX_N, OracleError
+from .oracle import GRAPH_KINDS, REFERENCE_MAX_N, OracleError
 from .problem import (PageRankInstance, build_pagerank_quadratic,
                       check_optimality, pagerank_upper_bounds)
 from .solvers import ASPR_VARIANTS, SOLVER_TOKENS, SolverError, solve
@@ -117,9 +117,9 @@ def cmd_solve(args):
 def cmd_verify(args):
     if args.max_n < 2:
         raise ValueError("--max-n must be at least 2")
-    if args.max_n > PROJECTED_MAX_N:
-        raise ValueError("--max-n must be at most %d, the projected oracle's "
-                         "limit" % PROJECTED_MAX_N)
+    if args.max_n > REFERENCE_MAX_N:
+        raise ValueError("--max-n must be at most %d, the reference oracle's "
+                         "limit" % REFERENCE_MAX_N)
     if args.instances < 1:
         raise ValueError("--instances must be at least 1")
     results = run_suites(args.suite, args.instances, args.max_n, args.seed)

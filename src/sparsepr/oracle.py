@@ -2,15 +2,14 @@
 
 Everything here is deliberately independent of the sparse solvers in
 ``sparsepr.solvers``: the enumeration oracle walks supports and solves dense
-linear systems, the projected oracle runs plain dense projected descent, and
-the geometry checker only consumes these two.  Solver outputs are always
-validated against this module, never against each other alone.
+linear systems, the active-set oracle grows a support by dense principal
+solves, and the geometry checker only consumes these two.  Solver outputs
+are always validated against this module, never against each other alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +28,7 @@ __all__ = [
     "OracleSolution",
     "GeometryReport",
     "dense_solve_enumerate",
-    "dense_solve_projected",
+    "dense_solve_active_set",
     "reference_solve",
     "subspace_solve",
     "verify_geometry",
@@ -39,7 +38,7 @@ __all__ = [
 ]
 
 ENUMERATE_MAX_N = 16
-PROJECTED_MAX_N = 4096
+REFERENCE_MAX_N = 4096
 
 
 class OracleError(RuntimeError):
@@ -116,78 +115,57 @@ def dense_solve_enumerate(q):
     )
 
 
-def _refined_solve(sub, rhs):
-    """Solve the dense system sub @ xs = rhs, plus one refinement step."""
-    xs = np.linalg.solve(sub, rhs)
-    return xs + np.linalg.solve(sub, rhs - sub @ xs)
+def dense_solve_active_set(q):
+    """Exact minimizer by a monotone active-set principal solve
+    (n <= ``REFERENCE_MAX_N``).
 
-
-def _polish_support(q, x):
-    """Dense principal solve on the detected support of x (entries above 1e-9
-    of its maximum) plus one refinement step.  Returns the polished iterate,
-    or x unchanged when the polish does not confirm the sign pattern."""
-    cut = 1e-9 * float(np.max(x, initial=0.0))
-    S = np.flatnonzero(x > cut)
-    if S.size == 0:
-        return np.zeros(q.n) if (x <= cut).all() else x
-    sub = restrict(q, S)
-    try:
-        xs = _refined_solve(sub.Q.toarray(), sub.b)
-    except np.linalg.LinAlgError:
-        return x
-    if not (xs > 0).all():
-        return x
-    polished = np.zeros(q.n)
-    polished[S] = xs
-    g = q.Q @ polished - q.b
-    slack = 1e-9 * max(1.0, q.max_abs_b)
-    off = np.ones(q.n, dtype=bool)
-    off[S] = False
-    if off.any() and float(np.min(g[off])) < -slack:
-        return x
-    return polished
-
-
-def dense_solve_projected(q, gap=1e-12):
-    """Minimizer by plain projected gradient descent, run until the
-    projected-gradient residual certifies an objective gap <= ``gap``.
-
-    The certificate: with r_i = |grad_i| on positive coordinates and
-    max(0, -grad_i) on zero ones, ||r||_inf <= sqrt(2*alpha*gap/n) implies
-    ||r||_2^2 <= 2*alpha*gap which bounds the gap by strong convexity.
-    The converged iterate's support (threshold 1e-9 relative) is then
-    polished by a dense principal solve; the polish is kept only when it
-    confirms the sign pattern, so the gap certificate always survives.
+    Chandrasekaran's method for Z-matrix complementarity problems ("A
+    special case of the complementary pivot problem", Opsearch 1970): start
+    from the coordinates with b > 0, solve the principal system on the set
+    (with one refinement step), drop the coordinates whose solution is
+    nonpositive, else add every coordinate off the set whose gradient is
+    below -1e-13 * max(1, max|b|).  For an M-matrix the set settles at the
+    optimal support.  The certificate is the settled point's own KKT check:
+    no certainly-negative gradient off the set, and a gradient within
+    1e-11 * max(1, max|b|) on the support.
     """
     n = q.n
-    if n > PROJECTED_MAX_N:
-        raise ValueError("projected oracle limited to n <= %d" % PROJECTED_MAX_N)
-    if gap <= 0:
-        raise ValueError("gap must be positive")
-    Q = q.Q
+    if n > REFERENCE_MAX_N:
+        raise ValueError("reference oracle limited to n <= %d" % REFERENCE_MAX_N)
+    Qd = q.Q.toarray()
     b = q.b
-    L = q.L
-    tol = math.sqrt(2.0 * q.alpha * gap / max(1, n))
-    max_iter = int(1000 + 8 * q.kappa
-                   * max(1.0, math.log(2.0 + q.max_abs_b / tol)))
-    x = np.zeros(n)
-    for _ in range(max_iter):
-        g = Q @ x - b
-        r = np.where(x > 0, np.abs(g), np.maximum(0.0, -g))
-        if float(np.max(r, initial=0.0)) <= tol:
-            return _finish(q, _polish_support(q, x))
-        x = np.maximum(0.0, x - g / L)
-    raise OracleError(
-        "projected oracle failed to reach residual %g in %d iterations" % (tol, max_iter)
-    )
+    scale = max(1.0, q.max_abs_b)
+    member = b > 0
+    for _ in range(n + 2):
+        S = np.flatnonzero(member)
+        x = np.zeros(n)
+        if S.size:
+            sub = Qd[np.ix_(S, S)]
+            xs = np.linalg.solve(sub, b[S])
+            xs = xs + np.linalg.solve(sub, b[S] - sub @ xs)  # one refinement step
+            if (xs <= 0).any():
+                member[S[xs <= 0]] = False
+                continue
+            x[S] = xs
+            g = Qd @ x - b
+        else:
+            g = -b
+        fresh = (g < -1e-13 * scale) & ~member
+        if not fresh.any():
+            worst = float(np.max(np.abs(g[x > 0]), initial=0.0))
+            if worst > 1e-11 * scale:
+                raise OracleError("reference residual %.3e too large" % worst)
+            return _finish(q, x)
+        member |= fresh
+    raise OracleError("reference active set did not settle")
 
 
-def reference_solve(q, gap):
+def reference_solve(q):
     """The oracle minimizer: by enumeration up to ``ENUMERATE_MAX_N``
-    coordinates, else by projected descent certified to ``gap``."""
+    coordinates, else by the active-set principal solve."""
     if q.n <= ENUMERATE_MAX_N:
         return dense_solve_enumerate(q)
-    return dense_solve_projected(q, gap=gap)
+    return dense_solve_active_set(q)
 
 
 def subspace_solve(q, S):
@@ -200,7 +178,7 @@ def subspace_solve(q, S):
     x = np.zeros(n)
     if S.size == 0:
         return _finish(q, x)
-    x[S] = reference_solve(restrict(q, S), 1e-12).x_star
+    x[S] = reference_solve(restrict(q, S)).x_star
     return _finish(q, x)
 
 
@@ -270,7 +248,7 @@ def verify_geometry(q, S, x0, x_star=None):
 
     if S.size and (xc[S] > 0).all():
         if x_star is None:
-            x_star = reference_solve(q, 1e-12)
+            x_star = reference_solve(q)
         xs = x_star.x_star if isinstance(x_star, OracleSolution) else np.asarray(x_star)
         sslack = 1e-9 * max(1.0, float(np.max(np.abs(xs))))
         dominated = bool((xc <= xs + sslack).all())

@@ -10,10 +10,10 @@ Personalized PageRank with an l1 penalty compiles into this form via
 :func:`build_pagerank_quadratic`.
 
 Gradient evaluations are the unit of work for every solver in this package.
-They accept an optional counters object (see ``sparsepr.solvers.Counters``)
-and charge the number of sparse-matrix nonzeros the access pattern reads:
-``sum(nnz(Q[:, j]) for j in supp(x))`` for a full gradient, and the nonzeros
-of the requested rows whose column lies in ``supp(x)`` for a restricted one.
+The solvers charge them to a ``sparsepr.solvers.Counters`` in the
+sparse-matrix nonzeros the access pattern reads: ``volume(q, supp(x))`` for a
+full gradient (a :meth:`GradientWorkspace.refresh`), and the nonzeros of the
+requested rows whose column lies in ``supp(x)`` for a restricted one.
 """
 
 from __future__ import annotations
@@ -139,10 +139,6 @@ class Graph:
     @property
     def num_edges(self):
         return self.edges.shape[0]
-
-    def neighbors(self, i):
-        a = self._adj
-        return a.indices[a.indptr[i] : a.indptr[i + 1]]
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.num_edges)
@@ -527,32 +523,22 @@ def _neighborhood(q, support):
     return np.unique(q.Q.indices[pos]).astype(np.int64)
 
 
-def gradient(q, x, coords=None, counters=None):
+def gradient(q, x, coords=None):
     """Gradient Qx - b, either in full or restricted to ``coords``.
 
     The restricted result agrees bit-exactly with the corresponding slice of
     the full result: both run every requested row through the same segmented
-    reduction.  When ``counters`` is given, a full call charges
-    sum(nnz(Q[:, j]) for j in supp(x)) nonzeros and one full_gradient; a
-    restricted call charges the nonzeros of the requested rows whose column
-    is in supp(x) and one restricted_gradient.
+    reduction.
     """
     x = np.asarray(x, dtype=float)
     if coords is None:
-        support = np.flatnonzero(x)
-        rows = _neighborhood(q, support)
+        rows = _neighborhood(q, np.flatnonzero(x))
         vals, _ = _segment_row_products(q, rows, x)
         g = -q.b.copy()
         g[rows] += vals
-        if counters is not None:
-            counters.full_gradients += 1
-            counters.nnz_touched += volume(q, support)
         return g
     coords = np.asarray(coords, dtype=np.int64)
-    vals, cols = _segment_row_products(q, coords, x)
-    if counters is not None:
-        counters.restricted_gradients += 1
-        counters.nnz_touched += int(np.count_nonzero(x[cols]))
+    vals, _ = _segment_row_products(q, coords, x)
     return vals - q.b[coords]
 
 
@@ -582,9 +568,10 @@ class GradientWorkspace:
     never writes it, so a caller may keep an old ``S``.  ``ever`` marks
     every coordinate that was positive at some :meth:`refresh`.
 
-    ``counters`` pays for the solve: the set-up starts at x = 0, where
-    g = -b, and charges one full gradient for it, as
-    ``gradient(q, 0, counters=counters)`` would.
+    ``counters`` pays for the solve under the column cost model: the
+    set-up starts at x = 0, where g = -b, and charges one full gradient and
+    no nonzeros for it; each :meth:`refresh` charges one full gradient and
+    ``volume(q, supp(x))``.
     """
 
     def __init__(self, q, counters):
@@ -617,9 +604,8 @@ class GradientWorkspace:
 
     def refresh(self):
         """Record which coordinates of ``S`` are positive, then recompute
-        ``g`` at ``x``.  Charges ``counters`` exactly as a full
-        :func:`gradient` call: one full gradient and the column nonzeros of
-        supp(x)."""
+        ``g`` at ``x``.  Charges ``counters`` one full gradient and the
+        column nonzeros of supp(x)."""
         S, x = self.S, self.x
         self.ever[S] |= x[S] > 0
         if self._unspread:

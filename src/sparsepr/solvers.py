@@ -66,6 +66,7 @@ __all__ = [
     "aspr",
     "ASPR_VARIANTS",
     "SOLVER_TOKENS",
+    "MAX_ITERATIONS",
     "solve",
 ]
 
@@ -73,6 +74,12 @@ ASPR_VARIANTS = ("plain", "early", "constraints")
 
 # solver tokens accepted by solve(); aspr carries its variant after a colon
 SOLVER_TOKENS = ("ista", "cdpr", "aspr", "aspr:early", "aspr:constraints")
+
+# the largest iteration budget a solve may set: ista's max_iter or the inner
+# length of one aspr stage.  Both grow with kappa = L/alpha and reach counts
+# no run could finish at a tiny alpha; a budget above this cap (over a
+# quarter of an hour at a microsecond per step) raises ValueError instead.
+MAX_ITERATIONS = 10**9
 
 
 class SolverError(RuntimeError):
@@ -269,6 +276,14 @@ def _check_eps(q, eps):
                          % (eps, q.alpha, sys.float_info.min))
 
 
+def _budget(q, steps, solver):
+    """``steps``, once checked against MAX_ITERATIONS."""
+    if not steps <= MAX_ITERATIONS:
+        raise ValueError("alpha=%r is too small: %s would need more than %d "
+                         "iterations" % (q.alpha, solver, MAX_ITERATIONS))
+    return steps
+
+
 def ista_baseline(q, eps):
     """Projected gradient from zero over the full orthant, sparsely.
 
@@ -291,8 +306,8 @@ def ista_baseline(q, eps):
     counters.stages += 1
     target = 2.0 * q.alpha * eps
     scale = q.max_abs_b + q.alpha
-    max_iter = int(200 + 4 * q.kappa * max(
-        4.0, math.log((q.L * scale / q.alpha) ** 2 / target + 2.0)))
+    max_iter = int(_budget(q, 200 + 4 * q.kappa * max(
+        4.0, math.log((q.L * scale / q.alpha) ** 2 / target + 2.0)), "ista"))
     for _ in range(max_iter):
         neg = ws.negatives()
         if (x[neg] > 0).all():
@@ -405,7 +420,6 @@ def aspr(q, eps, variant="plain", observe=None):
         S = ws.S
         counters.stages += 1
         shrink = math.sqrt(eps * alpha / ((1.0 + S.size) * L * L))
-        inner_gap = shrink * shrink * alpha / 2.0
         gs0 = g[S]
         norm2 = float(gs0 @ gs0)
         if norm2 == 0.0:
@@ -413,11 +427,17 @@ def aspr(q, eps, variant="plain", observe=None):
         elif L == alpha:
             T = 1
         else:
-            arg = (L - alpha) * norm2 / (2.0 * inner_gap * alpha * alpha)
-            if arg <= 1.0:
+            # the log of (L - alpha) * norm2 / (2 * inner_gap * alpha^2),
+            # with inner_gap = shrink^2 * alpha / 2; the quotient itself
+            # underflows its denominator for a tiny alpha
+            log_arg = (math.log(L - alpha) + math.log(norm2)
+                       + math.log1p(S.size) + 2.0 * math.log(L)
+                       - math.log(eps) - 4.0 * math.log(alpha))
+            if log_arg <= 0.0:
                 T = 1
             else:
-                T = 1 + math.ceil(2.0 * math.sqrt(kappa) * math.log(arg))
+                T = 1 + math.ceil(_budget(
+                    q, 2.0 * math.sqrt(kappa) * log_arg, "an aspr stage"))
         lower_s = lower[S].copy() if lower is not None else None
         period = int(S.size) if variant == "early" else 0
         y, aborted = _apgd_loop(q, S, x[S], T, counters, lower=lower_s,

@@ -1,7 +1,7 @@
 """Invariant suites shared by ``sparsepr verify`` and the acceptance tests.
 
 Each suite runs a deterministic corpus of generated instances through one
-family of checks — solver exactness against the enumeration oracle,
+family of checks — solver exactness against the reference oracle,
 structural invariants of the conjugate-directions solver, gap certificates
 and support guarantees of the staged solvers, per-iteration rate bounds of
 the inner solvers, and the orthant geometry (gradient monotonicity, subspace
@@ -17,9 +17,9 @@ import math
 
 import numpy as np
 
-from .oracle import (OracleError, _refined_solve, random_graph_instance,
-                     random_m_matrix, reference_solve, subspace_solve,
-                     verify_geometry)
+from .oracle import (OracleError, dense_solve_active_set,
+                     random_graph_instance, random_m_matrix, reference_solve,
+                     subspace_solve, verify_geometry)
 from .problem import (MQuadratic, build_pagerank_quadratic, gradient,
                       negative_tolerance, objective, restrict, volume)
 from .solvers import (ASPR_VARIANTS, _coeff_growth, apgd, aspr, cdpr,
@@ -76,7 +76,7 @@ class CorpusItem:
 
     def reference(self):
         if self._ref is None:
-            self._ref = reference_solve(self.q, 1e-14)
+            self._ref = reference_solve(self.q)
         return self._ref
 
 
@@ -272,42 +272,6 @@ def suite_aspr(corpus):
 # rates suite: per-iteration bounds for the two inner solvers
 # ---------------------------------------------------------------------------
 
-def _exact_reference(q):
-    """Near-machine-precision minimizer for small dense problems.
-
-    Grows the known-good set from the certainly-negative gradients at zero,
-    solving each principal system exactly (with one refinement step); on
-    these instances the subspace optimum stays strictly positive, so the
-    principal solve is the subspace optimum and expansion is safe.
-    """
-    Qd = q.Q.toarray()
-    b = q.b
-    n = q.n
-    scale = max(1.0, q.max_abs_b)
-    member = b > 0
-    for _ in range(n + 2):
-        S = np.flatnonzero(member)
-        if S.size:
-            xs = _refined_solve(Qd[np.ix_(S, S)], b[S])
-            if (xs <= 0).any():
-                member[S[xs <= 0]] = False
-                continue
-            x = np.zeros(n)
-            x[S] = xs
-            g = Qd @ x - b
-        else:
-            x = np.zeros(n)
-            g = -b.copy()
-        fresh = (g < -1e-13 * scale) & ~member
-        if not fresh.any():
-            worst = float(np.max(np.abs(g[x > 0]), initial=0.0))
-            if worst > 1e-11 * scale:
-                raise OracleError("reference residual %.3e too large" % worst)
-            return x, g
-        member |= fresh
-    raise OracleError("reference active set did not settle")
-
-
 def suite_rates(instances, seed):
     nprob = max(10, int(instances) // 2)
     rng = np.random.default_rng([int(seed), 0x4A7E5])
@@ -336,7 +300,7 @@ def suite_rates(instances, seed):
             S = np.sort(rng.choice(n, size=size, replace=False))
             qsub = restrict(q, S)
         try:
-            xsub, gsub = _exact_reference(qsub)
+            xsub = dense_solve_active_set(qsub).x_star
         except OracleError as exc:
             pgd_chk.checked += 1
             pgd_chk.record_failure("%s: %s" % (label, exc))

@@ -1,13 +1,15 @@
 """Benchmark records: CSV rows, determinism, and counter scaling."""
 
-import numpy as np
-
+from sparsepr import bench
 from sparsepr.bench import (
     CSV_HEADER,
     bench_grid,
     predictor_comment,
     run_cell,
 )
+from sparsepr.oracle import random_graph_instance
+from sparsepr.problem import build_pagerank_quadratic
+from sparsepr.solvers import solve
 
 
 def sample_record():
@@ -57,12 +59,20 @@ class TestRunCell:
 
 
 class TestBenchGrid:
-    def test_same_instance_for_all_solvers(self):
+    def test_same_instance_for_all_solvers(self, monkeypatch):
+        seeds = []
+
+        def recording_run_cell(family, size, alpha, rho, token, seed, **kw):
+            seeds.append(seed)
+            return run_cell(family, size, alpha, rho, token, seed, **kw)
+
+        monkeypatch.setattr(bench, "run_cell", recording_run_cell)
         records = list(bench_grid(["path"], [6], [0.4], [0.02],
                                   ["cdpr", "aspr", "ista"], seed=5))
         assert len(records) == 3
         assert len({r.solver for r in records}) == 3
-        assert len({(r.n, r.alpha, r.rho, r.seed) for r in records}) == 1
+        assert len({(r.n, r.alpha, r.rho) for r in records}) == 1
+        assert len(seeds) == 3 and len(set(seeds)) == 1
 
     def test_deterministic_across_calls(self):
         kw = dict(families=["star", "path"], sizes=[5, 7], alphas=[0.3],
@@ -80,14 +90,18 @@ class TestBenchGrid:
         # quadrupling the grid's node count while keeping the seed's local
         # cluster fixed must not grow the exact solver's touched nonzeros
         # beyond 2x
-        base = {}
+        n, support, touched = {}, {}, {}
         for size in (6, 12):
-            rec = run_cell("grid", size, 0.5, 0.005, "cdpr", seed=3,
-                           params={"alpha": 0.5, "rho": 0.005, "seed_node": 0})
-            base[size] = rec
-        assert base[12].n == 4 * base[6].n
-        assert base[6].support_size >= 3
-        assert base[12].nnz_touched <= 2 * base[6].nnz_touched
+            q = build_pagerank_quadratic(random_graph_instance(
+                "grid", {"rows": size, "cols": size, "alpha": 0.5,
+                         "rho": 0.005, "seed_node": 0}, 3))
+            sol = solve(q, "cdpr", 1e-6)
+            n[size] = q.n
+            support[size] = sol.support.size
+            touched[size] = sol.counters.nnz_touched
+        assert n[12] == 4 * n[6]
+        assert support[6] >= 3
+        assert touched[12] <= 2 * touched[6]
 
 
 class TestPredictors:

@@ -14,8 +14,9 @@ CLI = [sys.executable, "-m", "sparsepr.cli"]
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+def run_cli(*args, timeout=None):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True,
+                          timeout=timeout)
 
 
 @pytest.fixture
@@ -197,6 +198,25 @@ class TestSolveErrors:
         assert res.stderr.count("\n") == 1
         assert "eps=" in res.stderr and "alpha=" in res.stderr
 
+    @pytest.mark.parametrize("solver, alpha, eps", [
+        ("aspr", "1e-80", "1e-6"),
+        ("aspr", "1e-75", "1e-6"),
+        ("ista", "1e-100", "1e-200"),
+    ])
+    def test_alpha_too_small_for_the_iteration_budget_is_input_error(
+            self, tmp_path, solver, alpha, eps):
+        # aspr's inner length divided by an underflowed zero or ran for a
+        # budget of order sqrt(1/alpha); ista's max_iter is of order 1/alpha
+        path = tmp_path / "path.txt"
+        path.write_text("0 1\n1 2\n2 3\n")
+        res = run_cli("solve", "--graph", str(path), "--alpha", alpha,
+                      "--rho", "1e-3", "--seed-node", "0", "--solver", solver,
+                      "--eps", eps, timeout=60)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.count("\n") == 1
+        assert res.stderr.startswith("error: alpha=%s is too small" % alpha)
+
     @pytest.mark.parametrize("rho", ["nan", "inf"])
     def test_non_finite_rho_is_input_error(self, two_node_file, rho):
         res = run_cli(*solve_args(two_node_file, "cdpr", rho=rho))
@@ -249,6 +269,19 @@ class TestVerify:
         assert cli.main(args) == 0
         assert capsys.readouterr().out == expected
 
+    def test_stdout_above_the_enumeration_limit_is_pinned(self, capsys):
+        # the corpus has n = 12, 28, 34, 24, 8, 23, 13, 31, 19, 36, so most
+        # references come from the active-set oracle
+        from sparsepr import cli
+        assert cli.main(["verify", "--suite", "cdpr", "--instances", "8",
+                         "--max-n", "40", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == (
+            "PASS cdpr/exact_minimizer_and_stage_count: 10 checks, "
+            "worst 7.288e-16\n"
+            "PASS cdpr/conjugacy_annihilation_monotonicity: 10 checks, "
+            "worst 1.305e-15\n"
+            "all 2 invariants passed (instances=8, max-n=40, seed=7)\n")
+
     def test_geometry_suite_small(self):
         res = run_cli("verify", "--suite", "geometry", "--instances", "3",
                       "--max-n", "7", "--seed", "5")
@@ -269,7 +302,7 @@ class TestVerify:
             tracemalloc.stop()
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: --max-n must be at most 4096, the projected oracle's limit\n")
+            "error: --max-n must be at most 4096, the reference oracle's limit\n")
         assert peak < 1 << 20
 
     def test_invalid_instances_rejected(self):

@@ -76,7 +76,7 @@ class TestMatrixMarket:
         text = self.HEADER + "% comment\n3 3 2\n1 2\n2 3\n"
         g = load_graph(write(tmp_path, "g.mtx", text), fmt="matrixmarket")
         assert g.n == 3 and g.num_edges == 2
-        assert list(g.neighbors(1)) == [0, 2]
+        assert list(g.degrees) == [1, 2, 1]
 
     def test_wrong_header_rejected(self, tmp_path):
         with pytest.raises(GraphFormatError, match="line 1"):

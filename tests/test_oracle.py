@@ -10,8 +10,10 @@ from sparsepr import (
     Graph,
     MQuadratic,
     build_pagerank_quadratic,
+    cdpr,
+    check_optimality,
+    dense_solve_active_set,
     dense_solve_enumerate,
-    dense_solve_projected,
     gradient,
     objective,
     random_graph_instance,
@@ -23,6 +25,7 @@ from sparsepr import (
 )
 from sparsepr import oracle
 from sparsepr.oracle import OracleError
+from sparsepr.suites import make_corpus
 
 from conftest import assert_close, two_node_instance
 
@@ -53,39 +56,55 @@ class TestEnumerate:
             dense_solve_enumerate(q)
 
 
-class TestProjected:
+class TestActiveSet:
     def test_identity_positive_b(self):
         q = MQuadratic(sp.identity(3, format="csr"), np.ones(3), 1.0, 1.0)
-        assert_close(dense_solve_projected(q).x_star, 1.0, 1e-12)
+        assert_close(dense_solve_active_set(q).x_star, 1.0, 1e-12)
 
     def test_identity_negative_b(self):
         q = MQuadratic(sp.identity(3, format="csr"), -np.ones(3), 1.0, 1.0)
-        ref = dense_solve_projected(q)
+        ref = dense_solve_active_set(q)
         assert np.all(ref.x_star == 0.0)
         assert ref.support.size == 0
 
-    def test_agrees_with_enumeration(self):
+    def test_bit_equal_to_enumeration(self):
         for seed in range(25):
             n = 2 + seed % 11
             q = random_m_matrix(n, 0.3 + 0.5 * (seed % 3) / 2.0, seed=seed)
             a = dense_solve_enumerate(q)
-            b = dense_solve_projected(q)
-            scale = max(1e-12, float(np.max(np.abs(a.x_star))))
-            assert np.max(np.abs(a.x_star - b.x_star)) <= 1e-8 * scale
-            assert abs(a.objective_value - b.objective_value) <= 1e-10 * max(
-                1.0, abs(a.objective_value))
+            b = dense_solve_active_set(q)
+            assert np.array_equal(a.x_star, b.x_star), seed
+            assert a.objective_value == b.objective_value
+
+    def test_support_matches_cdpr_above_the_enumeration_limit(self):
+        items = [item for item in make_corpus(40, 10, 64, 3) if item.q.n > 16]
+        assert len(items) >= 30
+        for item in items:
+            q = item.q
+            ref = dense_solve_active_set(q)
+            assert np.array_equal(ref.support, cdpr(q).support), item.label
+            # its own KKT check: nothing certainly negative off the support,
+            # a vanishing gradient on it
+            scale = max(1.0, q.max_abs_b)
+            report = check_optimality(q, ref.x_star)
+            assert report.max_violation_positive <= 1e-11 * scale, item.label
+            assert report.max_violation_zero_low <= 1e-13 * scale, item.label
+
+    def test_dimension_cap(self):
+        q = MQuadratic(sp.identity(4097, format="csr"), np.ones(4097), 1.0, 1.0)
+        with pytest.raises(ValueError, match="n <= 4096"):
+            dense_solve_active_set(q)
 
 
 class TestReferenceSolve:
-    @pytest.mark.parametrize("n, want", [(16, "enumerate"),
-                                         (17, ("projected", 1e-9))])
+    @pytest.mark.parametrize("n, want", [(16, "enumerate"), (17, "active set")])
     def test_enumerates_up_to_the_limit(self, monkeypatch, n, want):
         monkeypatch.setattr(oracle, "dense_solve_enumerate",
                             lambda q: "enumerate")
-        monkeypatch.setattr(oracle, "dense_solve_projected",
-                            lambda q, gap: ("projected", gap))
+        monkeypatch.setattr(oracle, "dense_solve_active_set",
+                            lambda q: "active set")
         q = MQuadratic(sp.identity(n, format="csr"), np.ones(n), 1.0, 1.0)
-        assert oracle.reference_solve(q, 1e-9) == want
+        assert oracle.reference_solve(q) == want
 
 
 class TestSubspace:

@@ -40,7 +40,6 @@ class TestGraph:
         assert g.n == 2
         assert g.num_edges == 1
         assert list(g.degrees) == [1, 1]
-        assert list(g.neighbors(0)) == [1]
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):

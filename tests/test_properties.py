@@ -66,9 +66,9 @@ def test_workspace_gradient_is_the_full_gradient(seed, n, density, kind):
     rng = np.random.default_rng(seed + 5)
     ws = GradientWorkspace(q, Counters())
     assert ws.tol == tol
-    ref = Counters()
-    assert np.array_equal(ws.g[ws.rows],
-                          gradient(q, np.zeros(q.n), counters=ref)[ws.rows])
+    # the set-up is one full gradient at x = 0, which reads no nonzeros
+    ref = Counters(full_gradients=1)
+    assert np.array_equal(ws.g[ws.rows], gradient(q, np.zeros(q.n))[ws.rows])
     assert ws.counters == ref
     candidates = set(np.flatnonzero(-q.b < -tol).tolist())
     made = np.zeros(q.n, dtype=bool)
@@ -84,7 +84,10 @@ def test_workspace_gradient_is_the_full_gradient(seed, n, density, kind):
         # the listed rows are the candidates at x = 0 and N(S), once each
         assert ws.rows.size == np.unique(ws.rows).size
         assert set(ws.rows.tolist()) == candidates | set(q.Q[S].indices.tolist())
-        g = gradient(q, ws.x, counters=ref)
+        g = gradient(q, ws.x)
+        # each refresh is one full gradient over the columns of supp(x)
+        ref.full_gradients += 1
+        ref.nnz_touched += volume(q, np.flatnonzero(ws.x))
         # + 0.0 makes the signed zeros compare equal
         assert np.array_equal(ws.g[ws.rows] + 0.0, g[ws.rows] + 0.0)
         off = np.ones(q.n, dtype=bool)
