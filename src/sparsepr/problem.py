@@ -105,7 +105,8 @@ class Graph:
             raise EdgeError("duplicate edge (%d, %d)" % (i, j), "duplicate", k, first)
         if n < 1:
             raise ValueError("graph needs at least one node")
-        e = s
+        e = s  # the lexsorted pairs, freed once the adjacency holds them
+        del s, order, bad
         if n > 2 * e.shape[0]:
             # m edges cover at most 2m nodes; name the smallest uncovered one
             # without allocating anything of length n
@@ -116,9 +117,11 @@ class Graph:
 
         rows = np.concatenate([e[:, 0], e[:, 1]])
         cols = np.concatenate([e[:, 1], e[:, 0]])
+        del e
         adj = sp.csr_matrix(
             (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n)
         )
+        del rows, cols
         adj.sort_indices()
         degrees = np.diff(adj.indptr)
         if (degrees == 0).any():
@@ -129,16 +132,25 @@ class Graph:
             raise ValueError("graph is not connected (%d components)" % ncomp)
 
         self.n = n
-        self.edges = e
-        self.edges.setflags(write=False)
         self.degrees = degrees.astype(np.int64)
         self.degrees.setflags(write=False)
         self._adj = adj
         self._operator = None  # see PageRankOperator.of
 
     @property
+    def edges(self):
+        """The (m, 2) int64 edges ``(i, j)`` with ``i < j``, lexsorted; a
+        read-only array derived from the upper triangle of the adjacency."""
+        adj = self._adj
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(adj.indptr))
+        upper = adj.indices > rows
+        e = np.stack([rows[upper], adj.indices[upper].astype(np.int64)], axis=1)
+        e.setflags(write=False)
+        return e
+
+    @property
     def num_edges(self):
-        return self.edges.shape[0]
+        return self._adj.nnz // 2
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.num_edges)

@@ -3,6 +3,7 @@
 import re
 import tempfile
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsepr import Graph, random_graph_instance
+from sparsepr import graph_io
 from sparsepr.graph_io import GraphFormatError, load_distribution, load_graph
 from sparsepr.oracle import GRAPH_KINDS
 
@@ -17,6 +19,12 @@ from sparsepr.oracle import GRAPH_KINDS
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
+    return str(p)
+
+
+def write_bytes(tmp_path, name, data):
+    p = tmp_path / name
+    p.write_bytes(data)
     return str(p)
 
 
@@ -64,6 +72,11 @@ class TestEdgelist:
         with pytest.raises(GraphFormatError, match="connected"):
             load_graph(write(tmp_path, "g.txt", "0 1\n2 3\n"))
 
+    def test_undecodable_byte_is_a_malformed_line(self, tmp_path):
+        with pytest.raises(GraphFormatError,
+                           match=r"^line 2: expected two node ids, got '1 \\\\xff'$"):
+            load_graph(write_bytes(tmp_path, "g.txt", b"0 1\n1 \xff\n"))
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(GraphFormatError, match="unknown format"):
             load_graph(write(tmp_path, "g.txt", "0 1\n"), fmt="json")
@@ -106,6 +119,12 @@ class TestMatrixMarket:
             load_graph(write(tmp_path, "g.mtx",
                              self.HEADER + "3 3 2\n1 2\n2 y\n"),
                        fmt="matrixmarket")
+
+    def test_undecodable_byte_is_a_malformed_line(self, tmp_path):
+        text = self.HEADER.encode() + b"3 3 2\n1 2\n2 \xff\n"
+        with pytest.raises(GraphFormatError,
+                           match="^line 4: expected two 1-based ids$"):
+            load_graph(write_bytes(tmp_path, "g.mtx", text), fmt="matrixmarket")
 
     def test_one_indexing_converted(self, tmp_path):
         text = self.HEADER + "2 2 1\n1 2\n"
@@ -154,6 +173,13 @@ class TestDistribution:
     def test_malformed_line_rejected(self, tmp_path):
         with pytest.raises(GraphFormatError, match="line 1"):
             load_distribution(write(tmp_path, "d.txt", "0 0.5 extra\n"), 2)
+
+    def test_undecodable_byte_is_a_malformed_line(self, tmp_path):
+        with pytest.raises(GraphFormatError,
+                           match=r"^line 2: expected '<node> <weight>', "
+                                 r"got '1 0.\\\\xff5'$"):
+            load_distribution(
+                write_bytes(tmp_path, "d.txt", b"0 0.5\n1 0.\xff5\n"), 2)
 
 
 @pytest.mark.parametrize("fmt, text", [
@@ -213,7 +239,22 @@ SINGLE_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("fmt, text, message", SINGLE_FAULTS)
+# Ids are ASCII -?[0-9]+ separated by spaces or tabs; Python's int() and
+# str.split() would take each of these lines.
+GRAMMAR_FAULTS = [
+    ("edgelist", "0 1\n1 +2\n", "line 2: expected two node ids, got '1 +2'"),
+    ("edgelist", "0 1\n1 2_0\n", "line 2: expected two node ids, got '1 2_0'"),
+    ("edgelist", "0 1\n1 \uff12\n",
+     "line 2: expected two node ids, got '1 \uff12'"),
+    ("edgelist", "0 1\n1\x0c2\n", "line 2: expected two node ids, got '1\\x0c2'"),
+    ("matrixmarket", MM + "3 3 2\n1 2\n1 +2\n", "line 4: expected two 1-based ids"),
+    ("matrixmarket", MM + "3 3 2\n1 2\n1 2_0\n", "line 4: expected two 1-based ids"),
+    ("matrixmarket", MM + "3 3 2\n1 2\n1 \uff12\n",
+     "line 4: expected two 1-based ids"),
+]
+
+
+@pytest.mark.parametrize("fmt, text, message", SINGLE_FAULTS + GRAMMAR_FAULTS)
 def test_single_fault_message(tmp_path, fmt, text, message):
     with pytest.raises(GraphFormatError, match="^%s$" % re.escape(message)):
         load_graph(write(tmp_path, "g.txt", text), fmt=fmt)
@@ -229,19 +270,79 @@ def test_id_beyond_int64_is_malformed(tmp_path, fmt, text, message):
     test_single_fault_message(tmp_path, fmt, text, message)
 
 
+def _reference_edgelist(lines):
+    """The edge-list reader as a loop over text lines (no error cases)."""
+    ids, at = array("q"), array("q")
+    declared_n = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#") or line.startswith("%"):
+            body = line.lstrip("#%").strip()
+            if body.lower().startswith("nodes:"):
+                declared_n = int(body.split(":", 1)[1])
+            continue
+        i, j = map(int, line.split())
+        ids.extend((i, j))
+        at.append(lineno)
+    edges = np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
+    top = int(np.argmax(edges)) // 2
+    if declared_n is None:
+        return int(edges[top].max()) + 1, edges, at, top
+    return declared_n, edges, at, None
+
+
+def _reference_matrixmarket(lines):
+    """The MatrixMarket reader as a loop over text lines (no error cases)."""
+    it = iter(enumerate(lines, start=1))
+    next(it)  # the banner
+    for lineno, raw in it:
+        line = raw.strip()
+        if line and not line.startswith("%"):
+            n, _, _ = map(int, line.split())
+            break
+    ids, at = array("q"), array("q")
+    for lineno, raw in it:
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        i, j = map(int, line.split())
+        ids.extend((i - 1, j - 1))
+        at.append(lineno)
+    return n, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), at, None
+
+
 def _render(graph, fmt, rng):
     """The graph's edges shuffled and randomly oriented, and the file text
-    that lists them with comment and blank lines in between."""
+    that lists them: blanks or tabs between and around the ids, comment and
+    blank lines in between, '\n' or '\r\n' line ends, and sometimes a
+    node-count header or no final line end."""
     e = np.asarray(graph.edges)[rng.permutation(graph.num_edges)]
     flip = rng.random(len(e)) < 0.5
     e[flip] = e[flip][:, ::-1]
     base = 1 if fmt == "matrixmarket" else 0
-    lines = ["%d %d" % (i + base, j + base) for i, j in e]
-    for k in sorted(rng.choice(len(lines) + 1, size=3), reverse=True):
-        lines.insert(k, "% between" if rng.random() < 0.5 else "")
+
+    def blanks(options):
+        return options[rng.integers(len(options))]
+
+    lines = ["%s%d%s%d%s" % (blanks(["", " ", "\t", " \t"]), i + base,
+                              blanks([" ", "\t", "  ", "\t "]), j + base,
+                              blanks(["", " ", "\t"]))
+             for i, j in e]
+    comments = ["% between", " \t% 1 2", "", " ", "\t"]
+    if fmt == "edgelist":
+        comments += ["# between", "\t# 3 4", "#", "#% 0 1"]
+    for k in sorted(rng.choice(len(lines) + 1, size=5), reverse=True):
+        lines.insert(k, blanks(comments))
     if fmt == "matrixmarket":
         lines = [MM.strip(), "% c", "%d %d %d" % (graph.n, graph.n, len(e))] + lines
-    return e, "\n".join(lines) + "\n"
+    elif rng.random() < 0.3:
+        lines.insert(0, "# nodes: %d" % graph.n)
+    text = "".join(line + blanks(["\n", "\r\n"]) for line in lines)
+    if rng.random() < 0.3:
+        text = text.rstrip("\r\n")
+    return e, text
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -252,9 +353,38 @@ def test_loaded_graph_matches_constructed_graph(kind, seed, fmt):
     edges, text = _render(graph, fmt, np.random.default_rng(seed))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.txt"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         loaded = load_graph(str(path), fmt=fmt)
+        reference = (_reference_edgelist if fmt == "edgelist"
+                     else _reference_matrixmarket)
+        with open(path) as fh:
+            n, pairs, at, top = reference(fh)
+    parse = (graph_io._parse_edgelist if fmt == "edgelist"
+             else graph_io._parse_matrixmarket)
+    got = parse(text.encode())
+    assert got[0] == n and got[3] == top
+    assert got[1].dtype == np.int64 and got[1].tobytes() == pairs.tobytes()
+    assert got[2].tolist() == at.tolist()
     direct = Graph(graph.n, edges)
     assert loaded.n == direct.n
     assert np.array_equal(loaded.edges, direct.edges)
     assert np.array_equal(loaded.degrees, direct.degrees)
+
+
+def test_load_peak_follows_the_file_size(tmp_path):
+    # a 300 x 300 grid; an int64 temporary per byte of the file would cost
+    # 8 times the file on its own
+    v = np.arange(300 * 300).reshape(300, 300)
+    edges = np.concatenate([
+        np.stack([v[:, :-1].ravel(), v[:, 1:].ravel()], axis=1),
+        np.stack([v[:-1].ravel(), v[1:].ravel()], axis=1)])
+    path = tmp_path / "grid.txt"
+    path.write_text("".join("%d %d\n" % (i, j) for i, j in edges.tolist()))
+    tracemalloc.start()
+    try:
+        graph = load_graph(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.num_edges == len(edges)
+    assert peak <= 13 * path.stat().st_size

@@ -57,6 +57,24 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(3, [(0, 1)])
 
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_edges_are_the_lexsorted_input_pairs(self, kind):
+        # the pairs the constructor once kept: each pair sorted, then the
+        # list lexsorted; now derived from the adjacency on access
+        rng = np.random.default_rng(3)
+        for seed in range(5):
+            family = random_graph_instance(kind, {}, seed).graph
+            e = np.array(family.edges)[rng.permutation(family.num_edges)]
+            flip = rng.random(len(e)) < 0.5
+            e[flip] = e[flip][:, ::-1]
+            want = np.sort(e, axis=1)
+            want = want[np.lexsort((want[:, 1], want[:, 0]))]
+            got = Graph(family.n, e).edges
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            assert Graph(family.n, e).num_edges == len(want)
+
     @pytest.mark.parametrize("end", [2**64, -2**63 - 1])
     def test_endpoint_beyond_int64_is_a_range_error(self, end):
         with pytest.raises(ValueError,
