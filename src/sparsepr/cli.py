@@ -106,7 +106,11 @@ def cmd_solve(args):
         "counters": sol.counters.as_dict(),
         "residuals": report.as_dict(),
     }
-    text = json.dumps(out, indent=2)
+    try:
+        # NaN and Infinity are not JSON; such an answer is not printed
+        text = json.dumps(out, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise SolverError("the answer holds a non-finite value (%s)" % exc)
     print(text)
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:

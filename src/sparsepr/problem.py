@@ -24,6 +24,7 @@ import operator
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import connected_components
 
 __all__ = [
@@ -489,6 +490,16 @@ def restrict(q, S):
     return MQuadratic(sub, b, q.alpha, q.L, validate=False)
 
 
+def _matvec(Q, x, out):
+    """``Q @ x`` for a CSR ``Q``, written into ``out`` and returned.  It runs
+    the kernel that scipy's ``@`` runs, into a zeroed vector, so each row
+    sums its entries in the same order and the bytes are the same; only the
+    Python dispatch around the kernel is skipped."""
+    out.fill(0.0)
+    csr_matvec(Q.shape[0], Q.shape[1], Q.indptr, Q.indices, Q.data, x, out)
+    return out
+
+
 def negative_tolerance(q):
     """Default threshold below which a gradient entry counts as negative.
 
@@ -527,6 +538,77 @@ def _row_entries(Q, rows):
     seg_starts = np.cumsum(counts) - counts
     pos = np.arange(int(counts.sum())) - np.repeat(seg_starts - starts, counts)
     return pos, counts
+
+
+# the entries a row gather holds before its buffers first double
+_GATHER_START = 16
+
+
+def _append(buf, size, new):
+    """Write ``new`` into ``buf`` after its first ``size`` entries and return
+    (buf, size + new.size); a full ``buf`` is replaced by one at least twice
+    as long that keeps those entries."""
+    end = size + new.size
+    if end > buf.size:
+        grown = np.empty(max(end, 2 * buf.size), dtype=buf.dtype)
+        grown[:size] = buf[:size]
+        buf = grown
+    buf[size:end] = new
+    return buf, end
+
+
+class _RowGather:
+    """The entries of a growing list of rows of ``Q``, gathered once, row
+    after row, into buffers that double when full.  ``rows`` lists the rows
+    in the order :meth:`extend` was given them, and ``full`` those with at
+    least one entry, whose entries ``cols`` holds in that order.
+    :meth:`row_sums` then takes one multiply and one segmented sum, and
+    gives the same bytes as :func:`_segment_row_products` on ``full``,
+    which sums the same entries in the same order.
+    """
+
+    def __init__(self, Q):
+        self._Q = Q
+        self._rows = np.empty(_GATHER_START, dtype=np.int64)
+        self._full = np.empty(_GATHER_START, dtype=np.int64)
+        self._starts = np.empty(_GATHER_START, dtype=np.int64)
+        self._cols = np.empty(_GATHER_START, dtype=Q.indices.dtype)
+        self._vals = np.empty(_GATHER_START)
+        self._n_rows = self._n_full = self._n_entries = 0
+
+    @property
+    def rows(self):
+        return self._rows[:self._n_rows]
+
+    @property
+    def full(self):
+        return self._full[:self._n_full]
+
+    @property
+    def cols(self):
+        return self._cols[:self._n_entries]
+
+    def extend(self, rows):
+        """Append the given rows (int64 indices), gather their entries and
+        return the rows that have none."""
+        Q, size = self._Q, self._n_entries
+        pos, counts = _row_entries(Q, rows)
+        has = counts > 0
+        self._rows, self._n_rows = _append(self._rows, self._n_rows, rows)
+        self._starts, _ = _append(self._starts, self._n_full,
+                                  size + (np.cumsum(counts) - counts)[has])
+        self._full, self._n_full = _append(self._full, self._n_full, rows[has])
+        self._cols, _ = _append(self._cols, size, Q.indices[pos])
+        self._vals, self._n_entries = _append(self._vals, size, Q.data[pos])
+        return rows[~has]
+
+    def row_sums(self, at_cols):
+        """For each row of ``full``, the sum of its entries times
+        ``at_cols``, a vector read at ``cols``."""
+        if not self._n_full:
+            return np.zeros(0)
+        return np.add.reduceat(self._vals[:self._n_entries] * at_cols,
+                               self._starts[:self._n_full])
 
 
 def _neighborhood(q, support):
@@ -570,11 +652,12 @@ class GradientWorkspace:
     :meth:`negatives` and :meth:`admit` touch the listed rows only.
 
     ``g`` holds the gradient on the listed ``rows`` only and is never
-    written elsewhere, where the gradient is -b.  Every listed row is
-    recomputed by the segmented reduction that :func:`gradient` uses, and
-    rows outside the true neighbourhood add exact zeros, so ``g`` on the
-    listed rows equals ``gradient(q, x)`` there bit for bit up to the sign
-    of a zero.
+    written elsewhere, where the gradient is -b.  The entries of the listed
+    rows are gathered once, when a row is listed, and every refresh
+    recomputes each listed row by the segmented reduction that
+    :func:`gradient` uses over them.  Rows outside the true neighbourhood
+    add exact zeros, so ``g`` on the listed rows equals ``gradient(q, x)``
+    there bit for bit up to the sign of a zero.
 
     ``S`` only grows, through :meth:`admit`, which replaces the array and
     never writes it, so a caller may keep an old ``S``.  ``ever`` marks
@@ -593,15 +676,22 @@ class GradientWorkspace:
         self.tol = tol = negative_tolerance(q)
         self.x = np.zeros(q.n)
         pos = q.positive_b
-        self.rows = pos[-q.b[pos] < -tol]
+        rows = pos[-q.b[pos] < -tol]
         self.g = np.empty(q.n)
-        self.g[self.rows] = -q.b[self.rows]
+        self.g[rows] = -q.b[rows]
         self._listed = np.zeros(q.n, dtype=bool)
-        self._listed[self.rows] = True
+        self._listed[rows] = True
+        self._gather = _RowGather(q.Q)
+        self._gather.extend(rows)
         self.S = np.empty(0, dtype=np.int64)
         self._member = np.zeros(q.n, dtype=bool)
         self._unspread = []  # what admit added since the last refresh
         self.ever = np.zeros(q.n, dtype=bool)
+
+    @property
+    def rows(self):
+        """The listed rows, in the order they were listed."""
+        return self._gather.rows
 
     def admit(self, coords):
         """Add to ``S`` the given coordinates (unique indices) that are not
@@ -618,7 +708,7 @@ class GradientWorkspace:
         """Record which coordinates of ``S`` are positive, then recompute
         ``g`` at ``x``.  Charges ``counters`` one full gradient and the
         column nonzeros of supp(x)."""
-        S, x = self.S, self.x
+        S, x, b, gather = self.S, self.x, self.q.b, self._gather
         self.ever[S] |= x[S] > 0
         if self._unspread:
             new = np.concatenate(self._unspread)
@@ -626,9 +716,11 @@ class GradientWorkspace:
             rows = np.union1d(_neighborhood(self.q, new), new)
             rows = rows[~self._listed[rows]]
             self._listed[rows] = True
-            self.rows = np.concatenate([self.rows, rows])
-        vals, _ = _segment_row_products(self.q, self.rows, x)
-        self.g[self.rows] = vals - self.q.b[self.rows]
+            empty = gather.extend(rows)
+            # a row with no entry sums nothing, at every x
+            self.g[empty] = 0.0 - b[empty]
+        full = gather.full
+        self.g[full] = gather.row_sums(x[gather.cols]) - b[full]
         self.counters.full_gradients += 1
         self.counters.nnz_touched += volume(self.q, S[x[S] != 0])
 

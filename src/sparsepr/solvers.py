@@ -34,9 +34,10 @@ Observing a run: ``pgd``, ``apgd``, ``cdpr`` and ``aspr`` take one
 iterate; copy it to keep it.  ``S`` is the sorted set of coordinates the
 solver worked on: the subspace for ``pgd``/``apgd``, the pivots so far for
 ``cdpr`` (also the support of its new direction), and the working set for
-``aspr``.  ``d`` holds ``cdpr``'s new conjugate direction on ``S``; the
-other solvers pass None.  ``S`` and ``d`` are never written after the call,
-so they may be kept; an observer must not write to any of the three.
+``aspr``.  ``d`` holds ``cdpr``'s new conjugate direction on ``S``, as a
+fresh array, never a view of the solver's basis; the other solvers pass
+None.  ``S`` and ``d`` are never written after the call, so they may be
+kept; an observer must not write to any of the three.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ from .problem import (
     GradientWorkspace,
     gradient,
     restrict,
-    _segment_row_products,
+    _matvec,
+    _RowGather,
 )
 
 __all__ = [
@@ -80,6 +82,9 @@ SOLVER_TOKENS = ("ista", "cdpr", "aspr", "aspr:early", "aspr:constraints")
 # no run could finish at a tiny alpha; a budget above this cap (over a
 # quarter of an hour at a microsecond per step) raises ValueError instead.
 MAX_ITERATIONS = 10**9
+
+# the directions cdpr's basis holds before it first doubles
+_BASIS_START = 8
 
 
 class SolverError(RuntimeError):
@@ -189,6 +194,7 @@ def _apgd_loop(q, S, x0s, T, counters, lower=None, observe=None, out=None,
     growth = _coeff_growth(kappa)
     sub = restrict(q, S)
     col_nnz = np.diff(sub.Q.indptr)
+    qx = np.empty(S.size)
     y = x0s.copy()
     z = x0s.copy()
     A, a = 0.0, 1.0
@@ -203,7 +209,7 @@ def _apgd_loop(q, S, x0s, T, counters, lower=None, observe=None, out=None,
         else:
             counters.restricted_gradients += 1
             counters.nnz_touched += int(col_nnz[x_in != 0].sum())
-            gs = sub.Q @ x_in - sub.b
+            gs = _matvec(sub.Q, x_in, qx) - sub.b
         nonpos_on_set = ws is not None and bool((gs <= ws.tol).all())
         if lower is not None and nonpos_on_set:
             np.maximum(lower, x_in, out=lower)
@@ -324,25 +330,41 @@ def ista_baseline(q, eps):
     raise SolverError("baseline failed to converge in %d iterations" % max_iter)
 
 
+def _widened(A):
+    """The square A in the top-left corner of a square of zeros twice as
+    wide (at least _BASIS_START)."""
+    k = A.shape[0]
+    out = np.zeros((max(2 * k, _BASIS_START),) * 2)
+    out[:k, :k] = A
+    return out
+
+
 def cdpr(q, observe=None):
     """Conjugate-directions solver: exact in |support| stages.
 
     Each stage pivots on the most negative gradient coordinate, extends the
-    Q-orthogonal basis by Gram-Schmidt against the stored normalized
-    directions (touching a single matrix row plus the direction supports),
-    and takes the exact line-search step.  The pivots are the workspace's
+    Q-orthogonal basis by Gram-Schmidt against the stored directions, and
+    takes the exact line-search step.  The pivots are the workspace's
     working set.  The gradient stays zero on all previous pivots, iterates
     are coordinatewise nondecreasing, and the final iterate is the exact
     optimizer.  ``observe`` sees each stage's iterate, pivots and direction
     (see the module docstring).
+
+    The basis is dense and lower triangular in pivot order: row k of ``D``
+    holds direction k on the first k + 1 pivots, and row k of ``N`` the same
+    over its curvature; both double when full.  A stage reads the new
+    pivot's row on the earlier pivots for the Gram-Schmidt coefficients,
+    sums the scaled directions row by row, and takes ``Q d`` on the pivots
+    from their rows, gathered once in pivot order.  Its numpy calls do not
+    grow with the number of stored directions.
     """
     ws = GradientWorkspace(q, Counters())
     x, g, counters = ws.x, ws.g, ws.counters
-    # the stored directions: supports, values, and values over curvature
-    idxs, vals, norms = [], [], []
-    rowbuf = np.zeros(q.n)
-    # the direction under construction; zero off the pivots between stages
-    accum = np.zeros(q.n)
+    # 1 + each pivot's place in pivot order, 0 off the pivots
+    rank = np.zeros(q.n, dtype=np.int64)
+    D = N = np.zeros((0, 0))
+    pivot_rows = _RowGather(q.Q)
+    K = 0  # directions stored
     while True:
         neg = ws.negatives()
         if neg.size == 0:
@@ -353,29 +375,38 @@ def cdpr(q, observe=None):
                 "pivot %d revisited; negative tolerance is below noise" % i)
         gi = float(g[i])
         cols_i, vals_i = q.row(i)
+        if not cols_i.size:
+            raise SolverError("row %d of Q is empty" % i)
         counters.nnz_touched += int(cols_i.size)
-        rowbuf[cols_i] = vals_i
+        if K == D.shape[0]:
+            D, N = _widened(D), _widened(N)
 
-        accum[i] = gi
-        for idx_k, vals_k, norm_k in zip(idxs, vals, norms):
-            coeff = -gi * float(rowbuf[idx_k] @ norm_k)
-            accum[idx_k] += coeff * vals_k
+        # dk = (0, d): the new direction read by 1 + pivot order
+        dk = np.empty(K + 2)
+        dk[0] = 0.0
+        dk[K + 1] = gi
+        at = rank[cols_i]
+        on = at > 0
+        coeff = -gi * (N[:K, at[on] - 1] * vals_i[on]).sum(axis=1)
+        # reduces row after row, as adding each scaled direction in turn does
+        np.add.reduce(coeff[:, None] * D[:K, :K], axis=0, out=dk[1:K + 1])
+        rank[i] = K + 1
+        pivot_rows.extend(np.array([i]))
         supp = ws.S
-        d_vals = accum[supp]
-
-        qd, cols = _segment_row_products(q, supp, accum)
-        counters.nnz_touched += int(np.count_nonzero(accum[cols]))
+        order = rank[supp]
+        d_vals = dk[order]
+        d_cols = dk[rank[pivot_rows.cols]]
+        qd = pivot_rows.row_sums(d_cols)[order - 1]
+        counters.nnz_touched += int(np.count_nonzero(d_cols))
         curvature = float(d_vals @ qd)
         if curvature <= 0:
             raise SolverError("nonpositive curvature along a direction")
         step = -float(g[supp] @ d_vals) / curvature
         x[supp] += step * d_vals
-        rowbuf[cols_i] = 0.0
-        accum[supp] = 0.0
 
-        idxs.append(supp)
-        vals.append(d_vals)
-        norms.append(d_vals / curvature)
+        D[K, :K + 1] = dk[1:]
+        N[K, :K + 1] = dk[1:] / curvature
+        K += 1
         counters.stages += 1
         ws.refresh()
         if observe is not None:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output schema, byte stability,
 exit codes."""
 
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -234,6 +235,24 @@ class TestSolveErrors:
         assert "line 1: non-finite weight" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_answer_prints_no_json(self, two_node_file, monkeypatch,
+                                              capsys, value):
+        from sparsepr import cli
+
+        def solve(q, token, eps):
+            return dataclasses.replace(real_solve(q, token, eps),
+                                       gap_bound=value)
+
+        real_solve = cli.solve
+        monkeypatch.setattr(cli, "solve", solve)
+        assert cli.main(solve_args(two_node_file, "aspr")) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("solver error: the answer holds a non-finite "
+                              "value")
+
     def test_seed_node_out_of_range(self, two_node_file):
         res = run_cli("solve", "--graph", two_node_file, "--alpha", "0.5",
                       "--rho", "0.1", "--seed-node", "9", "--solver", "cdpr")
@@ -279,7 +298,7 @@ class TestVerify:
             "PASS cdpr/exact_minimizer_and_stage_count: 10 checks, "
             "worst 7.288e-16\n"
             "PASS cdpr/conjugacy_annihilation_monotonicity: 10 checks, "
-            "worst 1.305e-15\n"
+            "worst 1.249e-15\n"
             "all 2 invariants passed (instances=8, max-n=40, seed=7)\n")
 
     def test_geometry_suite_small(self):

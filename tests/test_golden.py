@@ -80,7 +80,7 @@ GOLDEN = {
         "72104e84ae9b6375f3fbd3fe56528e2cbeee4573fb0d61fad9927d41f1b100a9"),
     ("sbm", "cdpr"): (
         _counters(21, 0, 3608, 22, 0), SBM_OPT, SBM_OPT,
-        "3f0b0d52fbd3cc6a845c479ccf6a450974204b1063f2df60e63c9f7cb839773b"),
+        "5785d379d14eb316f07935672d16e85bd57a6a3008200f334bb6eaf8671d2aaa"),
     ("sbm", "aspr"): (
         _counters(5, 309, 16067, 6, 309), SBM_ASPR, SBM_OPT,
         "a8ff05cade3b667d6beb6034cdd5f50a9a7c3f1089b760e09b68abd56a2429f6"),

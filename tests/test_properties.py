@@ -1,6 +1,7 @@
 """Randomized structural properties, driven by hypothesis."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsepr import (
@@ -22,9 +23,16 @@ from sparsepr import (
     validate_m_matrix,
     volume,
 )
-from sparsepr.oracle import GRAPH_KINDS, random_m_matrix
-from sparsepr.problem import GradientWorkspace, restrict
-from sparsepr.solvers import ASPR_VARIANTS
+from sparsepr.oracle import GRAPH_KINDS, random_m_matrix, reference_solve
+from sparsepr.problem import (
+    GradientWorkspace,
+    restrict,
+    _GATHER_START,
+    _RowGather,
+    _matvec,
+    _segment_row_products,
+)
+from sparsepr.solvers import ASPR_VARIANTS, _BASIS_START
 
 common = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -242,3 +250,158 @@ def test_pivot_choice_is_minimal_and_deterministic(pairs):
     best = min(grads)
     winners = sorted(i for i, g in pairs if g == best)
     assert chosen == winners[0]
+
+
+def _graph_of_size(kind, n, seed):
+    """A connected graph of the given kind on exactly n >= 3 nodes."""
+    rows = max(r for r in range(1, int(n ** 0.5) + 1) if n % r == 0)
+    params = {"path": {"n": n}, "cycle": {"n": n}, "star": {"leaves": n - 1},
+              "grid": {"rows": rows, "cols": n // rows},
+              "sbm": {"sizes": [n // 2, n - n // 2], "p_out": 0.5}}[kind]
+    return random_graph_instance(kind, params, seed).graph
+
+
+def _full_support_quadratic(kind, n, density, seed):
+    """A quadratic of n coordinates whose optimum is positive on all of them:
+    b > 0 and Q^-1 >= 0 with a positive diagonal, as for every M-matrix."""
+    rng = np.random.default_rng(seed)
+    if kind == "m-matrix":
+        q = random_m_matrix(n, density, seed=seed)
+        return MQuadratic(q.Q, np.abs(q.b) + 0.1, q.alpha, q.L,
+                          validate=False)
+    # a uniform seed and rho < 1/(n * max degree) make every b_i positive
+    graph = _graph_of_size(kind, n, seed)
+    rho = 0.5 / (n * int(graph.degrees.max()))
+    return build_pagerank_quadratic(PageRankInstance(
+        graph, float(rng.uniform(0.05, 0.95)), rho, np.full(n, 1.0 / n)))
+
+
+# cdpr's basis doubles when it holds _BASIS_START directions and again at
+# each doubling; a support of n takes n directions, so these sizes land
+# on both sides of its first three doublings
+BASIS_SIZES = [c + e for c in (_BASIS_START, 2 * _BASIS_START,
+                               4 * _BASIS_START) for e in (0, 1)]
+
+
+# few examples per size: the reference enumerates 2^n supports up to n = 16
+@pytest.mark.parametrize("n", BASIS_SIZES)
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(seed=seeds, density=densities,
+       kind=st.sampled_from(("m-matrix",) + GRAPH_KINDS))
+def test_cdpr_stays_exact_across_basis_growth(n, seed, density, kind):
+    q = _full_support_quadratic(kind, n, density, seed)
+    stages = []
+    sol = cdpr(q, observe=lambda x, S, d: stages.append(
+        (S, d, gradient(q, x, coords=S))))
+    assert sol.counters.stages == n == len(stages)
+
+    # the thresholds of acceptance criteria 01 and 02
+    ref = reference_solve(q)
+    assert ref.support_size == n
+    xden = max(float(np.max(np.abs(ref.x_star))), 1e-12)
+    assert float(np.max(np.abs(sol.x - ref.x_star))) <= 1e-8 * xden
+    gden = max(1.0, abs(ref.objective_value))
+    assert abs(objective(q, sol.x) - ref.objective_value) <= 1e-10 * gden
+    scale = max(1.0, q.max_abs_b)
+    for _, _, g_pivots in stages:
+        assert float(np.max(np.abs(g_pivots))) <= 1e-8 * scale
+    # the directions, kept as observed, stay Q-conjugate
+    dirs = np.zeros((n, n))
+    for k, (S, d, _) in enumerate(stages):
+        dirs[S, k] = d
+    gram = dirs.T @ (q.Q.toarray() @ dirs)
+    norms = np.sqrt(np.diag(gram))
+    cross = gram / np.outer(norms, norms)
+    np.fill_diagonal(cross, 0.0)
+    assert float(np.max(np.abs(cross))) <= 1e-8
+
+
+def test_row_gather_sums_rows_as_the_segmented_reduction_does():
+    # one row at a time, so every doubling of every buffer is crossed with
+    # the sums checked on both sides; row 3 has no entry at all
+    q = random_m_matrix(40, 0.5, seed=3)
+    Q = q.Q.tolil()
+    Q[3, :] = 0.0
+    Q[:, 3] = 0.0
+    q = MQuadratic(Q.tocsr(), q.b, q.alpha, q.L, validate=False)
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.0, 2.0, q.n) * (rng.uniform(size=q.n) < 0.7)
+    gather = _RowGather(q.Q)
+    listed = []
+    for row in rng.permutation(q.n):
+        empty = gather.extend(np.array([row]))
+        assert empty.tolist() == ([row] if row == 3 else [])
+        listed.append(row)
+        full = [r for r in listed if r != 3]
+        assert gather.rows.tolist() == listed
+        assert gather.full.tolist() == full
+        ref, cols = _segment_row_products(q, full, x)
+        assert np.array_equal(gather.cols, cols)
+        assert gather.row_sums(x[gather.cols]).tobytes() == ref.tobytes()
+    assert gather.cols.size > 8 * _GATHER_START
+
+
+@common
+@given(seed=seeds, n=st.integers(min_value=_GATHER_START + 1, max_value=40),
+       density=densities, kind=st.sampled_from(("m-matrix",) + GRAPH_KINDS))
+def test_workspace_across_buffer_growth(seed, n, density, kind):
+    if kind == "m-matrix":
+        q = random_m_matrix(n, density, seed=seed)
+    else:
+        q = build_pagerank_quadratic(PageRankInstance(
+            _graph_of_size(kind, n, seed), 0.3, 1e-3, 0))
+    rng = np.random.default_rng(seed + 8)
+    # random interleavings of admit (an index array) and refresh (an
+    # iterate, written on S first); the last admit lists every row, which
+    # takes the gather past _GATHER_START entries and rows
+    ops = []
+    for _ in range(int(rng.integers(2, 10))):
+        if rng.uniform() < 0.5:
+            ops.append(rng.choice(n, size=int(rng.integers(0, 4)),
+                                  replace=False))
+        else:
+            ops.append(rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.7))
+    ops += [np.arange(n), rng.uniform(0.1, 2.0, n)]
+
+    def replay(check):
+        ws = GradientWorkspace(q, Counters())
+        ref = Counters(full_gradients=1)
+        for op in ops:
+            if op.dtype != float:
+                ws.admit(op)
+                continue
+            ws.x[ws.S] = op[ws.S]
+            ws.refresh()
+            ref.full_gradients += 1
+            ref.nnz_touched += volume(q, np.flatnonzero(ws.x))
+            if check:
+                rows, x = ws.rows, ws.x
+                # each listed row summed as _segment_row_products sums it
+                vals, _ = _segment_row_products(q, rows, x)
+                assert ws.g[rows].tobytes() == (vals - q.b[rows]).tobytes()
+                # + 0.0 makes the signed zeros compare equal
+                assert np.array_equal(ws.g[rows] + 0.0,
+                                      gradient(q, x)[rows] + 0.0)
+                assert ws.counters == ref
+        return ws
+
+    ws = replay(True)
+    assert ws.rows.size == n and ws._gather.cols.size > _GATHER_START
+    assert replay(False).counters == ws.counters
+
+
+@common
+@given(seed=seeds, n=dims, density=densities,
+       kind=st.sampled_from(("m-matrix",) + GRAPH_KINDS))
+def test_restricted_product_is_scipys_bit_for_bit(seed, n, density, kind):
+    if kind == "m-matrix":
+        q = random_m_matrix(n, density, seed=seed)
+    else:
+        q = build_pagerank_quadratic(random_graph_instance(kind, {}, seed))
+    rng = np.random.default_rng(seed + 9)
+    S = np.flatnonzero(rng.uniform(size=q.n) < 0.7)
+    sub = restrict(q, S)
+    x = rng.uniform(0.0, 2.0, S.size) * (rng.uniform(size=S.size) < 0.7)
+    out = np.full(S.size, np.nan)
+    assert _matvec(sub.Q, x, out) is out
+    assert out.tobytes() == (sub.Q @ x).tobytes()
