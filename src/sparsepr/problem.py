@@ -161,7 +161,11 @@ class PageRankInstance:
     """A personalized-PageRank problem: graph, teleport weight, l1 level, seed.
 
     ``s`` may be a node index (point mass) or a dense distribution on the
-    nodes; distributions must lie on the simplex within 1e-12.
+    nodes; distributions must lie on the simplex within 1e-12.  The seed is
+    kept as ``nodes``, the sorted int64 support of ``s``, and ``weights``,
+    the values of ``s`` there, both read-only, so a point seed allocates
+    nothing of length n.  The dense read-only ``s`` is built on first
+    access; a distribution keeps the copy it was checked on.
     """
 
     def __init__(self, graph, alpha, rho, s):
@@ -183,8 +187,9 @@ class PageRankInstance:
                 raise ValueError("seed node must be an integer, got %r" % (s,))
             if not 0 <= v < graph.n:
                 raise ValueError("seed node %d out of range" % v)
-            dist = np.zeros(graph.n)
-            dist[v] = 1.0
+            dist = None
+            nodes = np.array([v], dtype=np.int64)
+            weights = np.ones(1)
         else:
             dist = np.asarray(s, dtype=float).copy()
             if dist.shape != (graph.n,):
@@ -198,11 +203,27 @@ class PageRankInstance:
                     "seed distribution must sum to 1 within 1e-12 (got %.17g)"
                     % dist.sum()
                 )
-        dist.setflags(write=False)
+            dist.setflags(write=False)
+            nodes = np.flatnonzero(dist != 0.0)  # a bool mask scans fastest
+            weights = dist[nodes]
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
         self.graph = graph
         self.alpha = alpha
         self.rho = rho
-        self.s = dist
+        self.nodes = nodes
+        self.weights = weights
+        self._s = dist
+
+    @property
+    def s(self):
+        """The dense read-only seed vector."""
+        if self._s is None:
+            s = np.zeros(self.graph.n)
+            s[self.nodes] = self.weights
+            s.setflags(write=False)
+            self._s = s
+        return self._s
 
     def __repr__(self):
         return "PageRankInstance(n=%d, alpha=%g, rho=%g)" % (
@@ -289,12 +310,13 @@ class MQuadratic:
     ``alpha`` and ``L`` are valid strong-convexity/smoothness bounds
     (alpha*I <= Q <= L*I); solvers step with 1/L and certify with alpha.
 
-    Two facts about the immutable ``b`` are computed once, in O(n), so that
-    a solve need not scan ``b`` again: ``max_abs_b`` (max |b_i|, 0 when
-    n = 0) and ``positive_b`` (the sorted indices with b_i > 0, the only
-    coordinates whose gradient -b_i at x = 0 can be negative).  A
-    non-finite entry of ``b``, ``alpha`` or ``L`` raises ``ValueError``,
-    even with ``validate=False``: every sign test would pass it silently.
+    Two facts about the immutable ``b`` are computed when the quadratic is
+    made, so that a solve need not scan ``b`` again: ``max_abs_b`` (max
+    |b_i|, 0 when n = 0) and ``positive_b`` (the sorted indices with
+    b_i > 0, the only coordinates whose gradient -b_i at x = 0 can be
+    negative).  A non-finite entry of ``b``, ``alpha`` or ``L`` raises
+    ``ValueError``, even with ``validate=False``: every sign test would
+    pass it silently.
 
     ``Q`` is copied into a fresh CSR with duplicates summed, explicit zeros
     removed and indices sorted, and ``b`` is copied, so later writes to the
@@ -303,6 +325,11 @@ class MQuadratic:
     and ``indptr`` are read-only and whose ``has_canonical_format`` is true,
     and a read-only float ``b``.  Many quadratics can thus share one Hessian
     (see :class:`PageRankOperator`).
+
+    :meth:`corrected` makes the other form, which holds ``b`` as a shared
+    read-only base with a few entries replaced, and costs work on those
+    entries only.  There the dense ``b`` is built on first access; solvers
+    read ``b`` through :meth:`b_at` only, which never builds it.
     """
 
     def __init__(self, Q, b, alpha, L, validate=True):
@@ -318,23 +345,60 @@ class MQuadratic:
             raise ValueError("b has wrong length for Q")
         # max propagates NaN, so this one scan also finds every non-finite b_i
         max_abs_b = float(np.max(np.abs(b))) if b.size else 0.0
-        if not math.isfinite(max_abs_b):
-            raise ValueError("b has non-finite entries")
-        if not (math.isfinite(alpha) and math.isfinite(L)):
-            raise ValueError("alpha and L must be finite, got alpha=%r, L=%r"
-                             % (alpha, L))
+        _check_finite(max_abs_b, alpha, L)
         if validate:
             res = validate_m_matrix(Q, alpha, L)
             if not res.ok:
                 raise ValueError("invalid M-matrix quadratic: " + "; ".join(res.violations))
         b.setflags(write=False)
+        self._set(Q, b, _NO_NODES, _NO_VALUES, max_abs_b,
+                  np.flatnonzero(b > 0.0), alpha, L)
+        self._b = b
+
+    @classmethod
+    def corrected(cls, Q, base, nodes, values, max_abs_b, positive_b,
+                  alpha, L):
+        """The quadratic whose ``b`` is ``base`` with ``values`` at the
+        sorted int64 ``nodes``, all read-only and shared.  The caller
+        vouches for what this cannot check without reading all of ``base``:
+        ``Q`` is a frozen canonical CSR of a valid M-matrix, and
+        ``max_abs_b`` and ``positive_b`` are the facts of that ``b``."""
+        _check_finite(max_abs_b, alpha, L)
+        q = cls.__new__(cls)
+        q._set(Q, base, nodes, values, max_abs_b, positive_b, alpha, L)
+        q._b = None
+        return q
+
+    def _set(self, Q, base, nodes, values, max_abs_b, positive_b, alpha, L):
+        positive_b.setflags(write=False)
         self.Q = Q
-        self.b = b
+        self._base = base
+        self._nodes = nodes
+        self._values = values
         self.max_abs_b = max_abs_b
-        self.positive_b = np.flatnonzero(b > 0.0)
-        self.positive_b.setflags(write=False)
+        self.positive_b = positive_b
         self.alpha = float(alpha)
         self.L = float(L)
+
+    @property
+    def b(self):
+        """The dense read-only linear term."""
+        if self._b is None:
+            b = self._base.copy()
+            b[self._nodes] = self._values
+            b.setflags(write=False)
+            self._b = b
+        return self._b
+
+    def b_at(self, idx):
+        """``b[idx]`` for int64 indices, as a new array; it never builds
+        the dense ``b``."""
+        if self._b is not None:
+            return self._b[idx]
+        out = self._base[idx]
+        at, hit = _lookup(self._nodes, idx)
+        out[hit] = self._values[at[hit]]
+        return out
 
     @property
     def n(self):
@@ -359,6 +423,27 @@ class MQuadratic:
         )
 
 
+_NO_NODES = np.empty(0, dtype=np.int64)
+_NO_VALUES = np.empty(0)
+
+
+def _check_finite(max_abs_b, alpha, L):
+    if not math.isfinite(max_abs_b):
+        raise ValueError("b has non-finite entries")
+    if not (math.isfinite(alpha) and math.isfinite(L)):
+        raise ValueError("alpha and L must be finite, got alpha=%r, L=%r"
+                         % (alpha, L))
+
+
+def _lookup(keys, idx):
+    """For each entry of ``idx``, its position in the sorted ``keys`` and
+    whether it is there."""
+    at = np.searchsorted(keys, idx)
+    hit = at < keys.size
+    hit[hit] = keys[at[hit]] == idx[hit]
+    return at, hit
+
+
 def _is_frozen_canonical(Q):
     """Whether Q is a csr_matrix in canonical form that cannot be written."""
     return (isinstance(Q, sp.csr_matrix)
@@ -370,8 +455,9 @@ class PageRankOperator:
     """The part of the PageRank quadratics on one graph that no seed and no
     rho changes: the Hessian ``Q`` of :func:`build_pagerank_quadratic` at
     teleport weight ``alpha``, ``sqrt_d`` = sqrt(d) and ``dinv_sqrt`` =
-    1/sqrt(d), built once in O(n + m) as read-only arrays.  ``Q`` is a
-    canonical CSR, so every quadratic built on it shares it uncopied.
+    1/sqrt(d), built once in O(n + m) as read-only arrays, and a node of
+    maximum degree with the number of such nodes.  ``Q`` is a canonical
+    CSR, so every quadratic built on it shares it uncopied.
 
     :meth:`of` keeps one operator on the graph, for the last alpha asked for.
     The graph is immutable, so the cache never goes stale, and a new alpha
@@ -398,6 +484,8 @@ class PageRankOperator:
         self.Q = Q
         self.sqrt_d = sqrt_d
         self.dinv_sqrt = dinv_sqrt
+        self._top = int(np.argmax(sqrt_d))
+        self._n_top = int(np.count_nonzero(sqrt_d == sqrt_d[self._top]))
         self._base = (None, None)
 
     @classmethod
@@ -420,6 +508,20 @@ class PageRankOperator:
             self._base = (rho, b0)
         return b0
 
+    def max_abs_off(self, b0, nodes):
+        """max |b0_j| over the nodes j outside the sorted ``nodes`` (0 if
+        there are none), for ``b0`` a :meth:`base`.
+
+        Every float step of alpha*(0 - rho*sqrt(d)) is monotone in d, so
+        the answer is |b0| at any unlisted node of maximum degree; only when
+        ``nodes`` holds all of those is the rest of ``b0`` scanned."""
+        top = self.sqrt_d[self._top]
+        if np.count_nonzero(self.sqrt_d[nodes] == top) < self._n_top:
+            return abs(float(b0[self._top]))
+        rest = np.ones(b0.size, dtype=bool)
+        rest[nodes] = False
+        return float(np.max(np.abs(b0[rest]), initial=0.0))
+
 
 def build_pagerank_quadratic(instance):
     """Compile a PageRank instance into its M-matrix quadratic.
@@ -432,18 +534,24 @@ def build_pagerank_quadratic(instance):
 
     The Hessian and the degree vectors are built once per (graph, alpha)
     and cached on the graph (:class:`PageRankOperator`); every quadratic of
-    the graph at that alpha shares the one read-only ``Q``.  A query then
-    pays one O(n) copy of b at the unseeded value, work on supp(s), and the
-    O(n) scans of b that :class:`MQuadratic` makes.
+    the graph at that alpha shares the one read-only ``Q``, and every one
+    at that rho the operator's unseeded ``b``, :meth:`PageRankOperator.base`.
+    The quadratic holds ``b`` as that base corrected on supp(s)
+    (:meth:`MQuadratic.corrected`).  The base is negative, so ``positive_b``
+    lies in supp(s), and ``max_abs_b`` is the larger of max |b| on supp(s)
+    and :meth:`PageRankOperator.max_abs_off`.  A warm query thus does work
+    in O(|supp s|) and allocates nothing of length n.
     """
     op = PageRankOperator.of(instance.graph, instance.alpha)
-    s = instance.s
-    seeded = np.flatnonzero(s != 0.0)  # numpy scans a bool mask far faster
-    b = op.base(instance.rho).copy()
-    b[seeded] = op.alpha * (s[seeded] * op.dinv_sqrt[seeded]
-                            - instance.rho * op.sqrt_d[seeded])
-    b.setflags(write=False)
-    return MQuadratic(op.Q, b, alpha=op.alpha, L=1.0, validate=False)
+    nodes, rho = instance.nodes, instance.rho
+    b0 = op.base(rho)
+    values = op.alpha * (instance.weights * op.dinv_sqrt[nodes]
+                         - rho * op.sqrt_d[nodes])
+    values.setflags(write=False)
+    # max propagates NaN, so a non-finite entry reaches the check
+    max_abs_b = float(np.max(np.abs(values), initial=op.max_abs_off(b0, nodes)))
+    return MQuadratic.corrected(op.Q, b0, nodes, values, max_abs_b,
+                                nodes[values > 0.0], op.alpha, 1.0)
 
 
 def pagerank_upper_bounds(instance):
@@ -473,16 +581,13 @@ def restrict(q, S):
     # index would build an n-length lookup
     Q = q.Q
     pos, counts = _row_entries(Q, S)
-    cols = Q.indices[pos]
-    at = np.searchsorted(S, cols)
-    hit = at < S.size
-    hit[hit] = S[at[hit]] == cols[hit]
+    at, hit = _lookup(S, Q.indices[pos])
     row_hits = np.bincount(np.repeat(np.arange(S.size), counts)[hit],
                            minlength=S.size)
     indptr = np.concatenate([[0], np.cumsum(row_hits)])
     sub = sp.csr_matrix((Q.data[pos[hit]], at[hit], indptr),
                         shape=(S.size, S.size))
-    b = q.b[S]
+    b = q.b_at(S)
     # q.Q is canonical, so sub is too: freeze it and b so MQuadratic takes
     # them as they are
     for arr in (sub.data, sub.indices, sub.indptr, b):
@@ -628,12 +733,12 @@ def gradient(q, x, coords=None):
     if coords is None:
         rows = _neighborhood(q, np.flatnonzero(x))
         vals, _ = _segment_row_products(q, rows, x)
-        g = -q.b.copy()
+        g = -q.b
         g[rows] += vals
         return g
     coords = np.asarray(coords, dtype=np.int64)
     vals, _ = _segment_row_products(q, coords, x)
-    return vals - q.b[coords]
+    return vals - q.b_at(coords)
 
 
 class GradientWorkspace:
@@ -648,13 +753,15 @@ class GradientWorkspace:
     neighbourhood whose gradient is certainly negative; ``tol =
     negative_tolerance(q)`` >= 0, so they lie in ``q.positive_b``) and the
     neighbourhood rows of every coordinate :meth:`refresh` has covered.
-    The list only grows.  After the O(n) set-up, :meth:`refresh`,
+    The list only grows, and a solver may raise ``tol`` but never lower it,
+    so the list stays complete.  After the O(n) set-up, :meth:`refresh`,
     :meth:`negatives` and :meth:`admit` touch the listed rows only.
 
     ``g`` holds the gradient on the listed ``rows`` only and is never
     written elsewhere, where the gradient is -b.  The entries of the listed
-    rows are gathered once, when a row is listed, and every refresh
-    recomputes each listed row by the segmented reduction that
+    rows and their ``b`` are read once, when a row is listed (``b`` through
+    :meth:`MQuadratic.b_at`, so the dense ``b`` is never built), and every
+    refresh recomputes each listed row by the segmented reduction that
     :func:`gradient` uses over them.  Rows outside the true neighbourhood
     add exact zeros, so ``g`` on the listed rows equals ``gradient(q, x)``
     there bit for bit up to the sign of a zero.
@@ -676,13 +783,15 @@ class GradientWorkspace:
         self.tol = tol = negative_tolerance(q)
         self.x = np.zeros(q.n)
         pos = q.positive_b
-        rows = pos[-q.b[pos] < -tol]
+        b_pos = q.b_at(pos)
+        neg = -b_pos < -tol
+        rows = pos[neg]
         self.g = np.empty(q.n)
-        self.g[rows] = -q.b[rows]
+        self.g[rows] = -b_pos[neg]
         self._listed = np.zeros(q.n, dtype=bool)
-        self._listed[rows] = True
         self._gather = _RowGather(q.Q)
-        self._gather.extend(rows)
+        self._b_full = np.empty(_GATHER_START)  # b on the gather's full rows
+        self._list(rows)
         self.S = np.empty(0, dtype=np.int64)
         self._member = np.zeros(q.n, dtype=bool)
         self._unspread = []  # what admit added since the last refresh
@@ -692,6 +801,18 @@ class GradientWorkspace:
     def rows(self):
         """The listed rows, in the order they were listed."""
         return self._gather.rows
+
+    def _list(self, rows):
+        """List the given unlisted rows."""
+        self._listed[rows] = True
+        gather, q = self._gather, self.q
+        size = gather.full.size
+        empty = gather.extend(rows)
+        self._b_full, _ = _append(self._b_full, size,
+                                  q.b_at(gather.full[size:]))
+        if empty.size:
+            # a row with no entry sums nothing, at every x
+            self.g[empty] = 0.0 - q.b_at(empty)
 
     def admit(self, coords):
         """Add to ``S`` the given coordinates (unique indices) that are not
@@ -708,19 +829,17 @@ class GradientWorkspace:
         """Record which coordinates of ``S`` are positive, then recompute
         ``g`` at ``x``.  Charges ``counters`` one full gradient and the
         column nonzeros of supp(x)."""
-        S, x, b, gather = self.S, self.x, self.q.b, self._gather
+        S, x, gather = self.S, self.x, self._gather
         self.ever[S] |= x[S] > 0
         if self._unspread:
             new = np.concatenate(self._unspread)
             self._unspread = []
             rows = np.union1d(_neighborhood(self.q, new), new)
             rows = rows[~self._listed[rows]]
-            self._listed[rows] = True
-            empty = gather.extend(rows)
-            # a row with no entry sums nothing, at every x
-            self.g[empty] = 0.0 - b[empty]
+            self._list(rows)
         full = gather.full
-        self.g[full] = gather.row_sums(x[gather.cols]) - b[full]
+        self.g[full] = (gather.row_sums(x[gather.cols])
+                        - self._b_full[:full.size])
         self.counters.full_gradients += 1
         self.counters.nnz_touched += volume(self.q, S[x[S] != 0])
 

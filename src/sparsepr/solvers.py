@@ -83,6 +83,11 @@ SOLVER_TOKENS = ("ista", "cdpr", "aspr", "aspr:early", "aspr:constraints")
 # quarter of an hour at a microsecond per step) raises ValueError instead.
 MAX_ITERATIONS = 10**9
 
+# cdpr's threshold never falls below this multiple of L*max x: 16 units of
+# roundoff, above the rounding noise of Qx - b on the pivots, where the
+# gradient vanishes in exact arithmetic
+_PIVOT_NOISE = 16 * 2.0**-53
+
 # the directions cdpr's basis holds before it first doubles
 _BASIS_START = 8
 
@@ -350,6 +355,12 @@ def cdpr(q, observe=None):
     optimizer.  ``observe`` sees each stage's iterate, pivots and direction
     (see the module docstring).
 
+    A gradient entry counts as negative below -max(negative_tolerance(q),
+    16*u*L*max x), with u the unit roundoff.  The gradient vanishes on the
+    pivots in exact arithmetic; the second term covers its rounding noise
+    there, which at a tiny alpha exceeds the first.  A pivot that still
+    reads as negative raises SolverError.
+
     The basis is dense and lower triangular in pivot order: row k of ``D``
     holds direction k on the first k + 1 pivots, and row k of ``N`` the same
     over its curvature; both double when full.  A stage reads the new
@@ -366,6 +377,10 @@ def cdpr(q, observe=None):
     pivot_rows = _RowGather(q.Q)
     K = 0  # directions stored
     while True:
+        # x only grows, so the threshold does too and the workspace's list
+        # of rows stays complete
+        ws.tol = max(ws.tol, _PIVOT_NOISE * q.L
+                     * float(np.max(x[ws.S], initial=0.0)))
         neg = ws.negatives()
         if neg.size == 0:
             break

@@ -350,25 +350,49 @@ class TestPageRankOperator:
             want = a * (inst.rho * sqrt_d)
             assert pagerank_upper_bounds(inst).tobytes() == want.tobytes()
 
-    def test_warm_build_allocates_only_b(self):
-        # with the operator cached, a point-seed query copies b and scans it;
-        # nothing of size O(n + m) is allocated
-        inst = _grid(300, 150 * 300 + 150)
-        n = inst.graph.n
-
-        def peak(instance):
+    def test_warm_point_seed_build_allocates_nothing_of_length_n(self):
+        # with the operator and the base cached, a point-seed instance and
+        # its build read b on the seed only: the peak does not grow with n
+        def warm_peak(side):
+            inst = _grid(side, side // 2 * side + side // 2)
+            build_pagerank_quadratic(inst)
             tracemalloc.start()
             try:
-                build_pagerank_quadratic(instance)
+                build_pagerank_quadratic(
+                    PageRankInstance(inst.graph, inst.alpha, inst.rho, 7))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        cold = peak(inst)
-        warm = peak(PageRankInstance(inst.graph, inst.alpha, inst.rho, 7))
-        assert warm <= 3 * 8 * n, (warm, n)
-        assert 4 * warm < cold, (warm, cold)
+        small, large = warm_peak(60), warm_peak(300)
+        assert large <= 2 * small, (large, small)
 
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_sparse_linear_term_matches_the_dense_formula(self, kind):
+        # point seeds, distributions, and seeds on every node of maximum
+        # degree, where max_abs_b must scan off supp(s)
+        rng = np.random.default_rng(5)
+        for seed in range(4):
+            inst = random_graph_instance(kind, {}, seed)
+            g, a, rho, n = inst.graph, inst.alpha, inst.rho, inst.graph.n
+            top = np.flatnonzero(g.degrees == g.degrees.max())
+            spread = np.zeros(n)
+            spread[rng.choice(n, size=min(n, 3), replace=False)] = [0.5, 0.3, 0.2][:min(n, 3)]
+            spread /= spread.sum()
+            cover = np.zeros(n)
+            cover[top] = 1.0 / top.size
+            sqrt_d = np.sqrt(g.degrees.astype(float))
+            dinv = 1.0 / sqrt_d
+            for s in (inst.nodes[0], int(top[0]), spread, cover):
+                seeded = PageRankInstance(g, a, rho, s)
+                q = build_pagerank_quadratic(seeded)
+                want = a * (seeded.s * dinv - rho * sqrt_d)
+                for _ in range(3):
+                    idx = rng.integers(0, n, size=rng.integers(0, 2 * n))
+                    assert q.b_at(idx).tobytes() == want[idx].tobytes()
+                assert q.max_abs_b == float(np.max(np.abs(want)))
+                assert np.array_equal(q.positive_b, np.flatnonzero(want > 0))
+                assert q.b.tobytes() == want.tobytes()
 
 class TestRestrict:
     def test_empty_set_gives_empty_quadratic(self, two_node):

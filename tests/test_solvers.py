@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sparsepr import (
+    PageRankInstance,
     SolverError,
     apgd,
     aspr,
@@ -18,6 +19,7 @@ from sparsepr import (
     ista_baseline,
     objective,
     pgd,
+    random_graph_instance,
     select_pivot,
     subspace_solve,
 )
@@ -344,3 +346,19 @@ class TestSolveDispatch:
     def test_unknown_token_rejected(self, two_node, token):
         with pytest.raises(ValueError, match="unknown solver token"):
             solve(two_node, token, 1e-6)
+
+    @pytest.mark.parametrize("token", SOLVER_TOKENS)
+    def test_no_solver_builds_the_dense_b(self, token):
+        # a PageRank quadratic holds b as a shared base corrected on the
+        # seed; a solver that read q.b would build all n entries of it
+        inst = random_graph_instance("grid", {
+            "rows": 12, "cols": 12, "alpha": 0.1, "rho": 1e-3,
+            "seed_node": 66}, 0)
+        s = np.zeros(inst.graph.n)
+        s[[40, 66, 101]] = [0.5, 0.3, 0.2]
+        for seed in (66, s):
+            q = build_pagerank_quadratic(
+                PageRankInstance(inst.graph, inst.alpha, inst.rho, seed))
+            sol = solve(q, token, 1e-6)
+            assert sol.support.size > 3
+            assert q._b is None
