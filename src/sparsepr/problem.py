@@ -351,9 +351,7 @@ class MQuadratic:
             if not res.ok:
                 raise ValueError("invalid M-matrix quadratic: " + "; ".join(res.violations))
         b.setflags(write=False)
-        self._set(Q, b, _NO_NODES, _NO_VALUES, max_abs_b,
-                  np.flatnonzero(b > 0.0), alpha, L)
-        self._b = b
+        self._set(Q, b, None, max_abs_b, np.flatnonzero(b > 0.0), alpha, L)
 
     @classmethod
     def corrected(cls, Q, base, nodes, values, max_abs_b, positive_b,
@@ -365,16 +363,15 @@ class MQuadratic:
         ``max_abs_b`` and ``positive_b`` are the facts of that ``b``."""
         _check_finite(max_abs_b, alpha, L)
         q = cls.__new__(cls)
-        q._set(Q, base, nodes, values, max_abs_b, positive_b, alpha, L)
-        q._b = None
+        q._set(Q, None, (base, nodes, values), max_abs_b, positive_b,
+               alpha, L)
         return q
 
-    def _set(self, Q, base, nodes, values, max_abs_b, positive_b, alpha, L):
+    def _set(self, Q, b, parts, max_abs_b, positive_b, alpha, L):
         positive_b.setflags(write=False)
         self.Q = Q
-        self._base = base
-        self._nodes = nodes
-        self._values = values
+        self._b = b
+        self._parts = parts  # (base, nodes, values) of a corrected b
         self.max_abs_b = max_abs_b
         self.positive_b = positive_b
         self.alpha = float(alpha)
@@ -384,8 +381,9 @@ class MQuadratic:
     def b(self):
         """The dense read-only linear term."""
         if self._b is None:
-            b = self._base.copy()
-            b[self._nodes] = self._values
+            base, nodes, values = self._parts
+            b = base.copy()
+            b[nodes] = values
             b.setflags(write=False)
             self._b = b
         return self._b
@@ -395,9 +393,10 @@ class MQuadratic:
         the dense ``b``."""
         if self._b is not None:
             return self._b[idx]
-        out = self._base[idx]
-        at, hit = _lookup(self._nodes, idx)
-        out[hit] = self._values[at[hit]]
+        base, nodes, values = self._parts
+        out = base[idx]
+        at, hit = _lookup(nodes, idx)
+        out[hit] = values[at[hit]]
         return out
 
     @property
@@ -421,10 +420,6 @@ class MQuadratic:
             self.alpha,
             self.L,
         )
-
-
-_NO_NODES = np.empty(0, dtype=np.int64)
-_NO_VALUES = np.empty(0)
 
 
 def _check_finite(max_abs_b, alpha, L):

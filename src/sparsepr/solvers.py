@@ -83,9 +83,8 @@ SOLVER_TOKENS = ("ista", "cdpr", "aspr", "aspr:early", "aspr:constraints")
 # quarter of an hour at a microsecond per step) raises ValueError instead.
 MAX_ITERATIONS = 10**9
 
-# cdpr's threshold never falls below this multiple of L*max x: 16 units of
-# roundoff, above the rounding noise of Qx - b on the pivots, where the
-# gradient vanishes in exact arithmetic
+# 16 units of roundoff: cdpr's negative threshold is at least this times
+# L*max x (see cdpr)
 _PIVOT_NOISE = 16 * 2.0**-53
 
 # the directions cdpr's basis holds before it first doubles
@@ -377,10 +376,6 @@ def cdpr(q, observe=None):
     pivot_rows = _RowGather(q.Q)
     K = 0  # directions stored
     while True:
-        # x only grows, so the threshold does too and the workspace's list
-        # of rows stays complete
-        ws.tol = max(ws.tol, _PIVOT_NOISE * q.L
-                     * float(np.max(x[ws.S], initial=0.0)))
         neg = ws.negatives()
         if neg.size == 0:
             break
@@ -417,7 +412,10 @@ def cdpr(q, observe=None):
         if curvature <= 0:
             raise SolverError("nonpositive curvature along a direction")
         step = -float(g[supp] @ d_vals) / curvature
-        x[supp] += step * d_vals
+        xs = x[supp] + step * d_vals
+        x[supp] = xs
+        # the threshold only grows, so the workspace's list stays complete
+        ws.tol = max(ws.tol, _PIVOT_NOISE * q.L * float(xs.max()))
 
         D[K, :K + 1] = dk[1:]
         N[K, :K + 1] = dk[1:] / curvature
