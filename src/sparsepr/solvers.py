@@ -83,8 +83,8 @@ SOLVER_TOKENS = ("ista", "cdpr", "aspr", "aspr:early", "aspr:constraints")
 # quarter of an hour at a microsecond per step) raises ValueError instead.
 MAX_ITERATIONS = 10**9
 
-# 16 units of roundoff: cdpr's negative threshold is at least this times
-# L*max x (see cdpr)
+# 16 units of roundoff: once a pivot of cdpr reads as negative again, its
+# negative threshold rises to this times L*max x (see cdpr)
 _PIVOT_NOISE = 16 * 2.0**-53
 
 # the directions cdpr's basis holds before it first doubles
@@ -354,11 +354,12 @@ def cdpr(q, observe=None):
     optimizer.  ``observe`` sees each stage's iterate, pivots and direction
     (see the module docstring).
 
-    A gradient entry counts as negative below -max(negative_tolerance(q),
-    16*u*L*max x), with u the unit roundoff.  The gradient vanishes on the
-    pivots in exact arithmetic; the second term covers its rounding noise
-    there, which at a tiny alpha exceeds the first.  A pivot that still
-    reads as negative raises SolverError.
+    A gradient entry counts as negative below -negative_tolerance(q).  The
+    gradient vanishes on the pivots in exact arithmetic, but at a tiny
+    alpha its rounding noise there can exceed that threshold, so that a
+    pivot reads as negative again.  The threshold then rises to
+    16*u*L*max x, with u the unit roundoff, and a pivot that still reads
+    as negative raises SolverError.
 
     The basis is dense and lower triangular in pivot order: row k of ``D``
     holds direction k on the first k + 1 pivots, and row k of ``N`` the same
@@ -381,8 +382,13 @@ def cdpr(q, observe=None):
             break
         i = select_pivot(neg, g[neg])
         if not ws.admit([i]).size:
-            raise SolverError(
-                "pivot %d revisited; negative tolerance is below noise" % i)
+            # the threshold only grows, so the workspace's list stays complete
+            floor = _PIVOT_NOISE * q.L * float(x[ws.S].max())
+            if floor <= ws.tol:
+                raise SolverError(
+                    "pivot %d revisited; negative tolerance is below noise" % i)
+            ws.tol = floor
+            continue
         gi = float(g[i])
         cols_i, vals_i = q.row(i)
         if not cols_i.size:
@@ -412,10 +418,7 @@ def cdpr(q, observe=None):
         if curvature <= 0:
             raise SolverError("nonpositive curvature along a direction")
         step = -float(g[supp] @ d_vals) / curvature
-        xs = x[supp] + step * d_vals
-        x[supp] = xs
-        # the threshold only grows, so the workspace's list stays complete
-        ws.tol = max(ws.tol, _PIVOT_NOISE * q.L * float(xs.max()))
+        x[supp] += step * d_vals
 
         D[K, :K + 1] = dk[1:]
         N[K, :K + 1] = dk[1:] / curvature
