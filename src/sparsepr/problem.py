@@ -204,7 +204,7 @@ class PageRankInstance:
                     % dist.sum()
                 )
             dist.setflags(write=False)
-            nodes = np.flatnonzero(dist != 0.0)  # a bool mask scans fastest
+            nodes = np.flatnonzero(dist != 0.0)  # a bool mask scans far faster
             weights = dist[nodes]
         nodes.setflags(write=False)
         weights.setflags(write=False)
@@ -532,8 +532,8 @@ def build_pagerank_quadratic(instance):
     the graph at that alpha shares the one read-only ``Q``, and every one
     at that rho the operator's unseeded ``b``, :meth:`PageRankOperator.base`.
     The quadratic holds ``b`` as that base corrected on supp(s)
-    (:meth:`MQuadratic.corrected`).  The base is negative, so ``positive_b``
-    lies in supp(s), and ``max_abs_b`` is the larger of max |b| on supp(s)
+    (:meth:`MQuadratic.corrected`).  The base is never positive, so
+    ``positive_b`` lies in supp(s), and ``max_abs_b`` is the larger of max |b| on supp(s)
     and :meth:`PageRankOperator.max_abs_off`.  A warm query thus does work
     in O(|supp s|) and allocates nothing of length n.
     """
@@ -544,7 +544,8 @@ def build_pagerank_quadratic(instance):
                          - rho * op.sqrt_d[nodes])
     values.setflags(write=False)
     # max propagates NaN, so a non-finite entry reaches the check
-    max_abs_b = float(np.max(np.abs(values), initial=op.max_abs_off(b0, nodes)))
+    off = op.max_abs_off(b0, nodes)
+    max_abs_b = float(np.max(np.abs(values), initial=off))
     return MQuadratic.corrected(op.Q, b0, nodes, values, max_abs_b,
                                 nodes[values > 0.0], op.alpha, 1.0)
 

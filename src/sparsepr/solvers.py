@@ -385,8 +385,8 @@ def cdpr(q, observe=None):
             # the threshold only grows, so the workspace's list stays complete
             floor = _PIVOT_NOISE * q.L * float(x[ws.S].max())
             if floor <= ws.tol:
-                raise SolverError(
-                    "pivot %d revisited; negative tolerance is below noise" % i)
+                raise SolverError("pivot %d revisited; negative tolerance is "
+                                  "below noise" % i)
             ws.tol = floor
             continue
         gi = float(g[i])

@@ -377,8 +377,7 @@ class TestPageRankOperator:
             g, a, rho, n = inst.graph, inst.alpha, inst.rho, inst.graph.n
             top = np.flatnonzero(g.degrees == g.degrees.max())
             spread = np.zeros(n)
-            spread[rng.choice(n, size=min(n, 3), replace=False)] = [0.5, 0.3, 0.2][:min(n, 3)]
-            spread /= spread.sum()
+            spread[rng.choice(n, size=3, replace=False)] = [0.5, 0.3, 0.2]
             cover = np.zeros(n)
             cover[top] = 1.0 / top.size
             sqrt_d = np.sqrt(g.degrees.astype(float))
@@ -393,6 +392,7 @@ class TestPageRankOperator:
                 assert q.max_abs_b == float(np.max(np.abs(want)))
                 assert np.array_equal(q.positive_b, np.flatnonzero(want > 0))
                 assert q.b.tobytes() == want.tobytes()
+
 
 class TestRestrict:
     def test_empty_set_gives_empty_quadratic(self, two_node):
