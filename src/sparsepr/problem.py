@@ -391,7 +391,7 @@ class MQuadratic:
     def b_at(self, idx):
         """``b[idx]`` for int64 indices, as a new array; it never builds
         the dense ``b``."""
-        if self._b is not None:
+        if self._parts is None:
             return self._b[idx]
         base, nodes, values = self._parts
         out = base[idx]

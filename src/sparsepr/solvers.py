@@ -83,10 +83,6 @@ SOLVER_TOKENS = ("ista", "cdpr", "aspr", "aspr:early", "aspr:constraints")
 # quarter of an hour at a microsecond per step) raises ValueError instead.
 MAX_ITERATIONS = 10**9
 
-# 16 units of roundoff: once a pivot of cdpr reads as negative again, its
-# negative threshold rises to this times L*max x (see cdpr)
-_PIVOT_NOISE = 16 * 2.0**-53
-
 # the directions cdpr's basis holds before it first doubles
 _BASIS_START = 8
 
@@ -119,15 +115,18 @@ class Counters:
 @dataclasses.dataclass
 class Solution:
     """Solver output: the iterate, its support, the certified gap bound
-    ("exact" for the conjugate solver), work counters, and every coordinate
-    the solver ever made positive.  For ``aspr`` that last set is its final
-    working set, which holds every coordinate it made positive."""
+    ("exact" for the conjugate solver, see :func:`cdpr`), work counters,
+    every coordinate the solver ever made positive, and ``tolerance``: the
+    solve counted a gradient entry below -tolerance as negative.  For
+    ``aspr`` the ever-positive set is its final working set, which holds
+    every coordinate it made positive."""
 
     x: np.ndarray
     support: np.ndarray
     gap_bound: object
     counters: Counters
     ever_positive: np.ndarray
+    tolerance: float
 
 
 def select_pivot(candidates, grads):
@@ -272,7 +271,7 @@ def _solution(ws, gap_bound, ever=None):
     S, x = ws.S, ws.x
     if ever is None:
         ever = S[ws.ever[S]]
-    return Solution(x, S[x[S] > 0], gap_bound, ws.counters, ever)
+    return Solution(x, S[x[S] > 0], gap_bound, ws.counters, ever, ws.tol)
 
 
 def _check_eps(q, eps):
@@ -334,6 +333,35 @@ def ista_baseline(q, eps):
     raise SolverError("baseline failed to converge in %d iterations" % max_iter)
 
 
+def _pivot_noise(q, x, S, i):
+    """A bound on the rounding in cdpr's gradient at its pivot i, for the
+    pivots S: gamma_m * (sum_j |Q_ij| x_j + |b_i|), with gamma_m =
+    m*u/(1 - m*u), u the unit roundoff and m = |S| + (entries of row i) + 1.
+
+    cdpr's steps never lower x, so each x_j is a sum of at most |S|
+    nonnegative terms, and rounds by at most gamma_|S| * x_j; a row sum of
+    Q x - b rounds by gamma_(entries + 1) times its absolute terms.  The
+    sum of the two is at most the bound.  Rounding in the step lengths and
+    directions is left out."""
+    cols, vals = q.row(i)
+    m = S.size + cols.size + 1
+    u = 2.0**-53
+    b_i = float(q.b_at(np.array([i]))[0])
+    terms = float(np.abs(vals) @ x[cols]) + abs(b_i)
+    return m * u / (1.0 - m * u) * terms
+
+
+def _gap_from_gradient(ws):
+    """The objective gap bound ||v||^2 / (2 alpha) that strong convexity
+    gives at ``ws.x``, with v the gradient where x > 0 and its negative
+    part where x = 0.  Off the listed rows v vanishes: x = 0 and g = -b >=
+    -tol there."""
+    rows = ws.rows
+    g = ws.g[rows]
+    v = np.where(ws.x[rows] > 0, g, np.minimum(g, 0.0))
+    return float(v @ v) / (2.0 * ws.q.alpha)
+
+
 def _widened(A):
     """The square A in the top-left corner of a square of zeros twice as
     wide (at least _BASIS_START)."""
@@ -356,10 +384,14 @@ def cdpr(q, observe=None):
 
     A gradient entry counts as negative below -negative_tolerance(q).  The
     gradient vanishes on the pivots in exact arithmetic, but at a tiny
-    alpha its rounding noise there can exceed that threshold, so that a
-    pivot reads as negative again.  The threshold then rises to
-    16*u*L*max x, with u the unit roundoff, and a pivot that still reads
-    as negative raises SolverError.
+    alpha its rounding there can exceed that threshold, so that a pivot
+    reads as negative again.  The threshold then rises to the rounding
+    bound of :func:`_pivot_noise` at that pivot, and a pivot whose gradient
+    lies below minus that bound raises SolverError.  The answer's
+    ``tolerance`` is the threshold the solve ended with; its gap bound is
+    "exact" while that is negative_tolerance(q), and otherwise the bound
+    of :func:`_gap_from_gradient`, since a coordinate whose gradient lies
+    between the two thresholds is left at zero.
 
     The basis is dense and lower triangular in pivot order: row k of ``D``
     holds direction k on the first k + 1 pivots, and row k of ``N`` the same
@@ -371,6 +403,7 @@ def cdpr(q, observe=None):
     """
     ws = GradientWorkspace(q, Counters())
     x, g, counters = ws.x, ws.g, ws.counters
+    tol = ws.tol
     # 1 + each pivot's place in pivot order, 0 off the pivots
     rank = np.zeros(q.n, dtype=np.int64)
     D = N = np.zeros((0, 0))
@@ -383,10 +416,10 @@ def cdpr(q, observe=None):
         i = select_pivot(neg, g[neg])
         if not ws.admit([i]).size:
             # the threshold only grows, so the workspace's list stays complete
-            floor = _PIVOT_NOISE * q.L * float(x[ws.S].max())
+            floor = _pivot_noise(q, x, ws.S, i)
             if floor <= ws.tol:
-                raise SolverError("pivot %d revisited; negative tolerance is "
-                                  "below noise" % i)
+                raise SolverError("pivot %d revisited; its gradient %r lies "
+                                  "beyond rounding" % (i, float(g[i])))
             ws.tol = floor
             continue
         gi = float(g[i])
@@ -427,7 +460,7 @@ def cdpr(q, observe=None):
         ws.refresh()
         if observe is not None:
             observe(x, supp, d_vals)
-    return _solution(ws, "exact")
+    return _solution(ws, "exact" if ws.tol == tol else _gap_from_gradient(ws))
 
 
 def aspr(q, eps, variant="plain", observe=None):

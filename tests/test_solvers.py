@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sparsepr import (
+    Graph,
     PageRankInstance,
     SolverError,
     apgd,
@@ -17,6 +18,7 @@ from sparsepr import (
     dense_solve_enumerate,
     gradient,
     ista_baseline,
+    negative_tolerance,
     objective,
     pgd,
     random_graph_instance,
@@ -209,6 +211,31 @@ class TestCDPR:
             off = G / np.outer(norms, norms)
             np.fill_diagonal(off, 0.0)
             assert np.max(np.abs(off)) <= 1e-8
+
+    def test_tiny_alpha_reports_the_raised_threshold(self):
+        # a connected 300-node graph: 1,500 random edges plus a path.  At
+        # alpha 1e-6 a pivot's gradient reads below -negative_tolerance(q)
+        # again; a threshold of 16 units of roundoff times L*max x was
+        # still below it, and the solve raised "pivot ... revisited"
+        rng = np.random.default_rng(0)
+        n = 300
+        edges = set()
+        while len(edges) < 1500:
+            i, j = sorted(rng.integers(0, n, 2))
+            if i != j:
+                edges.add((int(i), int(j)))
+        edges |= {(i, i + 1) for i in range(n - 1)}
+        q = build_pagerank_quadratic(
+            PageRankInstance(Graph(n, sorted(edges)), 1e-6, 1e-5, 7))
+        sol = cdpr(q)
+        assert sol.support.size == n
+        assert sol.tolerance > negative_tolerance(q)
+        g = gradient(q, sol.x)
+        assert sol.gap_bound == pytest.approx(float(g @ g) / (2.0 * q.alpha),
+                                              rel=1e-12)
+        report = check_optimality(q, sol.x)
+        assert report.max_violation_positive <= sol.tolerance
+        assert report.max_violation_zero_low <= sol.tolerance
 
 
 class TestISTA:
