@@ -356,22 +356,24 @@ class MQuadratic:
     @classmethod
     def corrected(cls, Q, base, nodes, values, max_abs_b, positive_b,
                   alpha, L):
-        """The quadratic whose ``b`` is ``base`` with ``values`` at the
-        sorted int64 ``nodes``, all read-only and shared.  The caller
+        """The quadratic whose ``b`` is the read-only, shared ``base`` with
+        ``values`` at the sorted int64 ``nodes``.  The caller
         vouches for what this cannot check without reading all of ``base``:
         ``Q`` is a frozen canonical CSR of a valid M-matrix, and
         ``max_abs_b`` and ``positive_b`` are the facts of that ``b``."""
         _check_finite(max_abs_b, alpha, L)
         q = cls.__new__(cls)
-        q._set(Q, None, (base, nodes, values), max_abs_b, positive_b,
-               alpha, L)
+        # n after the last node keeps every search of b_at inside the keys
+        keys = np.append(nodes, Q.shape[0])
+        q._set(Q, None, (base, keys, np.append(values, 0.0)), max_abs_b,
+               positive_b, alpha, L)
         return q
 
     def _set(self, Q, b, parts, max_abs_b, positive_b, alpha, L):
         positive_b.setflags(write=False)
         self.Q = Q
         self._b = b
-        self._parts = parts  # (base, nodes, values) of a corrected b
+        self._parts = parts  # (base, nodes + [n], values + [0]), corrected
         self.max_abs_b = max_abs_b
         self.positive_b = positive_b
         self.alpha = float(alpha)
@@ -381,9 +383,9 @@ class MQuadratic:
     def b(self):
         """The dense read-only linear term."""
         if self._b is None:
-            base, nodes, values = self._parts
+            base, keys, values = self._parts
             b = base.copy()
-            b[nodes] = values
+            b[keys[:-1]] = values[:-1]
             b.setflags(write=False)
             self._b = b
         return self._b
@@ -393,9 +395,10 @@ class MQuadratic:
         the dense ``b``."""
         if self._parts is None:
             return self._b[idx]
-        base, nodes, values = self._parts
+        base, keys, values = self._parts
+        at = keys.searchsorted(idx)
+        hit = keys[at] == idx
         out = base[idx]
-        at, hit = _lookup(nodes, idx)
         out[hit] = values[at[hit]]
         return out
 
