@@ -22,11 +22,6 @@ from .solvers import solve
 __all__ = ["RunRecord", "CSV_HEADER", "run_cell", "bench_grid",
            "predictor_comment"]
 
-_CSV_COLUMNS = ("family", "n", "alpha", "rho", "solver", "variant", "stages",
-                "inner_iters", "nnz_touched", "full_gradients", "support_size",
-                "vol_supp", "ivol_supp", "gap", "wall_ns")
-CSV_HEADER = ",".join(_CSV_COLUMNS)
-
 
 @dataclasses.dataclass
 class RunRecord:
@@ -52,6 +47,10 @@ class RunRecord:
     def to_csv_row(self):
         # str of a float is its repr
         return ",".join(str(getattr(self, name)) for name in _CSV_COLUMNS)
+
+
+_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(RunRecord))
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 def _size_params(family, size):

@@ -162,10 +162,10 @@ class PageRankInstance:
 
     ``s`` may be a node index (point mass) or a dense distribution on the
     nodes; distributions must lie on the simplex within 1e-12.  The seed is
-    kept as ``nodes``, the sorted int64 support of ``s``, and ``weights``,
-    the values of ``s`` there, both read-only, so a point seed allocates
-    nothing of length n.  The dense read-only ``s`` is built on first
-    access; a distribution keeps the copy it was checked on.
+    kept only as ``nodes``, the sorted int64 support of ``s``, and
+    ``weights``, the values of ``s`` there, both read-only and owned by the
+    instance, so it retains memory in O(|supp s|) and a later write to the
+    caller's array cannot reach it.
     """
 
     def __init__(self, graph, alpha, rho, s):
@@ -187,11 +187,10 @@ class PageRankInstance:
                 raise ValueError("seed node must be an integer, got %r" % (s,))
             if not 0 <= v < graph.n:
                 raise ValueError("seed node %d out of range" % v)
-            dist = None
             nodes = np.array([v], dtype=np.int64)
             weights = np.ones(1)
         else:
-            dist = np.asarray(s, dtype=float).copy()
+            dist = np.asarray(s, dtype=float)
             if dist.shape != (graph.n,):
                 raise ValueError("seed distribution has wrong length")
             if not np.isfinite(dist).all():
@@ -203,7 +202,6 @@ class PageRankInstance:
                     "seed distribution must sum to 1 within 1e-12 (got %.17g)"
                     % dist.sum()
                 )
-            dist.setflags(write=False)
             nodes = np.flatnonzero(dist != 0.0)  # a bool mask scans far faster
             weights = dist[nodes]
         nodes.setflags(write=False)
@@ -213,17 +211,6 @@ class PageRankInstance:
         self.rho = rho
         self.nodes = nodes
         self.weights = weights
-        self._s = dist
-
-    @property
-    def s(self):
-        """The dense read-only seed vector."""
-        if self._s is None:
-            s = np.zeros(self.graph.n)
-            s[self.nodes] = self.weights
-            s.setflags(write=False)
-            self._s = s
-        return self._s
 
     def __repr__(self):
         return "PageRankInstance(n=%d, alpha=%g, rho=%g)" % (
@@ -356,8 +343,9 @@ class MQuadratic:
     @classmethod
     def corrected(cls, Q, base, nodes, values, max_abs_b, positive_b,
                   alpha, L):
-        """The quadratic whose ``b`` is the read-only, shared ``base`` with
-        ``values`` at the sorted int64 ``nodes``.  The caller
+        """The quadratic whose ``b`` is the shared ``base`` with ``values``
+        at the sorted int64 ``nodes``; ``base`` and ``values`` are read-only
+        and kept uncopied, and only the keys get ``n`` appended.  The caller
         vouches for what this cannot check without reading all of ``base``:
         ``Q`` is a frozen canonical CSR of a valid M-matrix, and
         ``max_abs_b`` and ``positive_b`` are the facts of that ``b``."""
@@ -365,15 +353,14 @@ class MQuadratic:
         q = cls.__new__(cls)
         # n after the last node keeps every search of b_at inside the keys
         keys = np.append(nodes, Q.shape[0])
-        q._set(Q, None, (base, keys, np.append(values, 0.0)), max_abs_b,
-               positive_b, alpha, L)
+        q._set(Q, None, (base, keys, values), max_abs_b, positive_b, alpha, L)
         return q
 
     def _set(self, Q, b, parts, max_abs_b, positive_b, alpha, L):
         positive_b.setflags(write=False)
         self.Q = Q
         self._b = b
-        self._parts = parts  # (base, nodes + [n], values + [0]), corrected
+        self._parts = parts  # (base, nodes + [n], values), corrected
         self.max_abs_b = max_abs_b
         self.positive_b = positive_b
         self.alpha = float(alpha)
@@ -385,7 +372,7 @@ class MQuadratic:
         if self._b is None:
             base, keys, values = self._parts
             b = base.copy()
-            b[keys[:-1]] = values[:-1]
+            b[keys[:-1]] = values
             b.setflags(write=False)
             self._b = b
         return self._b
@@ -396,8 +383,7 @@ class MQuadratic:
         if self._parts is None:
             return self._b[idx]
         base, keys, values = self._parts
-        at = keys.searchsorted(idx)
-        hit = keys[at] == idx
+        at, hit = _find(keys, idx)
         out = base[idx]
         out[hit] = values[at[hit]]
         return out
@@ -433,13 +419,11 @@ def _check_finite(max_abs_b, alpha, L):
                          % (alpha, L))
 
 
-def _lookup(keys, idx):
+def _find(keys, idx):
     """For each entry of ``idx``, its position in the sorted ``keys`` and
-    whether it is there."""
-    at = np.searchsorted(keys, idx)
-    hit = at < keys.size
-    hit[hit] = keys[at[hit]] == idx[hit]
-    return at, hit
+    whether it is there; the last key must exceed every entry of ``idx``."""
+    at = keys.searchsorted(idx)
+    return at, keys[at] == idx
 
 
 def _is_frozen_canonical(Q):
@@ -516,9 +500,7 @@ class PageRankOperator:
         top = self.sqrt_d[self._top]
         if np.count_nonzero(self.sqrt_d[nodes] == top) < self._n_top:
             return abs(float(b0[self._top]))
-        rest = np.ones(b0.size, dtype=bool)
-        rest[nodes] = False
-        return float(np.max(np.abs(b0[rest]), initial=0.0))
+        return float(np.max(np.abs(np.delete(b0, nodes)), initial=0.0))
 
 
 def build_pagerank_quadratic(instance):
@@ -580,7 +562,7 @@ def restrict(q, S):
     # index would build an n-length lookup
     Q = q.Q
     pos, counts = _row_entries(Q, S)
-    at, hit = _lookup(S, Q.indices[pos])
+    at, hit = _find(np.append(S, q.n), Q.indices[pos])
     row_hits = np.bincount(np.repeat(np.arange(S.size), counts)[hit],
                            minlength=S.size)
     indptr = np.concatenate([[0], np.cumsum(row_hits)])
@@ -617,21 +599,17 @@ def _segment_row_products(q, rows, x):
     """For each requested row i, the dot product <Q[i, :], x>, all rows
     evaluated through one shared gather + segmented-sum so that any two calls
     agree bit-exactly on common rows.
-
-    Returns (values, gathered_cols) where gathered_cols is the concatenated
-    column-index array (used by callers for support-restricted accounting).
     """
     Q = q.Q
     rows = np.asarray(rows, dtype=np.int64)
     pos, counts = _row_entries(Q, rows)
     out = np.zeros(rows.size)
-    cols = Q.indices[pos]
     if pos.size == 0:
-        return out, cols
-    prod = Q.data[pos] * x[cols]
+        return out
+    prod = Q.data[pos] * x[Q.indices[pos]]
     nz = counts > 0
     out[nz] = np.add.reduceat(prod, (np.cumsum(counts) - counts)[nz])
-    return out, cols
+    return out
 
 
 def _row_entries(Q, rows):
@@ -716,9 +694,11 @@ class _RowGather:
 
 
 def _neighborhood(q, support):
-    """All rows whose Q-row overlaps the given columns (includes them)."""
-    pos, _ = _row_entries(q.Q, np.asarray(support, dtype=np.int64))
-    return np.unique(q.Q.indices[pos]).astype(np.int64)
+    """The sorted rows whose Q-row overlaps the given columns, and those
+    columns themselves."""
+    support = np.asarray(support, dtype=np.int64)
+    pos, _ = _row_entries(q.Q, support)
+    return np.union1d(q.Q.indices[pos], support)
 
 
 def gradient(q, x, coords=None):
@@ -731,12 +711,12 @@ def gradient(q, x, coords=None):
     x = np.asarray(x, dtype=float)
     if coords is None:
         rows = _neighborhood(q, np.flatnonzero(x))
-        vals, _ = _segment_row_products(q, rows, x)
+        vals = _segment_row_products(q, rows, x)
         g = -q.b
         g[rows] += vals
         return g
     coords = np.asarray(coords, dtype=np.int64)
-    vals, _ = _segment_row_products(q, coords, x)
+    vals = _segment_row_products(q, coords, x)
     return vals - q.b_at(coords)
 
 
@@ -833,7 +813,7 @@ class GradientWorkspace:
         if self._unspread:
             new = np.concatenate(self._unspread)
             self._unspread = []
-            rows = np.union1d(_neighborhood(self.q, new), new)
+            rows = _neighborhood(self.q, new)
             rows = rows[~self._listed[rows]]
             self._list(rows)
         full = gather.full
@@ -905,8 +885,6 @@ def check_optimality(q, x, pagerank_box=None):
 def volume(q, S):
     """Stored nonzeros in the columns S of Q (by symmetry, of the rows S)."""
     S = np.asarray(S, dtype=np.int64)
-    if S.size == 0:
-        return 0
     return int((q.Q.indptr[S + 1] - q.Q.indptr[S]).sum())
 
 

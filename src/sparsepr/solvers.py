@@ -143,11 +143,11 @@ def select_pivot(candidates, grads):
 
 def _check_start(q, S, x0):
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (q.n,):
+        raise ValueError("starting point must have length %d" % q.n)
     if (x0 < 0).any():
         raise ValueError("starting point must be nonnegative")
-    member = np.zeros(q.n, dtype=bool)
-    member[S] = True
-    if np.any(x0[~member] != 0):
+    if np.any(np.delete(x0, S) != 0):
         raise ValueError("starting point must vanish off the subspace")
     return x0
 

@@ -3,13 +3,18 @@ exit codes."""
 
 import dataclasses
 import json
+import math
 import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from sparsepr import cli
 
 CLI = [sys.executable, "-m", "sparsepr.cli"]
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -391,3 +396,113 @@ class TestUsage:
         res = run_cli("--help")
         assert res.returncode == 0
         assert "solve" in res.stdout and "verify" in res.stdout
+
+
+# small connected graphs as 0-based edge lists
+_FUZZ_GRAPHS = [
+    [(0, 1)],
+    [(0, 1), (1, 2), (2, 3)],
+    [(0, 1), (1, 2), (0, 2), (2, 3)],
+    [(0, k) for k in range(1, 6)],
+]
+# lines that break a graph file or sit at the edges of its grammar
+_FUZZ_GRAPH_LINES = [
+    "1", "0 1 2", "a b", "1.5 2", "0 0", "0 1", "1 0", "-1 2", "2 -0",
+    "99999999999999999999 1", "0 5000000000", "\udc80 1", "0\t\t1",
+    "# nodes: 2", "# nodes: x", "# nodes: 10000000000", "% 0 1", "", "  ",
+    "%%MatrixMarket matrix coordinate pattern general", "4 4 3", "4 5 3",
+]
+_FUZZ_DISTS = [["0 1"], ["1 0.5", "0 0.5"], ["# c", "0 0.25", "1 0.75"]]
+_FUZZ_DIST_LINES = ["", "0", "0 1 2", "\udc80 1", "0 1", "1 0.5", "0 0.5",
+                    "99 1", "-1 1", "0 -0.5", "1 nan", "1 inf", "0 1e309",
+                    "0 x", "0 0x1p-1", "1 1e-7"]
+# each flag's valid values, extremes included, and its invalid values
+_FUZZ_FLAGS = {
+    "alpha": (["0.5", "0.1", "0.9999999999999999", "1e-300"],
+              ["0", "1", "-0.5", "5e-324", "nan", "inf", "1e309"]),
+    "rho": (["1e-3", "0.1", "1e-12", "1e-300", "1e300"],
+            ["0", "-1", "5e-324", "nan", "inf"]),
+    "eps": (["1e-6", "1", "1e-300", "1e300"],
+            ["0", "-1e-6", "5e-324", "nan", "inf"]),
+}
+
+
+def _render_graph(edges, fmt, inserts, newline):
+    n = 1 + max(max(e) for e in edges)
+    if fmt == "edgelist":
+        lines = ["%d %d" % e for e in edges]
+    else:
+        lines = ["%%MatrixMarket matrix coordinate pattern symmetric",
+                 "%d %d %d" % (n, n, len(edges))]
+        lines += ["%d %d" % (i + 1, j + 1) for i, j in edges]
+    for at, line in inserts:
+        lines.insert(at % (len(lines) + 1), line)
+    return newline.join(lines) + newline
+
+
+def _finite_numbers(value):
+    if isinstance(value, dict):
+        return all(_finite_numbers(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite_numbers(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), fault=st.sampled_from(  # None: a valid case
+    [None, None, "graph", "seed", "alpha", "rho", "eps"]))
+def test_solve_fuzz_exits_with_an_answer_or_one_error_line(capsys, data,
+                                                           fault):
+    # in-process, so no case pays the interpreter start; each case has at
+    # most one fault, and either prints a JSON answer of finite numbers, or
+    # one error line and nothing on stdout
+    draw = data.draw
+    fmt = draw(st.sampled_from(["edgelist", "matrixmarket"]))
+    inserts = []
+    if fault == "graph":
+        inserts = draw(st.lists(st.tuples(st.integers(0, 10),
+                                          st.sampled_from(_FUZZ_GRAPH_LINES)),
+                                min_size=1, max_size=2))
+    text = _render_graph(draw(st.sampled_from(_FUZZ_GRAPHS)), fmt, inserts,
+                         draw(st.sampled_from(["\n", "\r\n"])))
+    solver = draw(st.sampled_from(["cdpr", "aspr", "aspr:early",
+                                   "aspr:constraints", "ista"]))
+    argv = ["solve", "--format", fmt, "--solver", solver.split(":")[0]]
+    if ":" in solver:
+        argv += ["--variant", solver.split(":")[1]]
+    for flag, (good, bad) in _FUZZ_FLAGS.items():
+        value = draw(st.sampled_from(good + bad if fault == flag else good))
+        argv.append("--%s=%s" % (flag, value))
+    dist = None
+    if draw(st.booleans()):
+        nodes = ["0", "1"] + (["-1", "6", "1000000000000"]
+                              if fault == "seed" else [])
+        argv.append("--seed-node=" + draw(st.sampled_from(nodes)))
+    elif fault == "seed":
+        dist = draw(st.lists(st.sampled_from(_FUZZ_DIST_LINES), min_size=1,
+                             max_size=3))
+    else:
+        dist = draw(st.sampled_from(_FUZZ_DISTS))
+    with tempfile.TemporaryDirectory() as tmp:
+        # a lone surrogate writes its raw byte, which is no UTF-8
+        def put(name, body):
+            path = pathlib.Path(tmp) / name
+            path.write_bytes(body.encode("utf-8", "surrogateescape"))
+            return str(path)
+        argv += ["--graph", put("g.txt", text)]
+        if dist is not None:
+            argv += ["--dist", put("s.txt", "\n".join(dist) + "\n")]
+        capsys.readouterr()
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+    assert code in (0, 2, 3), (code, argv, err)
+    if code == 0:
+        assert err == ""
+        assert _finite_numbers(json.loads(out))
+    else:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and err.endswith("\n"), err
+        prefix = "error: " if code == 2 else "solver error: "
+        assert lines[0].startswith(prefix), err

@@ -233,7 +233,8 @@ class TestRandomGraphInstance:
         b = random_graph_instance("sbm", {}, seed=77)
         assert a.graph.n == b.graph.n
         assert a.alpha == b.alpha and a.rho == b.rho
-        assert np.array_equal(a.s, b.s)
+        assert np.array_equal(a.nodes, b.nodes)
+        assert np.array_equal(a.weights, b.weights)
         assert sorted(map(tuple, a.graph.edges)) == sorted(map(tuple, b.graph.edges))
 
     def test_unknown_kind_rejected(self):

@@ -34,6 +34,13 @@ def _grid(side, seed_node):
         "seed_node": seed_node}, 0)
 
 
+def _dense_seed(inst):
+    """The instance's seed as a dense vector of length n."""
+    s = np.zeros(inst.graph.n)
+    s[inst.nodes] = inst.weights
+    return s
+
+
 class TestGraph:
     def test_two_node_path(self):
         g = Graph(2, [(0, 1)])
@@ -100,7 +107,8 @@ class TestGraph:
 class TestPageRankInstance:
     def test_seed_node_becomes_indicator(self):
         inst = two_node_instance()
-        assert inst.s[0] == 1.0 and inst.s[1] == 0.0
+        s = _dense_seed(inst)
+        assert s[0] == 1.0 and s[1] == 0.0
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
@@ -138,12 +146,35 @@ class TestPageRankInstance:
     @pytest.mark.parametrize("s", [1, np.int32(1), np.uint8(1), np.array(1)])
     def test_integer_seed_node_types_accepted(self, s):
         inst = PageRankInstance(Graph(3, [(0, 1), (1, 2)]), 0.5, 0.1, s)
-        assert inst.s.tolist() == [0.0, 1.0, 0.0]
+        assert _dense_seed(inst).tolist() == [0.0, 1.0, 0.0]
+
+    def test_distribution_seed_retains_memory_in_its_support(self):
+        # the instance keeps nodes and weights, not the caller's array or
+        # a copy of length n
+        graph = _grid(300, 0).graph
+        dist = np.zeros(graph.n)
+        dist[[5, 4000, 80000]] = [0.5, 0.3, 0.2]
+        tracemalloc.start()
+        try:
+            inst = PageRankInstance(graph, 0.1, 1e-3, dist)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= 4096, retained
+        assert not inst.nodes.flags.writeable
+        assert not inst.weights.flags.writeable
+        q = build_pagerank_quadratic(inst)
+        idx = np.array([4, 5, 4000, 80000], dtype=np.int64)
+        before = q.b_at(idx)
+        dist[:] = 0.0
+        dist[4] = 1.0
+        assert inst.weights.tolist() == [0.5, 0.3, 0.2]
+        assert q.b_at(idx).tobytes() == before.tobytes()
 
     def test_distribution_within_tolerance_accepted(self):
         s = np.array([0.7, 0.3 + 1e-13])
         inst = PageRankInstance(Graph(2, [(0, 1)]), 0.5, 0.1, s)
-        assert abs(inst.s.sum() - 1.0) <= 1e-12
+        assert abs(_dense_seed(inst).sum() - 1.0) <= 1e-12
 
 
 class TestBuildPageRank:
@@ -345,7 +376,7 @@ class TestPageRankOperator:
             for name in ("indptr", "indices", "data"):
                 got, want = getattr(q.Q, name), getattr(ref, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            want = a * (inst.s * dinv - inst.rho * sqrt_d)
+            want = a * (_dense_seed(inst) * dinv - inst.rho * sqrt_d)
             assert q.b.tobytes() == want.tobytes()
             want = a * (inst.rho * sqrt_d)
             assert pagerank_upper_bounds(inst).tobytes() == want.tobytes()
@@ -385,7 +416,7 @@ class TestPageRankOperator:
             for s in (inst.nodes[0], int(top[0]), spread, cover):
                 seeded = PageRankInstance(g, a, rho, s)
                 q = build_pagerank_quadratic(seeded)
-                want = a * (seeded.s * dinv - rho * sqrt_d)
+                want = a * (_dense_seed(seeded) * dinv - rho * sqrt_d)
                 for _ in range(3):
                     idx = rng.integers(0, n, size=rng.integers(0, 2 * n))
                     assert q.b_at(idx).tobytes() == want[idx].tobytes()

@@ -80,6 +80,9 @@ class TestPGD:
             pgd(two_node, [0], np.array([0.0, 0.1]), 1)
         with pytest.raises(ValueError):
             pgd(two_node, [0, 1], np.array([-0.1, 0.0]), 1)
+        # zeros past n lie off the subspace too
+        with pytest.raises(ValueError, match="length 2"):
+            pgd(two_node, [0], np.zeros(3), 1)
 
     def test_observer_sees_every_iterate(self, two_node):
         seen = []
