@@ -1,10 +1,12 @@
-"""Brute-force and dense reference solvers, geometry checks, and generators.
+"""Dense reference solver, geometry checks, and instance generators.
 
 Everything here is deliberately independent of the sparse solvers in
-``sparsepr.solvers``: the enumeration oracle walks supports and solves dense
-linear systems, the active-set oracle grows a support by dense principal
-solves, and the geometry checker only consumes these two.  Solver outputs
-are always validated against this module, never against each other alone.
+``sparsepr.solvers``: the reference oracle grows a support by dense
+principal solves and certifies it by its own KKT check, and the geometry
+checker only consumes it.  Solver outputs are always validated against this
+module, never against each other alone.  ``tests/enumeration.py`` keeps a
+brute-force support enumeration that the tests hold the oracle to, bit for
+bit, up to n = 16.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .problem import (
     Graph,
     MQuadratic,
     PageRankInstance,
-    build_pagerank_quadratic,
     objective,
     restrict,
 )
@@ -27,9 +28,7 @@ __all__ = [
     "OracleError",
     "OracleSolution",
     "GeometryReport",
-    "dense_solve_enumerate",
     "dense_solve_active_set",
-    "reference_solve",
     "subspace_solve",
     "verify_geometry",
     "random_m_matrix",
@@ -37,7 +36,6 @@ __all__ = [
     "GRAPH_KINDS",
 ]
 
-ENUMERATE_MAX_N = 16
 REFERENCE_MAX_N = 4096
 
 
@@ -64,55 +62,6 @@ def _finish(q, x):
     g = Qd @ x - q.b
     support = np.flatnonzero(x > 0)
     return OracleSolution(x, support, objective(q, x), g)
-
-
-def dense_solve_enumerate(q):
-    """Exact minimizer by support enumeration (n <= 16).
-
-    For each candidate support S, solve Q[S,S] x_S = b[S]; accept iff the
-    solution is strictly positive on S and the gradient is nonnegative off S.
-    Strong convexity over the orthant guarantees exactly one support is
-    accepted, so the scan stops at the first acceptance (after one step of
-    iterative refinement on the linear system).
-    """
-    n = q.n
-    if n > ENUMERATE_MAX_N:
-        raise ValueError("enumeration oracle limited to n <= %d" % ENUMERATE_MAX_N)
-    Qd = q.Q.toarray()
-    b = q.b
-    slack = 1e-12 * max(1.0, q.max_abs_b)
-
-    near_misses = []
-    for mask in range(1 << n):
-        if mask == 0:
-            x = np.zeros(n)
-            if (-b >= -slack).all():
-                return _finish(q, x)
-            continue
-        S = [i for i in range(n) if mask >> i & 1]
-        sub = Qd[np.ix_(S, S)]
-        try:
-            xs = np.linalg.solve(sub, b[S])
-        except np.linalg.LinAlgError:
-            continue
-        if not (xs > 0).all():
-            continue
-        xs = xs + np.linalg.solve(sub, b[S] - sub @ xs)  # one refinement step
-        if not (xs > 0).all():
-            continue
-        x = np.zeros(n)
-        x[S] = xs
-        g = Qd @ x - b
-        off = np.ones(n, dtype=bool)
-        off[S] = False
-        worst = float(np.min(g[off])) if off.any() else 0.0
-        if worst >= -slack:
-            return _finish(q, x)
-        if worst >= -1e-6:
-            near_misses.append((mask, worst))
-    raise OracleError(
-        "no support accepted by enumeration; near misses: %r" % near_misses[:5]
-    )
 
 
 def dense_solve_active_set(q):
@@ -160,17 +109,9 @@ def dense_solve_active_set(q):
     raise OracleError("reference active set did not settle")
 
 
-def reference_solve(q):
-    """The oracle minimizer: by enumeration up to ``ENUMERATE_MAX_N``
-    coordinates, else by the active-set principal solve."""
-    if q.n <= ENUMERATE_MAX_N:
-        return dense_solve_enumerate(q)
-    return dense_solve_active_set(q)
-
-
 def subspace_solve(q, S):
     """Minimizer over {x >= 0, x_i = 0 off S}, embedded back into R^n,
-    found by the dense oracles on the principal restriction to S."""
+    found by the dense oracle on the principal restriction to S."""
     S = np.unique(np.asarray(S, dtype=np.int64))
     n = q.n
     if S.size and (S[0] < 0 or S[-1] >= n):
@@ -178,7 +119,7 @@ def subspace_solve(q, S):
     x = np.zeros(n)
     if S.size == 0:
         return _finish(q, x)
-    x[S] = reference_solve(restrict(q, S)).x_star
+    x[S] = dense_solve_active_set(restrict(q, S)).x_star
     return _finish(q, x)
 
 
@@ -248,7 +189,7 @@ def verify_geometry(q, S, x0, x_star=None):
 
     if S.size and (xc[S] > 0).all():
         if x_star is None:
-            x_star = reference_solve(q)
+            x_star = dense_solve_active_set(q)
         xs = x_star.x_star if isinstance(x_star, OracleSolution) else np.asarray(x_star)
         sslack = 1e-9 * max(1.0, float(np.max(np.abs(xs))))
         dominated = bool((xc <= xs + sslack).all())

@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from .oracle import (OracleError, dense_solve_active_set,
-                     random_graph_instance, random_m_matrix, reference_solve,
-                     subspace_solve, verify_geometry)
+                     random_graph_instance, random_m_matrix, subspace_solve,
+                     verify_geometry)
 from .problem import (MQuadratic, build_pagerank_quadratic, gradient,
                       negative_tolerance, objective, restrict, volume)
 from .solvers import (ASPR_VARIANTS, _coeff_growth, apgd, aspr, cdpr,
@@ -76,8 +76,13 @@ class CorpusItem:
 
     def reference(self):
         if self._ref is None:
-            self._ref = reference_solve(self.q)
+            self._ref = dense_solve_active_set(self.q)
         return self._ref
+
+
+# the smallest max_n at which each family draws its own size; below it the
+# family's slot in the corpus holds a path of max_n nodes
+_FAMILY_MIN_N = {"star": 3, "cycle": 3, "grid": 4, "sbm": 6}
 
 
 def _grid_shapes(max_n):
@@ -105,27 +110,22 @@ def make_corpus(num_mm, num_pr, max_n, seed):
     for i in range(int(num_pr)):
         kind = next(kinds)
         params = {}
-        if kind == "path":
+        if max_n < _FAMILY_MIN_N.get(kind, 2):
+            kind = "path"
+            params["n"] = max_n
+        elif kind == "path":
             params["n"] = int(rng.integers(2, max_n + 1))
         elif kind == "cycle":
-            params["n"] = int(rng.integers(3, max(4, max_n + 1)))
+            params["n"] = int(rng.integers(3, max_n + 1))
         elif kind == "star":
             params["leaves"] = int(rng.integers(2, max_n))
         elif kind == "sbm":
-            if max_n >= 6:
-                a = int(rng.integers(2, max_n // 2 + 1))
-                b = int(rng.integers(2, max_n - a + 1))
-                params.update(sizes=[a, b], p_in=0.8, p_out=0.3)
-            else:
-                kind = "path"
-                params["n"] = max_n
-        elif kind == "grid":
-            if shapes:
-                r, c = shapes[int(rng.integers(len(shapes)))]
-                params.update(rows=r, cols=c)
-            else:
-                kind = "path"
-                params["n"] = max_n
+            a = int(rng.integers(2, max_n // 2 + 1))
+            b = int(rng.integers(2, max_n - a + 1))
+            params.update(sizes=[a, b], p_in=0.8, p_out=0.3)
+        else:
+            r, c = shapes[int(rng.integers(len(shapes)))]
+            params.update(rows=r, cols=c)
         child = int(rng.integers(2 ** 62))
         inst = random_graph_instance(kind, params, child)
         q = build_pagerank_quadratic(inst)

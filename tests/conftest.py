@@ -7,7 +7,7 @@ from sparsepr import (
     Graph,
     PageRankInstance,
     build_pagerank_quadratic,
-    dense_solve_enumerate,
+    dense_solve_active_set,
 )
 from sparsepr.suites import make_corpus
 
@@ -49,7 +49,7 @@ def small_corpus():
 @pytest.fixture(scope="session")
 def two_node_reference():
     q = build_pagerank_quadratic(two_node_instance())
-    return dense_solve_enumerate(q)
+    return dense_solve_active_set(q)
 
 
 def assert_close(actual, expected, tol, label=""):

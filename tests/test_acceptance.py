@@ -4,6 +4,8 @@ Each test prints one verdict line (collected into the terminal summary via
 conftest) and asserts the corresponding guarantee:
 
   01  exact solver matches the enumeration oracle, stage count = support size
+      (the corpus is solved by the active-set oracle, which
+      tests/test_oracle.py holds bit-equal to enumeration on this corpus)
   02  conjugate directions stay Q-orthogonal; visited pivots annihilated;
       iterates grow monotonically
   03  accelerated solver certifies its objective gap for both tolerances and

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sparsepr import cli
+from sparsepr.suites import make_corpus
 
 CLI = [sys.executable, "-m", "sparsepr.cli"]
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -298,6 +299,16 @@ class TestVerify:
         assert "FAIL" not in res.stdout
         assert "all 2 invariants passed" in res.stdout
 
+    def test_smallest_max_n_passes(self, capsys):
+        # families too big for max_n hold a path of max_n nodes instead
+        from sparsepr import cli
+        assert cli.main(["verify", "--suite", "cdpr", "--instances", "8",
+                         "--max-n", "2", "--seed", "7"]) == 0
+        assert "all 2 invariants passed" in capsys.readouterr().out
+        for max_n in (2, 3, 5):
+            corpus = make_corpus(8, 10, max_n, 7)
+            assert max(item.q.n for item in corpus) <= max_n
+
     def test_readme_sample_is_byte_identical(self, capsys):
         # the README's Verify block is the documented output of this command
         from sparsepr import cli
@@ -310,18 +321,45 @@ class TestVerify:
         assert cli.main(args) == 0
         assert capsys.readouterr().out == expected
 
-    def test_stdout_above_the_enumeration_limit_is_pinned(self, capsys):
-        # the corpus has n = 12, 28, 34, 24, 8, 23, 13, 31, 19, 36, so most
-        # references come from the active-set oracle
+    def test_readme_library_use_block_runs(self):
+        text = README.read_text(encoding="utf-8")
+        fence = "```python\n"
+        start = text.index(fence, text.index("## Library use")) + len(fence)
+        code = text[start:text.index("```", start)]
+        exec(compile(code, str(README), "exec"), {})
+
+    @pytest.mark.parametrize("suite, instances, expected", [
+        ("cdpr", "8",
+         "PASS cdpr/exact_minimizer_and_stage_count: 10 checks, "
+         "worst 7.288e-16\n"
+         "PASS cdpr/conjugacy_annihilation_monotonicity: 10 checks, "
+         "worst 1.249e-15\n"
+         "all 2 invariants passed (instances=8, max-n=40, seed=7)\n"),
+        ("all", "20",
+         "PASS geometry/gradient_monotonicity: 20000 checks, worst 0.000e+00\n"
+         "PASS geometry/subspace_states: 200 checks (target 200)\n"
+         "PASS geometry/support_volume_bound: 5 checks, worst 0.000e+00\n"
+         "PASS rates/pgd_distance_contraction: 10 checks, worst 0.000e+00\n"
+         "PASS rates/apgd_gap_bound: 10 checks, worst 0.000e+00\n"
+         "PASS rates/apgd_weight_growth: 71 checks, worst 5.025e-03\n"
+         "PASS cdpr/exact_minimizer_and_stage_count: 25 checks, "
+         "worst 7.288e-16\n"
+         "PASS cdpr/conjugacy_annihilation_monotonicity: 25 checks, "
+         "worst 1.249e-15\n"
+         "PASS aspr/certified_gap: 150 checks, worst 2.903e-01\n"
+         "PASS aspr+ista/support_purity: 175 checks\n"
+         "PASS aspr/subspace_sandwich: 53 checks, worst 0.000e+00\n"
+         "all 11 invariants passed (instances=20, max-n=40, seed=7)\n"),
+    ], ids=["cdpr", "all"])
+    def test_stdout_above_the_enumeration_limit_is_pinned(self, capsys, suite,
+                                                          instances, expected):
+        # both outputs were recorded when the reference enumerated supports
+        # up to n = 16 and solved larger n by the active set; the corpora mix
+        # sizes from 2 to 40, so these bytes hold the one reference to both
         from sparsepr import cli
-        assert cli.main(["verify", "--suite", "cdpr", "--instances", "8",
+        assert cli.main(["verify", "--suite", suite, "--instances", instances,
                          "--max-n", "40", "--seed", "7"]) == 0
-        assert capsys.readouterr().out == (
-            "PASS cdpr/exact_minimizer_and_stage_count: 10 checks, "
-            "worst 7.288e-16\n"
-            "PASS cdpr/conjugacy_annihilation_monotonicity: 10 checks, "
-            "worst 1.249e-15\n"
-            "all 2 invariants passed (instances=8, max-n=40, seed=7)\n")
+        assert capsys.readouterr().out == expected
 
     def test_geometry_suite_small(self):
         res = run_cli("verify", "--suite", "geometry", "--instances", "3",

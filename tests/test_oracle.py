@@ -13,7 +13,6 @@ from sparsepr import (
     cdpr,
     check_optimality,
     dense_solve_active_set,
-    dense_solve_enumerate,
     gradient,
     objective,
     random_graph_instance,
@@ -23,11 +22,29 @@ from sparsepr import (
     verify_geometry,
     volume,
 )
-from sparsepr import oracle
 from sparsepr.oracle import OracleError
+from sparsepr.problem import restrict
 from sparsepr.suites import make_corpus
 
 from conftest import assert_close, two_node_instance
+from enumeration import dense_solve_enumerate
+
+
+def assert_bit_equal(q, label):
+    """Enumeration and the active-set oracle give the same bytes."""
+    a = dense_solve_enumerate(q)
+    b = dense_solve_active_set(q)
+    for name in ("x_star", "support", "objective_value", "kkt_residuals"):
+        assert (np.asarray(getattr(a, name)).tobytes()
+                == np.asarray(getattr(b, name)).tobytes()), (label, name)
+
+
+def assert_bit_equal_on_restrictions(q, rng, count, label):
+    """The same on ``count`` random principal restrictions of q."""
+    for _ in range(count):
+        size = int(rng.integers(1, q.n + 1))
+        S = np.sort(rng.choice(q.n, size=size, replace=False))
+        assert_bit_equal(restrict(q, S), "%s|S=%s" % (label, S.tolist()))
 
 
 class TestEnumerate:
@@ -68,13 +85,24 @@ class TestActiveSet:
         assert ref.support.size == 0
 
     def test_bit_equal_to_enumeration(self):
-        for seed in range(25):
-            n = 2 + seed % 11
-            q = random_m_matrix(n, 0.3 + 0.5 * (seed % 3) / 2.0, seed=seed)
-            a = dense_solve_enumerate(q)
-            b = dense_solve_active_set(q)
-            assert np.array_equal(a.x_star, b.x_star), seed
-            assert a.objective_value == b.objective_value
+        # n = 2..12 at three densities, then one instance at each n up to
+        # the enumeration cap, each with a few principal restrictions
+        cases = [(2 + seed % 11, 0.3 + 0.5 * (seed % 3) / 2.0, seed)
+                 for seed in range(25)]
+        cases += [(n, 0.4, n) for n in range(13, 17)]
+        for n, density, seed in cases:
+            q = random_m_matrix(n, density, seed=seed)
+            assert_bit_equal(q, (n, seed))
+            assert_bit_equal_on_restrictions(
+                q, np.random.default_rng(seed), 3, (n, seed))
+
+    def test_bit_equal_to_enumeration_on_the_acceptance_corpus(self):
+        # acceptance criterion 01 compares cdpr with this oracle on the same
+        # corpus, so it still means "matches the enumeration oracle"
+        for item in make_corpus(num_mm=200, num_pr=50, max_n=12, seed=7):
+            assert_bit_equal(item.q, item.label)
+            rng = np.random.default_rng([item.seed, 0xE7])
+            assert_bit_equal_on_restrictions(item.q, rng, 3, item.label)
 
     def test_support_matches_cdpr_above_the_enumeration_limit(self):
         items = [item for item in make_corpus(40, 10, 64, 3) if item.q.n > 16]
@@ -96,17 +124,6 @@ class TestActiveSet:
             dense_solve_active_set(q)
 
 
-class TestReferenceSolve:
-    @pytest.mark.parametrize("n, want", [(16, "enumerate"), (17, "active set")])
-    def test_enumerates_up_to_the_limit(self, monkeypatch, n, want):
-        monkeypatch.setattr(oracle, "dense_solve_enumerate",
-                            lambda q: "enumerate")
-        monkeypatch.setattr(oracle, "dense_solve_active_set",
-                            lambda q: "active set")
-        q = MQuadratic(sp.identity(n, format="csr"), np.ones(n), 1.0, 1.0)
-        assert oracle.reference_solve(q) == want
-
-
 class TestSubspace:
     def test_single_coordinate(self, two_node):
         sol = subspace_solve(two_node, [0])
@@ -118,7 +135,7 @@ class TestSubspace:
 
     def test_full_set_matches_global(self, two_node):
         sol = subspace_solve(two_node, [0, 1])
-        ref = dense_solve_enumerate(two_node)
+        ref = dense_solve_active_set(two_node)
         assert_close(sol.x_star, ref.x_star, 1e-10)
 
     def test_restriction_really_restricts(self, small_corpus):
@@ -145,7 +162,7 @@ class TestVerifyGeometry:
         assert all(report.checks.values())
 
     def test_optimum_is_fixed_point(self, two_node):
-        ref = dense_solve_enumerate(two_node)
+        ref = dense_solve_active_set(two_node)
         report = verify_geometry(two_node, ref.support, ref.x_star,
                                  x_star=ref)
         assert report.ok, report.messages
@@ -225,7 +242,7 @@ class TestRandomGraphInstance:
             "star", {"leaves": 7, "alpha": 0.3, "rho": 0.01, "seed_node": 0},
             seed=2)
         q = build_pagerank_quadratic(inst)
-        ref = dense_solve_enumerate(q)
+        ref = dense_solve_active_set(q)
         assert 0 in set(ref.support)
 
     def test_deterministic(self):

@@ -12,7 +12,7 @@ from sparsepr import (
     PageRankInstance,
     build_pagerank_quadratic,
     check_optimality,
-    dense_solve_enumerate,
+    dense_solve_active_set,
     gradient,
     internal_volume,
     negative_tolerance,
@@ -572,7 +572,7 @@ class TestStructuralProperties:
         # negative entries of grad at 0 exist iff s_i/d_i > rho
         for rho, expect_empty in ((1.0, True), (1.5, True), (0.99, False)):
             q = build_pagerank_quadratic(two_node_instance(rho=rho))
-            ref = dense_solve_enumerate(q)
+            ref = dense_solve_active_set(q)
             grad0_neg = bool((gradient(q, np.zeros(2)) < 0).any())
             assert grad0_neg == (not expect_empty)
             assert (ref.support.size == 0) == expect_empty

@@ -15,7 +15,7 @@ from sparsepr import (
     build_pagerank_quadratic,
     cdpr,
     check_optimality,
-    dense_solve_enumerate,
+    dense_solve_active_set,
     gradient,
     ista_baseline,
     negative_tolerance,
@@ -113,7 +113,7 @@ class TestAPGDCoefficients:
 
 class TestAPGD:
     def test_two_node_reaches_small_gap(self, two_node):
-        ref = dense_solve_enumerate(two_node)
+        ref = dense_solve_active_set(two_node)
         y = apgd(two_node, [0, 1], np.zeros(2), 40)
         assert objective(two_node, y) - ref.objective_value <= 1e-4
 
@@ -243,7 +243,7 @@ class TestCDPR:
 
 class TestISTA:
     def test_two_node_converges(self, two_node):
-        ref = dense_solve_enumerate(two_node)
+        ref = dense_solve_active_set(two_node)
         sol = ista_baseline(two_node, 1e-8)
         assert objective(two_node, sol.x) - ref.objective_value <= 1e-8
         assert list(sol.support) == [0, 1]
@@ -288,7 +288,7 @@ class TestASPR:
         sol = aspr(two_node, 1e-6, observe=recorder(two_node, stages))
         assert [S for S, _, _, _ in stages] == [[0], [0, 1]]
         assert all(d is None for _, d, _, _ in stages)
-        ref = dense_solve_enumerate(two_node)
+        ref = dense_solve_active_set(two_node)
         assert objective(two_node, sol.x) - ref.objective_value <= 1e-6
         assert sol.gap_bound == 1e-6
         assert sol.counters.stages == 2
