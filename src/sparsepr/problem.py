@@ -316,7 +316,12 @@ class MQuadratic:
     :meth:`corrected` makes the other form, which holds ``b`` as a shared
     read-only base with a few entries replaced, and costs work on those
     entries only.  There the dense ``b`` is built on first access; solvers
-    read ``b`` through :meth:`b_at` only, which never builds it.
+    never build it.
+
+    ``_spare`` holds the n-length buffers of a finished solve for the next
+    (see :class:`GradientWorkspace`).  A quadratic made by
+    :meth:`corrected` shares its caller's list, so that all the queries of
+    one :class:`PageRankOperator` share one set.
     """
 
     def __init__(self, Q, b, alpha, L, validate=True):
@@ -338,25 +343,28 @@ class MQuadratic:
             if not res.ok:
                 raise ValueError("invalid M-matrix quadratic: " + "; ".join(res.violations))
         b.setflags(write=False)
-        self._set(Q, b, None, max_abs_b, np.flatnonzero(b > 0.0), alpha, L)
+        self._set(Q, b, None, max_abs_b, np.flatnonzero(b > 0.0), alpha, L,
+                  [])
 
     @classmethod
     def corrected(cls, Q, base, nodes, values, max_abs_b, positive_b,
-                  alpha, L):
+                  alpha, L, spare):
         """The quadratic whose ``b`` is the shared ``base`` with ``values``
         at the sorted int64 ``nodes``; ``base`` and ``values`` are read-only
         and kept uncopied, and only the keys get ``n`` appended.  The caller
         vouches for what this cannot check without reading all of ``base``:
         ``Q`` is a frozen canonical CSR of a valid M-matrix, and
-        ``max_abs_b`` and ``positive_b`` are the facts of that ``b``."""
+        ``max_abs_b`` and ``positive_b`` are the facts of that ``b``.  The
+        quadratic keeps ``spare`` as its list of spare solve buffers."""
         _check_finite(max_abs_b, alpha, L)
         q = cls.__new__(cls)
         # n after the last node keeps every search of b_at inside the keys
         keys = np.append(nodes, Q.shape[0])
-        q._set(Q, None, (base, keys, values), max_abs_b, positive_b, alpha, L)
+        q._set(Q, None, (base, keys, values), max_abs_b, positive_b, alpha, L,
+               spare)
         return q
 
-    def _set(self, Q, b, parts, max_abs_b, positive_b, alpha, L):
+    def _set(self, Q, b, parts, max_abs_b, positive_b, alpha, L, spare):
         positive_b.setflags(write=False)
         self.Q = Q
         self._b = b
@@ -365,6 +373,7 @@ class MQuadratic:
         self.positive_b = positive_b
         self.alpha = float(alpha)
         self.L = float(L)
+        self._spare = spare
 
     @property
     def b(self):
@@ -443,7 +452,8 @@ class PageRankOperator:
 
     :meth:`of` keeps one operator on the graph, for the last alpha asked for.
     The graph is immutable, so the cache never goes stale, and a new alpha
-    replaces it, so the graph holds at most one ``Q``.
+    replaces it, so the graph holds at most one ``Q``.  Its quadratics
+    share one list of spare solve buffers (see :class:`MQuadratic`).
     """
 
     def __init__(self, graph, alpha):
@@ -469,6 +479,7 @@ class PageRankOperator:
         self._top = int(np.argmax(sqrt_d))
         self._n_top = int(np.count_nonzero(sqrt_d == sqrt_d[self._top]))
         self._base = (None, None)
+        self._spare = []
 
     @classmethod
     def of(cls, graph, alpha):
@@ -532,7 +543,7 @@ def build_pagerank_quadratic(instance):
     off = op.max_abs_off(b0, nodes)
     max_abs_b = float(np.max(np.abs(values), initial=off))
     return MQuadratic.corrected(op.Q, b0, nodes, values, max_abs_b,
-                                nodes[values > 0.0], op.alpha, 1.0)
+                                nodes[values > 0.0], op.alpha, 1.0, op._spare)
 
 
 def pagerank_upper_bounds(instance):
@@ -557,6 +568,12 @@ def restrict(q, S):
         raise ValueError("restriction indices must be strictly increasing")
     if S.size and (S[0] < 0 or S[-1] >= q.n):
         raise ValueError("restriction index out of range")
+    return _restricted(q, S, q.b_at(S))
+
+
+def _restricted(q, S, b):
+    """:func:`restrict` for a valid int64 ``S``, with ``b`` the b of ``q``
+    on ``S``, read by the caller."""
     # gather the rows S and keep the entries whose column lies in S, relabelled
     # by position in S; this reads O(vol(S)) entries, where scipy's column
     # index would build an n-length lookup
@@ -568,7 +585,6 @@ def restrict(q, S):
     indptr = np.concatenate([[0], np.cumsum(row_hits)])
     sub = sp.csr_matrix((Q.data[pos[hit]], at[hit], indptr),
                         shape=(S.size, S.size))
-    b = q.b_at(S)
     # q.Q is canonical, so sub is too: freeze it and b so MQuadratic takes
     # them as they are
     for arr in (sub.data, sub.indices, sub.indptr, b):
@@ -674,14 +690,20 @@ class _RowGather:
         """Append the given rows (int64 indices), gather their entries and
         return the rows that have none."""
         Q, size = self._Q, self._n_entries
-        pos, counts = _row_entries(Q, rows)
+        if rows.size == 1:  # one row is a slice of Q
+            sl = slice(Q.indptr[rows[0]], Q.indptr[rows[0] + 1])
+            cols, vals = Q.indices[sl], Q.data[sl]
+            counts, starts = np.array([cols.size]), np.array([size])
+        else:
+            pos, counts = _row_entries(Q, rows)
+            cols, vals = Q.indices[pos], Q.data[pos]
+            starts = size + (np.cumsum(counts) - counts)
         has = counts > 0
         self._rows, self._n_rows = _append(self._rows, self._n_rows, rows)
-        self._starts, _ = _append(self._starts, self._n_full,
-                                  size + (np.cumsum(counts) - counts)[has])
+        self._starts, _ = _append(self._starts, self._n_full, starts[has])
         self._full, self._n_full = _append(self._full, self._n_full, rows[has])
-        self._cols, _ = _append(self._cols, size, Q.indices[pos])
-        self._vals, self._n_entries = _append(self._vals, size, Q.data[pos])
+        self._cols, _ = _append(self._cols, size, cols)
+        self._vals, self._n_entries = _append(self._vals, size, vals)
         return rows[~has]
 
     def row_sums(self, at_cols):
@@ -720,6 +742,21 @@ def gradient(q, x, coords=None):
     return vals - q.b_at(coords)
 
 
+class _Buffers:
+    """The n-length arrays of a :class:`GradientWorkspace`.  Between
+    solves, ``x``, ``listed``, ``member``, ``ever`` and every array in
+    ``extra`` are zero, and ``g`` and ``b`` hold nothing that is read."""
+
+    def __init__(self, n):
+        self.x = np.zeros(n)
+        self.g = np.empty(n)
+        self.b = np.empty(n)
+        self.listed = np.zeros(n, dtype=bool)
+        self.member = np.zeros(n, dtype=bool)
+        self.ever = np.zeros(n, dtype=bool)
+        self.extra = {}  # see GradientWorkspace.pooled
+
+
 class GradientWorkspace:
     """The state of one solve: the iterate ``x``, its gradient
     ``g = Qx - b``, the sorted working set ``S``, and the coordinates the
@@ -733,17 +770,22 @@ class GradientWorkspace:
     negative_tolerance(q)`` >= 0, so they lie in ``q.positive_b``) and the
     neighbourhood rows of every coordinate :meth:`refresh` has covered.
     The list only grows, and a solver may raise ``tol`` but never lower it,
-    so the list stays complete.  After the O(n) set-up, :meth:`refresh`,
-    :meth:`negatives` and :meth:`admit` touch the listed rows only.
+    so the list stays complete.  :meth:`refresh`, :meth:`negatives` and
+    :meth:`admit` touch the listed rows only.
 
     ``g`` holds the gradient on the listed ``rows`` only and is never
     written elsewhere, where the gradient is -b.  The entries of the listed
-    rows and their ``b`` are read once, when a row is listed (``b`` through
-    :meth:`MQuadratic.b_at`, so the dense ``b`` is never built), and every
+    rows and their ``b`` are read once, when a row is listed, and every
     refresh recomputes each listed row by the segmented reduction that
     :func:`gradient` uses over them.  Rows outside the true neighbourhood
     add exact zeros, so ``g`` on the listed rows equals ``gradient(q, x)``
-    there bit for bit up to the sign of a zero.
+    there bit for bit up to the sign of a zero.  ``b`` holds ``q.b`` on
+    the listed rows only.  Of a quadratic made by
+    :meth:`MQuadratic.corrected`, the rows are read through
+    :meth:`MQuadratic.b_at` until every corrected (seed) row is listed, and
+    by a plain index into the shared base after that.  A point seed's row
+    is listed at set-up unless no gradient is negative at x = 0, where
+    every solver stops, so a solver's point-seed solve makes one such read.
 
     ``S`` only grows, through :meth:`admit`, which replaces the array and
     never writes it, so a caller may keep an old ``S``.  ``ever`` marks
@@ -753,6 +795,13 @@ class GradientWorkspace:
     set-up starts at x = 0, where g = -b, and charges one full gradient and
     no nonzeros for it; each :meth:`refresh` charges one full gradient and
     ``volume(q, supp(x))``.
+
+    The n-length arrays are a set that :meth:`release` hands back to
+    ``q._spare`` for the next workspace on ``q`` or, for a PageRank query,
+    on any quadratic of the same :class:`PageRankOperator`.  A workspace
+    takes the set held there and makes one only if there is none, so only
+    the first solve pays O(n).  A workspace that is never released keeps
+    its set.
     """
 
     def __init__(self, q, counters):
@@ -760,38 +809,68 @@ class GradientWorkspace:
         self.q = q
         self.counters = counters
         self.tol = tol = negative_tolerance(q)
-        self.x = np.zeros(q.n)
+        try:
+            buf = q._spare.pop()
+        except IndexError:
+            buf = _Buffers(q.n)
+        self._buf = buf
+        self.x, self.g, self.b, self.ever = buf.x, buf.g, buf.b, buf.ever
+        self._listed, self._member = buf.listed, buf.member
+        if q._parts is None:
+            self._base, self._seed = q._b, None
+        else:  # the seed rows, until all are listed
+            self._base, keys, _ = q._parts
+            self._seed = keys[:-1]
         pos = q.positive_b
-        b_pos = q.b_at(pos)
+        b_pos = self._b_of(pos)
         neg = -b_pos < -tol
         rows = pos[neg]
-        self.g = np.empty(q.n)
         self.g[rows] = -b_pos[neg]
-        self._listed = np.zeros(q.n, dtype=bool)
         self._gather = _RowGather(q.Q)
-        self._b_full = np.empty(_GATHER_START)  # b on the gather's full rows
-        self._list(rows)
+        self._list(rows, b_pos[neg])
         self.S = np.empty(0, dtype=np.int64)
-        self._member = np.zeros(q.n, dtype=bool)
         self._unspread = []  # what admit added since the last refresh
-        self.ever = np.zeros(q.n, dtype=bool)
 
     @property
     def rows(self):
         """The listed rows, in the order they were listed."""
         return self._gather.rows
 
-    def _list(self, rows):
-        """List the given unlisted rows."""
+    def _b_of(self, rows):
+        """``q.b`` on the given rows."""
+        if self._seed is None:
+            return self._base[rows]
+        return self.q.b_at(rows)
+
+    def _list(self, rows, b):
+        """List the given unlisted rows, with ``b`` their ``q.b``."""
         self._listed[rows] = True
-        gather, q = self._gather, self.q
-        size = gather.full.size
-        empty = gather.extend(rows)
-        self._b_full, _ = _append(self._b_full, size,
-                                  q.b_at(gather.full[size:]))
+        self.b[rows] = b
+        if self._seed is not None and self._listed[self._seed].all():
+            self._seed = None
+        empty = self._gather.extend(rows)
         if empty.size:
             # a row with no entry sums nothing, at every x
-            self.g[empty] = 0.0 - q.b_at(empty)
+            self.g[empty] = 0.0 - self.b[empty]
+
+    def pooled(self, name, dtype):
+        """The pooled n-length array ``name`` of ``dtype``, zero where the
+        caller has not written it.  The caller writes it on ``S`` only,
+        where :meth:`release` zeroes it again."""
+        extra = self._buf.extra
+        if name not in extra:
+            extra[name] = np.zeros(self.q.n, dtype=dtype)
+        return extra[name]
+
+    def release(self):
+        """Zero the pooled arrays on the rows this solve wrote (``S`` and
+        the listed rows) and hand them to the next workspace.  The caller
+        has read what it keeps and uses this workspace no more."""
+        buf, S = self._buf, self.S
+        for arr in (buf.x, buf.member, buf.ever, *buf.extra.values()):
+            arr[S] = 0
+        buf.listed[self.rows] = False
+        self.q._spare[:] = [buf]
 
     def admit(self, coords):
         """Add to ``S`` the given coordinates (unique indices) that are not
@@ -815,10 +894,9 @@ class GradientWorkspace:
             self._unspread = []
             rows = _neighborhood(self.q, new)
             rows = rows[~self._listed[rows]]
-            self._list(rows)
+            self._list(rows, self._b_of(rows))
         full = gather.full
-        self.g[full] = (gather.row_sums(x[gather.cols])
-                        - self._b_full[:full.size])
+        self.g[full] = gather.row_sums(x[gather.cols]) - self.b[full]
         self.counters.full_gradients += 1
         self.counters.nnz_touched += volume(self.q, S[x[S] != 0])
 

@@ -27,17 +27,29 @@ coordinates ever made positive, the certainly-negative threshold
 ``negative_tolerance(q)``, and the :class:`Counters` that their
 :class:`Solution` reports.
 
+A solve's n-length state (the workspace's iterate, gradient, ``b`` on the
+listed rows and row marks, ``cdpr``'s pivot ranks and the lower bounds of
+``aspr:constraints``) is pooled with the quadratic: a solve takes the set
+that the last solve on the same quadratic handed back, or for a PageRank
+query the last solve on any quadratic of the same graph and alpha, and
+makes a set only when there is none.  When the solve returns, it zeroes
+the set on the rows it wrote and hands it back; a solve that raises drops
+it.  A warm solve thus allocates nothing of length n: its work, its memory
+and its answer (see :class:`Solution`) follow the rows it lists.
+
 Observing a run: ``pgd``, ``apgd``, ``cdpr`` and ``aspr`` take one
 ``observe`` keyword, called as ``observe(x, S, d)`` after each step of
 ``pgd``/``apgd`` and after each stage of ``cdpr``/``aspr`` (including an
 ``aspr`` stage that the early variant aborts).  ``x`` is the live dense
-iterate; copy it to keep it.  ``S`` is the sorted set of coordinates the
-solver worked on: the subspace for ``pgd``/``apgd``, the pivots so far for
-``cdpr`` (also the support of its new direction), and the working set for
-``aspr``.  ``d`` holds ``cdpr``'s new conjugate direction on ``S``, as a
-fresh array, never a view of the solver's basis; the other solvers pass
-None.  ``S`` and ``d`` are never written after the call, so they may be
-kept; an observer must not write to any of the three.
+iterate; copy it to keep it.  For ``cdpr`` and ``aspr`` it is the pooled
+buffer, which is zeroed after the solve and then serves the next one.
+``S`` is the sorted set of coordinates the solver worked on: the subspace
+for ``pgd``/``apgd``, the pivots so far for ``cdpr`` (also the support of
+its new direction), and the working set for ``aspr``.  ``d`` holds
+``cdpr``'s new conjugate direction on ``S``, as a fresh array, never a view
+of the solver's basis; the other solvers pass None.  ``S`` and ``d`` are
+never written after the call, so they may be kept; an observer must not
+write to any of the three.
 """
 
 from __future__ import annotations
@@ -53,6 +65,7 @@ from .problem import (
     gradient,
     restrict,
     _matvec,
+    _restricted,
     _RowGather,
 )
 
@@ -119,14 +132,34 @@ class Solution:
     every coordinate the solver ever made positive, and ``tolerance``: the
     solve counted a gradient entry below -tolerance as negative.  For
     ``aspr`` the ever-positive set is its final working set, which holds
-    every coordinate it made positive."""
+    every coordinate it made positive.
 
-    x: np.ndarray
+    The iterate is held on the working set: ``S`` is the sorted working
+    set of the solve, off which the iterate vanishes, and ``x_S`` the
+    iterate there.  :attr:`x` builds the dense iterate, of length ``n``, on
+    first read and keeps it; it is the answer's own array, which no solve
+    writes.  So a warm solve allocates nothing of length n: its answer
+    costs O(|S|) until ``x`` is read."""
+
+    n: int
+    S: np.ndarray
+    x_S: np.ndarray
     support: np.ndarray
     gap_bound: object
     counters: Counters
     ever_positive: np.ndarray
     tolerance: float
+    _x: np.ndarray = dataclasses.field(default=None, init=False, repr=False,
+                                       compare=False)
+
+    @property
+    def x(self):
+        """The dense iterate."""
+        if self._x is None:
+            x = np.zeros(self.n)
+            x[self.S] = self.x_S
+            self._x = x
+        return self._x
 
 
 def select_pivot(candidates, grads):
@@ -195,7 +228,8 @@ def _apgd_loop(q, S, x0s, T, counters, lower=None, observe=None, out=None,
     kappa = q.kappa
     alpha = q.alpha
     growth = _coeff_growth(kappa)
-    sub = restrict(q, S)
+    # S lies in the workspace's listed rows, whose b it holds
+    sub = restrict(q, S) if ws is None else _restricted(q, S, ws.b[S])
     col_nnz = np.diff(sub.Q.indptr)
     qx = np.empty(S.size)
     y = x0s.copy()
@@ -267,16 +301,25 @@ def apgd(q, S, x0, T, observe=None):
 
 def _solution(ws, gap_bound, ever=None):
     """The solve's answer, read on the working set, off which ``ws.x``
-    vanishes.  ``ever`` defaults to the coordinates marked in ``ws.ever``."""
-    S, x = ws.S, ws.x
+    vanishes; ``ws`` is then released.  ``ever`` defaults to the
+    coordinates marked in ``ws.ever``."""
+    S = ws.S
+    x_S = ws.x[S]
     if ever is None:
         ever = S[ws.ever[S]]
-    return Solution(x, S[x[S] > 0], gap_bound, ws.counters, ever, ws.tol)
+    sol = Solution(ws.q.n, S, x_S, S[x_S > 0], gap_bound, ws.counters, ever,
+                   ws.tol)
+    ws.release()
+    return sol
+
+
+def _check_eps_finite(eps):
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be positive and finite, got %r" % (eps,))
 
 
 def _check_eps(q, eps):
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError("eps must be positive and finite, got %r" % (eps,))
+    _check_eps_finite(eps)
     # ista stops on 2*alpha*eps and aspr's inner gaps lie below alpha*eps;
     # under the normal floats their budgets divide by zero or overflow
     if 2.0 * q.alpha * eps < sys.float_info.min:
@@ -333,9 +376,9 @@ def ista_baseline(q, eps):
     raise SolverError("baseline failed to converge in %d iterations" % max_iter)
 
 
-def _pivot_noise(q, x, S, i):
+def _pivot_noise(ws, i):
     """A bound on the rounding in cdpr's gradient at its pivot i, for the
-    pivots S: gamma_m * (sum_j |Q_ij| x_j + |b_i|), with gamma_m =
+    pivots ``ws.S``: gamma_m * (sum_j |Q_ij| x_j + |b_i|), with gamma_m =
     m*u/(1 - m*u), u the unit roundoff and m = |S| + (entries of row i) + 1.
 
     cdpr's steps never lower x, so each x_j is a sum of at most |S|
@@ -343,11 +386,10 @@ def _pivot_noise(q, x, S, i):
     Q x - b rounds by gamma_(entries + 1) times its absolute terms.  The
     sum of the two is at most the bound.  Rounding in the step lengths and
     directions is left out."""
-    cols, vals = q.row(i)
-    m = S.size + cols.size + 1
+    cols, vals = ws.q.row(i)
+    m = ws.S.size + cols.size + 1
     u = 2.0**-53
-    b_i = float(q.b_at(np.array([i]))[0])
-    terms = float(np.abs(vals) @ x[cols]) + abs(b_i)
+    terms = float(np.abs(vals) @ ws.x[cols]) + abs(float(ws.b[i]))
     return m * u / (1.0 - m * u) * terms
 
 
@@ -405,7 +447,7 @@ def cdpr(q, observe=None):
     x, g, counters = ws.x, ws.g, ws.counters
     tol = ws.tol
     # 1 + each pivot's place in pivot order, 0 off the pivots
-    rank = np.zeros(q.n, dtype=np.int64)
+    rank = ws.pooled("rank", np.int64)
     D = N = np.zeros((0, 0))
     pivot_rows = _RowGather(q.Q)
     K = 0  # directions stored
@@ -413,10 +455,11 @@ def cdpr(q, observe=None):
         neg = ws.negatives()
         if neg.size == 0:
             break
-        i = select_pivot(neg, g[neg])
+        # select_pivot's rule: neg is sorted, and argmin takes the first
+        i = int(neg[np.argmin(g[neg])])
         if not ws.admit([i]).size:
             # the threshold only grows, so the workspace's list stays complete
-            floor = _pivot_noise(q, x, ws.S, i)
+            floor = _pivot_noise(ws, i)
             if floor <= ws.tol:
                 raise SolverError("pivot %d revisited; its gradient %r lies "
                                   "beyond rounding" % (i, float(g[i])))
@@ -493,7 +536,7 @@ def aspr(q, eps, variant="plain", observe=None):
     alpha, L, kappa = q.alpha, q.L, q.kappa
     if not ws.admit(ws.negatives()).size:
         return _solution(ws, eps, ws.S)
-    lower = np.zeros(q.n) if variant == "constraints" else None
+    lower = ws.pooled("lower", float) if variant == "constraints" else None
 
     # every stage admits a coordinate or stops, so there are at most n
     while True:
@@ -547,7 +590,8 @@ def solve(q, token, eps):
     if token not in SOLVER_TOKENS:
         raise ValueError("unknown solver token %r (choose from %s)"
                          % (token, ", ".join(SOLVER_TOKENS)))
-    _check_eps(q, eps)
+    # cdpr reads no eps, so only ista and aspr check it against alpha
+    _check_eps_finite(eps)
     name, _, variant = token.partition(":")
     if name == "cdpr":
         return cdpr(q)

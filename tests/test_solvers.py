@@ -2,6 +2,8 @@
 acceleration coefficients, working-set expansion, and counters."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from sparsepr import (
     select_pivot,
     subspace_solve,
 )
+from sparsepr.oracle import random_m_matrix
+from sparsepr.problem import MQuadratic
 from sparsepr.solvers import ASPR_VARIANTS, SOLVER_TOKENS, _coeff_growth, solve
 
 from conftest import assert_close, two_node_instance
@@ -392,3 +396,133 @@ class TestSolveDispatch:
             sol = solve(q, token, 1e-6)
             assert sol.support.size > 3
             assert q._b is None
+
+    def test_cdpr_reads_no_eps(self, two_node):
+        # cdpr never reads eps, so one whose 2*alpha*eps underflows is
+        # no input error for it
+        assert 2.0 * two_node.alpha * 1e-310 < sys.float_info.min
+        sol, want = solve(two_node, "cdpr", 1e-310), cdpr(two_node)
+        assert _digest(sol) == _digest(want)
+
+
+def _digest(sol):
+    """Every byte of an answer: x, support, ever-positive set, counters,
+    tolerance and gap bound."""
+    return (sol.x.tobytes(), sol.support.tobytes(), sol.ever_positive.tobytes(),
+            sol.counters.as_dict(), repr(sol.tolerance), repr(sol.gap_bound))
+
+
+def _cold(q, token):
+    """A solve on newly made buffers."""
+    q._spare.clear()
+    return solve(q, token, 1e-6)
+
+
+def _grid_queries(side, seeds):
+    """Point-seed queries on one grid, which share its solve buffers."""
+    inst = random_graph_instance("grid", {
+        "rows": side, "cols": side, "alpha": 0.1, "rho": 1e-3}, 0)
+    return [build_pagerank_quadratic(
+        PageRankInstance(inst.graph, inst.alpha, inst.rho, seed))
+        for seed in seeds]
+
+
+class TestPooledState:
+    @pytest.mark.parametrize("token", SOLVER_TOKENS)
+    def test_warm_solve_allocates_nothing_of_length_n(self, token):
+        # with the operator, its base and the solve buffers kept, a point
+        # query's instance, build and solve allocate in O(support)
+        def warm_peak(side):
+            inst = random_graph_instance("grid", {
+                "rows": side, "cols": side, "alpha": 0.1, "rho": 1e-3,
+                "seed_node": side // 2 * side + side // 2}, 0)
+            solve(build_pagerank_quadratic(inst), token, 1e-6)
+            tracemalloc.start()
+            try:
+                q = build_pagerank_quadratic(PageRankInstance(
+                    inst.graph, inst.alpha, inst.rho, inst.nodes[0]))
+                solve(q, token, 1e-6)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = warm_peak(60), warm_peak(300)
+        assert large <= 2 * small, (large, small)
+
+    def test_warm_solves_equal_cold_ones(self):
+        queries = _grid_queries(9, (4, 40)) + _grid_queries(13, (0, 84))
+        queries.append(random_m_matrix(30, 0.2, seed=3))
+        cases = [(q, token) for q in queries for token in SOLVER_TOKENS]
+        want = [_digest(_cold(q, token)) for q, token in cases]
+        order = np.random.default_rng(17).permutation(
+            np.tile(np.arange(len(cases)), 2))
+        for k in order:
+            q, token = cases[k]
+            assert _digest(solve(q, token, 1e-6)) == want[k], token
+        # what a solve hands back is zero wherever the next one reads
+        # before it writes
+        for q in queries:
+            (buf,) = q._spare
+            for arr in (buf.x, buf.listed, buf.member, buf.ever,
+                        *buf.extra.values()):
+                assert not arr.any()
+
+    @pytest.mark.parametrize("token", ["cdpr", "aspr:constraints"])
+    def test_a_solve_that_raised_leaves_no_trace(self, token):
+        (q,) = _grid_queries(13, (84,))
+        want = {tok: _digest(_cold(q, tok)) for tok in SOLVER_TOKENS}
+        calls = []
+
+        class Stop(Exception):
+            pass
+
+        def observe(x, S, d):
+            calls.append(S.size)
+            if len(calls) == 3:
+                raise Stop
+
+        with pytest.raises(Stop):
+            if token == "cdpr":
+                cdpr(q, observe=observe)
+            else:
+                aspr(q, 1e-6, variant="constraints", observe=observe)
+        for tok in SOLVER_TOKENS:
+            assert _digest(solve(q, tok, 1e-6)) == want[tok]
+
+    def test_a_point_seed_solve_reads_b_through_the_seed_once(
+            self, monkeypatch):
+        (q,) = _grid_queries(13, (84,))
+        calls = []
+        b_at = MQuadratic.b_at
+        monkeypatch.setattr(MQuadratic, "b_at", lambda self, idx: (
+            calls.append(idx), b_at(self, idx))[1])
+        for token in SOLVER_TOKENS:
+            calls.clear()
+            solve(q, token, 1e-6)
+            assert len(calls) == 1, token
+
+    def test_seed_rows_listed_late_read_the_seed(self):
+        # a seed weight below rho*d leaves b < 0 at its node, so its row is
+        # listed only once the support reaches it, after the set-up
+        graph = random_graph_instance("grid", {"rows": 13, "cols": 13}, 0).graph
+        s = np.zeros(graph.n)
+        s[[84, 85, 97]] = [0.6, 0.4 - 1e-6, 1e-6]
+        q = build_pagerank_quadratic(PageRankInstance(graph, 0.1, 1e-3, s))
+        assert q.b_at(np.array([97]))[0] < 0.0
+        dense = MQuadratic(q.Q, q.b, q.alpha, q.L, validate=False)
+        for token in SOLVER_TOKENS:
+            sol = solve(q, token, 1e-6)
+            assert 97 in sol.support
+            assert _digest(sol) == _digest(solve(dense, token, 1e-6))
+
+    def test_answers_own_their_iterates(self):
+        (q,) = _grid_queries(13, (84,))
+        first, second = cdpr(q), cdpr(q)
+        want = second.x.copy()
+        assert first.x is not second.x
+        first.x[first.support] = -1.0
+        assert second.x.tobytes() == want.tobytes()
+        assert cdpr(q).x.tobytes() == want.tobytes()
+        second.x[:] = 7.0
+        assert first.x[first.support].tolist() == [-1.0] * first.support.size
+        assert _digest(cdpr(q)) == _digest(_cold(q, "cdpr"))
