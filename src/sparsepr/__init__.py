@@ -25,7 +25,6 @@ from .solvers import (
     cdpr,
     ista_baseline,
     pgd,
-    select_pivot,
 )
 from .oracle import (
     GeometryReport,
@@ -62,7 +61,6 @@ __all__ = [
     "cdpr",
     "ista_baseline",
     "pgd",
-    "select_pivot",
     "GeometryReport",
     "OracleError",
     "OracleSolution",

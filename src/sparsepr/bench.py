@@ -128,11 +128,11 @@ def bench_grid(families, sizes, alphas, rhos, solvers, seed, repeat=1,
                 for rho in rhos:
                     for r in range(repeat):
                         fam_tag = sum(family.encode("utf-8"))
-                        cell_seed = int(np.random.SeedSequence(
+                        seed_of_cell = int(np.random.SeedSequence(
                             [seed, r, int(size), fam_tag,
                              int(alpha * 1e9) & 0xFFFFFFFF,
                              int(rho * 1e9) & 0xFFFFFFFF],
                         ).generate_state(1)[0])
                         for token in solvers:
                             yield run_cell(family, size, alpha, rho, token,
-                                           cell_seed, eps=eps)
+                                           seed_of_cell, eps=eps)

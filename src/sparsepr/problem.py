@@ -313,10 +313,13 @@ class MQuadratic:
     and a read-only float ``b``.  Many quadratics can thus share one Hessian
     (see :class:`PageRankOperator`).
 
-    :meth:`corrected` makes the other form, which holds ``b`` as a shared
-    read-only base with a few entries replaced, and costs work on those
-    entries only.  There the dense ``b`` is built on first access; solvers
-    never build it.
+    ``b`` is held in one form, ``_parts = (base, nodes, values)``: the
+    read-only ``base`` with ``values`` at the sorted int64 ``nodes``.  Here
+    ``base`` is ``b`` itself and ``nodes`` is empty; :meth:`corrected`
+    shares a base among many quadratics and costs work on ``nodes`` only.
+    A corrected quadratic builds the dense ``b`` on first access, which
+    only diagnostics make; solvers read ``b`` from the pooled copy of
+    :class:`GradientWorkspace`.
 
     ``_spare`` holds the n-length buffers of a finished solve for the next
     (see :class:`GradientWorkspace`).  A quadratic made by
@@ -343,32 +346,31 @@ class MQuadratic:
             if not res.ok:
                 raise ValueError("invalid M-matrix quadratic: " + "; ".join(res.violations))
         b.setflags(write=False)
-        self._set(Q, b, None, max_abs_b, np.flatnonzero(b > 0.0), alpha, L,
-                  [])
+        self._set(Q, (b, np.empty(0, dtype=np.int64), np.empty(0)),
+                  max_abs_b, np.flatnonzero(b > 0.0), alpha, L, [])
+        self._b = b
 
     @classmethod
     def corrected(cls, Q, base, nodes, values, max_abs_b, positive_b,
                   alpha, L, spare):
         """The quadratic whose ``b`` is the shared ``base`` with ``values``
-        at the sorted int64 ``nodes``; ``base`` and ``values`` are read-only
-        and kept uncopied, and only the keys get ``n`` appended.  The caller
-        vouches for what this cannot check without reading all of ``base``:
-        ``Q`` is a frozen canonical CSR of a valid M-matrix, and
-        ``max_abs_b`` and ``positive_b`` are the facts of that ``b``.  The
-        quadratic keeps ``spare`` as its list of spare solve buffers."""
+        at the sorted int64 ``nodes``; all three are read-only and kept
+        uncopied.  The caller vouches for what this cannot check without
+        reading all of ``base``: ``Q`` is a frozen canonical CSR of a valid
+        M-matrix, and ``max_abs_b`` and ``positive_b`` are the facts of
+        that ``b``.  The quadratic keeps ``spare`` as its list of spare
+        solve buffers."""
         _check_finite(max_abs_b, alpha, L)
         q = cls.__new__(cls)
-        # n after the last node keeps every search of b_at inside the keys
-        keys = np.append(nodes, Q.shape[0])
-        q._set(Q, None, (base, keys, values), max_abs_b, positive_b, alpha, L,
+        q._set(Q, (base, nodes, values), max_abs_b, positive_b, alpha, L,
                spare)
         return q
 
-    def _set(self, Q, b, parts, max_abs_b, positive_b, alpha, L, spare):
+    def _set(self, Q, parts, max_abs_b, positive_b, alpha, L, spare):
         positive_b.setflags(write=False)
         self.Q = Q
-        self._b = b
-        self._parts = parts  # (base, nodes + [n], values), corrected
+        self._b = None  # the dense b, once built
+        self._parts = parts
         self.max_abs_b = max_abs_b
         self.positive_b = positive_b
         self.alpha = float(alpha)
@@ -379,23 +381,12 @@ class MQuadratic:
     def b(self):
         """The dense read-only linear term."""
         if self._b is None:
-            base, keys, values = self._parts
+            base, nodes, values = self._parts
             b = base.copy()
-            b[keys[:-1]] = values
+            b[nodes] = values
             b.setflags(write=False)
             self._b = b
         return self._b
-
-    def b_at(self, idx):
-        """``b[idx]`` for int64 indices, as a new array; it never builds
-        the dense ``b``."""
-        if self._parts is None:
-            return self._b[idx]
-        base, keys, values = self._parts
-        at, hit = _find(keys, idx)
-        out = base[idx]
-        out[hit] = values[at[hit]]
-        return out
 
     @property
     def n(self):
@@ -426,13 +417,6 @@ def _check_finite(max_abs_b, alpha, L):
     if not (math.isfinite(alpha) and math.isfinite(L)):
         raise ValueError("alpha and L must be finite, got alpha=%r, L=%r"
                          % (alpha, L))
-
-
-def _find(keys, idx):
-    """For each entry of ``idx``, its position in the sorted ``keys`` and
-    whether it is there; the last key must exceed every entry of ``idx``."""
-    at = keys.searchsorted(idx)
-    return at, keys[at] == idx
 
 
 def _is_frozen_canonical(Q):
@@ -568,7 +552,7 @@ def restrict(q, S):
         raise ValueError("restriction indices must be strictly increasing")
     if S.size and (S[0] < 0 or S[-1] >= q.n):
         raise ValueError("restriction index out of range")
-    return _restricted(q, S, q.b_at(S))
+    return _restricted(q, S, q.b[S])
 
 
 def _restricted(q, S, b):
@@ -579,7 +563,11 @@ def _restricted(q, S, b):
     # index would build an n-length lookup
     Q = q.Q
     pos, counts = _row_entries(Q, S)
-    at, hit = _find(np.append(S, q.n), Q.indices[pos])
+    # n after the last key keeps every search inside the keys
+    keys = np.append(S, q.n)
+    cols = Q.indices[pos]
+    at = keys.searchsorted(cols)
+    hit = keys[at] == cols
     row_hits = np.bincount(np.repeat(np.arange(S.size), counts)[hit],
                            minlength=S.size)
     indptr = np.concatenate([[0], np.cumsum(row_hits)])
@@ -739,18 +727,20 @@ def gradient(q, x, coords=None):
         return g
     coords = np.asarray(coords, dtype=np.int64)
     vals = _segment_row_products(q, coords, x)
-    return vals - q.b_at(coords)
+    return vals - q.b[coords]
 
 
 class _Buffers:
     """The n-length arrays of a :class:`GradientWorkspace`.  Between
     solves, ``x``, ``listed``, ``member``, ``ever`` and every array in
-    ``extra`` are zero, and ``g`` and ``b`` hold nothing that is read."""
+    ``extra`` are zero, ``b`` equals the read-only ``base`` (None before
+    the first solve), and ``g`` holds nothing that is read."""
 
     def __init__(self, n):
         self.x = np.zeros(n)
         self.g = np.empty(n)
         self.b = np.empty(n)
+        self.base = None
         self.listed = np.zeros(n, dtype=bool)
         self.member = np.zeros(n, dtype=bool)
         self.ever = np.zeros(n, dtype=bool)
@@ -770,22 +760,21 @@ class GradientWorkspace:
     negative_tolerance(q)`` >= 0, so they lie in ``q.positive_b``) and the
     neighbourhood rows of every coordinate :meth:`refresh` has covered.
     The list only grows, and a solver may raise ``tol`` but never lower it,
-    so the list stays complete.  :meth:`refresh`, :meth:`negatives` and
-    :meth:`admit` touch the listed rows only.
+    so the list stays complete; ``listed`` marks the listed rows.
+    :meth:`refresh`, :meth:`negatives` and :meth:`admit` touch the listed
+    rows only.
 
     ``g`` holds the gradient on the listed ``rows`` only and is never
     written elsewhere, where the gradient is -b.  The entries of the listed
-    rows and their ``b`` are read once, when a row is listed, and every
-    refresh recomputes each listed row by the segmented reduction that
-    :func:`gradient` uses over them.  Rows outside the true neighbourhood
-    add exact zeros, so ``g`` on the listed rows equals ``gradient(q, x)``
-    there bit for bit up to the sign of a zero.  ``b`` holds ``q.b`` on
-    the listed rows only.  Of a quadratic made by
-    :meth:`MQuadratic.corrected`, the rows are read through
-    :meth:`MQuadratic.b_at` until every corrected (seed) row is listed, and
-    by a plain index into the shared base after that.  A point seed's row
-    is listed at set-up unless no gradient is negative at x = 0, where
-    every solver stops, so a solver's point-seed solve makes one such read.
+    rows are read once, when a row is listed, and every refresh recomputes
+    each listed row by the segmented reduction that :func:`gradient` uses
+    over them.  Rows outside the true neighbourhood add exact zeros, so
+    ``g`` on the listed rows equals ``gradient(q, x)`` there bit for bit up
+    to the sign of a zero.  ``b`` equals ``q.b`` on every row: the set-up
+    writes the corrected entries of ``q._parts`` over the base that the
+    pooled copy already holds, and copies the base in first only when the
+    pooled set last held another one (a new rho, or the set's first
+    solve).  Every read of ``b`` is then a plain index.
 
     ``S`` only grows, through :meth:`admit`, which replaces the array and
     never writes it, so a caller may keep an old ``S``.  ``ever`` marks
@@ -800,8 +789,8 @@ class GradientWorkspace:
     ``q._spare`` for the next workspace on ``q`` or, for a PageRank query,
     on any quadratic of the same :class:`PageRankOperator`.  A workspace
     takes the set held there and makes one only if there is none, so only
-    the first solve pays O(n).  A workspace that is never released keeps
-    its set.
+    the first solve, and the first at each new base, pays O(n).  A
+    workspace that is never released keeps its set.
     """
 
     def __init__(self, q, counters):
@@ -813,21 +802,19 @@ class GradientWorkspace:
             buf = q._spare.pop()
         except IndexError:
             buf = _Buffers(q.n)
+        base, nodes, values = q._parts
+        if buf.base is not base:
+            buf.b[:] = base
+            buf.base = base
+        buf.b[nodes] = values
         self._buf = buf
         self.x, self.g, self.b, self.ever = buf.x, buf.g, buf.b, buf.ever
-        self._listed, self._member = buf.listed, buf.member
-        if q._parts is None:
-            self._base, self._seed = q._b, None
-        else:  # the seed rows, until all are listed
-            self._base, keys, _ = q._parts
-            self._seed = keys[:-1]
+        self.listed, self._member = buf.listed, buf.member
         pos = q.positive_b
-        b_pos = self._b_of(pos)
-        neg = -b_pos < -tol
-        rows = pos[neg]
-        self.g[rows] = -b_pos[neg]
+        rows = pos[-self.b[pos] < -tol]
+        self.g[rows] = -self.b[rows]
         self._gather = _RowGather(q.Q)
-        self._list(rows, b_pos[neg])
+        self._list(rows)
         self.S = np.empty(0, dtype=np.int64)
         self._unspread = []  # what admit added since the last refresh
 
@@ -836,18 +823,9 @@ class GradientWorkspace:
         """The listed rows, in the order they were listed."""
         return self._gather.rows
 
-    def _b_of(self, rows):
-        """``q.b`` on the given rows."""
-        if self._seed is None:
-            return self._base[rows]
-        return self.q.b_at(rows)
-
-    def _list(self, rows, b):
-        """List the given unlisted rows, with ``b`` their ``q.b``."""
-        self._listed[rows] = True
-        self.b[rows] = b
-        if self._seed is not None and self._listed[self._seed].all():
-            self._seed = None
+    def _list(self, rows):
+        """List the given unlisted rows."""
+        self.listed[rows] = True
         empty = self._gather.extend(rows)
         if empty.size:
             # a row with no entry sums nothing, at every x
@@ -863,13 +841,16 @@ class GradientWorkspace:
         return extra[name]
 
     def release(self):
-        """Zero the pooled arrays on the rows this solve wrote (``S`` and
-        the listed rows) and hand them to the next workspace.  The caller
-        has read what it keeps and uses this workspace no more."""
+        """Reset the pooled arrays on the rows this solve wrote (``S``,
+        the listed rows and the corrected rows of ``b``) and hand them to
+        the next workspace.  The caller has read what it keeps and uses
+        this workspace no more."""
         buf, S = self._buf, self.S
         for arr in (buf.x, buf.member, buf.ever, *buf.extra.values()):
             arr[S] = 0
         buf.listed[self.rows] = False
+        base, nodes, _ = self.q._parts
+        buf.b[nodes] = base[nodes]
         self.q._spare[:] = [buf]
 
     def admit(self, coords):
@@ -893,8 +874,8 @@ class GradientWorkspace:
             new = np.concatenate(self._unspread)
             self._unspread = []
             rows = _neighborhood(self.q, new)
-            rows = rows[~self._listed[rows]]
-            self._list(rows, self._b_of(rows))
+            rows = rows[~self.listed[rows]]
+            self._list(rows)
         full = gather.full
         self.g[full] = gather.row_sums(x[gather.cols]) - self.b[full]
         self.counters.full_gradients += 1

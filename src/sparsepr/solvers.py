@@ -27,15 +27,17 @@ coordinates ever made positive, the certainly-negative threshold
 ``negative_tolerance(q)``, and the :class:`Counters` that their
 :class:`Solution` reports.
 
-A solve's n-length state (the workspace's iterate, gradient, ``b`` on the
-listed rows and row marks, ``cdpr``'s pivot ranks and the lower bounds of
+A solve's n-length state (the workspace's iterate, gradient, ``b`` and
+row marks, ``cdpr``'s pivot ranks and the lower bounds of
 ``aspr:constraints``) is pooled with the quadratic: a solve takes the set
 that the last solve on the same quadratic handed back, or for a PageRank
 query the last solve on any quadratic of the same graph and alpha, and
-makes a set only when there is none.  When the solve returns, it zeroes
-the set on the rows it wrote and hands it back; a solve that raises drops
-it.  A warm solve thus allocates nothing of length n: its work, its memory
-and its answer (see :class:`Solution`) follow the rows it lists.
+makes a set only when there is none.  The pooled ``b`` holds all of
+``q.b``: it keeps the shared base of the last solve, so a query at the
+same rho writes only its seed's entries.  When the solve returns, it
+resets the set on the rows it wrote and hands it back; a solve that raises
+drops it.  A warm solve thus allocates nothing of length n: its work, its
+memory and its answer (see :class:`Solution`) follow the rows it lists.
 
 Observing a run: ``pgd``, ``apgd``, ``cdpr`` and ``aspr`` take one
 ``observe`` keyword, called as ``observe(x, S, d)`` after each step of
@@ -73,7 +75,6 @@ __all__ = [
     "SolverError",
     "Counters",
     "Solution",
-    "select_pivot",
     "pgd",
     "apgd",
     "ista_baseline",
@@ -160,18 +161,6 @@ class Solution:
             x[self.S] = self.x_S
             self._x = x
         return self._x
-
-
-def select_pivot(candidates, grads):
-    """Most negative gradient wins; ties go to the smallest index."""
-    candidates = np.asarray(candidates)
-    grads = np.asarray(grads)
-    if candidates.size == 0:
-        raise ValueError("no candidates to pivot on")
-    order = np.argsort(candidates)
-    candidates = candidates[order]
-    grads = grads[order]
-    return int(candidates[int(np.argmin(grads))])
 
 
 def _check_start(q, S, x0):
@@ -396,12 +385,14 @@ def _pivot_noise(ws, i):
 def _gap_from_gradient(ws):
     """The objective gap bound ||v||^2 / (2 alpha) that strong convexity
     gives at ``ws.x``, with v the gradient where x > 0 and its negative
-    part where x = 0.  Off the listed rows v vanishes: x = 0 and g = -b >=
-    -tol there."""
+    part where x = 0.  Off the listed rows x = 0 and g = -b >= -tol, so v
+    is -b on the unlisted rows of ``q.positive_b`` and vanishes elsewhere."""
     rows = ws.rows
     g = ws.g[rows]
     v = np.where(ws.x[rows] > 0, g, np.minimum(g, 0.0))
-    return float(v @ v) / (2.0 * ws.q.alpha)
+    pos = ws.q.positive_b
+    off = ws.b[pos[~ws.listed[pos]]]
+    return (float(v @ v) + float(off @ off)) / (2.0 * ws.q.alpha)
 
 
 def _widened(A):
@@ -455,7 +446,8 @@ def cdpr(q, observe=None):
         neg = ws.negatives()
         if neg.size == 0:
             break
-        # select_pivot's rule: neg is sorted, and argmin takes the first
+        # the most negative gradient; neg is sorted and argmin takes the
+        # first, so a tie goes to the smallest index
         i = int(neg[np.argmin(g[neg])])
         if not ws.admit([i]).size:
             # the threshold only grows, so the workspace's list stays complete

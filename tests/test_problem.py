@@ -22,8 +22,13 @@ from sparsepr import (
     volume,
 )
 from sparsepr.oracle import GRAPH_KINDS, random_graph_instance, random_m_matrix
-from sparsepr.problem import EdgeError, PageRankOperator, restrict
-from sparsepr.solvers import cdpr
+from sparsepr.problem import (
+    EdgeError,
+    GradientWorkspace,
+    PageRankOperator,
+    restrict,
+)
+from sparsepr.solvers import Counters, cdpr
 
 from conftest import assert_close, two_node_instance
 
@@ -165,11 +170,12 @@ class TestPageRankInstance:
         assert not inst.weights.flags.writeable
         q = build_pagerank_quadratic(inst)
         idx = np.array([4, 5, 4000, 80000], dtype=np.int64)
-        before = q.b_at(idx)
+        before = q.b[idx]
         dist[:] = 0.0
         dist[4] = 1.0
         assert inst.weights.tolist() == [0.5, 0.3, 0.2]
-        assert q.b_at(idx).tobytes() == before.tobytes()
+        after = build_pagerank_quadratic(inst).b[idx]
+        assert after.tobytes() == before.tobytes()
 
     def test_distribution_within_tolerance_accepted(self):
         s = np.array([0.7, 0.3 + 1e-13])
@@ -401,7 +407,9 @@ class TestPageRankOperator:
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
     def test_sparse_linear_term_matches_the_dense_formula(self, kind):
         # point seeds, distributions, and seeds on every node of maximum
-        # degree, where max_abs_b must scan off supp(s)
+        # degree, where max_abs_b must scan off supp(s); a workspace holds
+        # all of b after the solves of the earlier seeds, which share its
+        # pooled b
         rng = np.random.default_rng(5)
         for seed in range(4):
             inst = random_graph_instance(kind, {}, seed)
@@ -417,9 +425,11 @@ class TestPageRankOperator:
                 seeded = PageRankInstance(g, a, rho, s)
                 q = build_pagerank_quadratic(seeded)
                 want = a * (_dense_seed(seeded) * dinv - rho * sqrt_d)
-                for _ in range(3):
-                    idx = rng.integers(0, n, size=rng.integers(0, 2 * n))
-                    assert q.b_at(idx).tobytes() == want[idx].tobytes()
+                ws = GradientWorkspace(q, Counters())
+                assert ws.b.tobytes() == want.tobytes()
+                ws.release()
+                cdpr(q)
+                assert q._b is None
                 assert q.max_abs_b == float(np.max(np.abs(want)))
                 assert np.array_equal(q.positive_b, np.flatnonzero(want > 0))
                 assert q.b.tobytes() == want.tobytes()

@@ -19,7 +19,6 @@ from sparsepr import (
     negative_tolerance,
     objective,
     random_graph_instance,
-    select_pivot,
     validate_m_matrix,
     volume,
 )
@@ -241,16 +240,24 @@ def test_exact_solver_agrees_with_enumeration(seed, n, density):
 
 
 @common
-@given(st.lists(st.tuples(st.integers(0, 50),
-                          st.floats(min_value=-10, max_value=-1e-6)),
-                min_size=1, max_size=12, unique_by=lambda t: t[0]))
-def test_pivot_choice_is_minimal_and_deterministic(pairs):
-    candidates = [i for i, _ in pairs]
-    grads = [g for _, g in pairs]
-    chosen = select_pivot(candidates, grads)
-    best = min(grads)
-    winners = sorted(i for i, g in pairs if g == best)
-    assert chosen == winners[0]
+@given(seed=seeds, n=dims, density=densities)
+def test_pivot_choice_is_minimal_and_deterministic(seed, n, density):
+    # each cdpr pivot is the smallest index of the most negative gradient
+    # at the previous stage's iterate, and a second run takes the same ones
+    q = random_m_matrix(n, density, seed=seed)
+    runs = []
+    for _ in range(2):
+        stages = []
+        cdpr(q, observe=lambda x, S, d: stages.append((S, x.copy())))
+        runs.append(stages)
+    x_prev, S_prev = np.zeros(n), np.empty(0, dtype=np.int64)
+    for S, x in runs[0]:
+        (i,) = np.setdiff1d(S, S_prev)
+        g = gradient(q, x_prev)
+        assert g[i] < 0.0
+        assert i == np.flatnonzero(g == g.min())[0]
+        x_prev, S_prev = x, S
+    assert [S.tolist() for S, _ in runs[1]] == [S.tolist() for S, _ in runs[0]]
 
 
 def _graph_of_size(kind, n, seed):

@@ -24,12 +24,18 @@ from sparsepr import (
     objective,
     pgd,
     random_graph_instance,
-    select_pivot,
     subspace_solve,
 )
 from sparsepr.oracle import random_m_matrix
-from sparsepr.problem import MQuadratic
-from sparsepr.solvers import ASPR_VARIANTS, SOLVER_TOKENS, _coeff_growth, solve
+from sparsepr.problem import GradientWorkspace, MQuadratic
+from sparsepr.solvers import (
+    ASPR_VARIANTS,
+    SOLVER_TOKENS,
+    Counters,
+    _coeff_growth,
+    _gap_from_gradient,
+    solve,
+)
 
 from conftest import assert_close, two_node_instance
 
@@ -41,20 +47,51 @@ def recorder(q, calls):
     return observe
 
 
-class TestSelectPivot:
-    def test_most_negative_wins(self):
-        assert select_pivot([0, 1], [-0.45, -0.05]) == 0
+def _pivot_order(calls):
+    """cdpr's pivots in the order it took them, from a recorder's calls."""
+    order, seen = [], set()
+    for S, *_ in calls:
+        (i,) = set(S) - seen
+        order.append(i)
+        seen.add(i)
+    return order
 
-    def test_tie_goes_to_smallest_index(self):
-        assert select_pivot([3, 7], [-0.2, -0.2]) == 3
-        assert select_pivot([7, 3], [-0.2, -0.2]) == 3
 
-    def test_singleton(self):
-        assert select_pivot([5], [-1e-3]) == 5
+class TestPivotOrder:
+    @pytest.mark.parametrize("n, want", [
+        (6, [0, 1, 5, 2, 4, 3]),
+        (9, [0, 1, 8, 2, 7, 6, 3, 5, 4]),
+    ])
+    def test_cycle_tie_goes_to_the_smallest_index(self, n, want):
+        # seeded at node 0, the cycle's gradients at nodes 1 and n - 1 tie
+        # exactly after the first stage
+        q = build_pagerank_quadratic(random_graph_instance("cycle", {
+            "n": n, "alpha": 0.1, "rho": 1e-3, "seed_node": 0}, 0))
+        calls = []
+        cdpr(q, observe=recorder(q, calls))
+        g1 = calls[0][3]
+        assert g1[1] == g1[n - 1] == g1.min() < -negative_tolerance(q)
+        assert _pivot_order(calls) == want
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            select_pivot([], [])
+    def test_most_negative_gradient_wins(self):
+        # Q = I keeps every other gradient at -b while one pivot is solved
+        q = MQuadratic(np.eye(3), [0.1, 0.5, 0.3], 1.0, 1.0)
+        calls = []
+        cdpr(q, observe=recorder(q, calls))
+        assert _pivot_order(calls) == [1, 2, 0]
+
+
+class TestGapFromGradient:
+    def test_unlisted_positive_b_rows_count(self):
+        # b_1 = 1e-13 lies below negative_tolerance(q) = 1e-12, so row 1 is
+        # never listed, but its gradient -b_1 at x_1 = 0 adds b_1^2 / 2
+        q = MQuadratic(np.eye(2), [1.0, 1e-13], 1.0, 1.0)
+        ws = GradientWorkspace(q, Counters())
+        ws.admit([0])
+        ws.x[0] = 1.0
+        ws.refresh()
+        assert ws.rows.tolist() == [0]
+        assert _gap_from_gradient(ws) == 1e-13 * 1e-13 / 2.0
 
 
 class TestPGD:
@@ -418,13 +455,12 @@ def _cold(q, token):
     return solve(q, token, 1e-6)
 
 
-def _grid_queries(side, seeds):
-    """Point-seed queries on one grid, which share its solve buffers."""
-    inst = random_graph_instance("grid", {
-        "rows": side, "cols": side, "alpha": 0.1, "rho": 1e-3}, 0)
-    return [build_pagerank_quadratic(
-        PageRankInstance(inst.graph, inst.alpha, inst.rho, seed))
-        for seed in seeds]
+def _grid_queries(side, seeds, rhos=(1e-3,)):
+    """Queries at each rho and seed on one grid, which share its solve
+    buffers."""
+    graph = random_graph_instance("grid", {"rows": side, "cols": side}, 0).graph
+    return [build_pagerank_quadratic(PageRankInstance(graph, 0.1, rho, seed))
+            for rho in rhos for seed in seeds]
 
 
 class TestPooledState:
@@ -450,7 +486,8 @@ class TestPooledState:
         assert large <= 2 * small, (large, small)
 
     def test_warm_solves_equal_cold_ones(self):
-        queries = _grid_queries(9, (4, 40)) + _grid_queries(13, (0, 84))
+        queries = (_grid_queries(9, (4, 40))
+                   + _grid_queries(13, (0, 84), rhos=(1e-3, 3e-4)))
         queries.append(random_m_matrix(30, 0.2, seed=3))
         cases = [(q, token) for q in queries for token in SOLVER_TOKENS]
         want = [_digest(_cold(q, token)) for q, token in cases]
@@ -460,12 +497,13 @@ class TestPooledState:
             q, token = cases[k]
             assert _digest(solve(q, token, 1e-6)) == want[k], token
         # what a solve hands back is zero wherever the next one reads
-        # before it writes
+        # before it writes, and b is the base it is tagged with
         for q in queries:
             (buf,) = q._spare
             for arr in (buf.x, buf.listed, buf.member, buf.ever,
                         *buf.extra.values()):
                 assert not arr.any()
+            assert buf.b.tobytes() == buf.base.tobytes()
 
     @pytest.mark.parametrize("token", ["cdpr", "aspr:constraints"])
     def test_a_solve_that_raised_leaves_no_trace(self, token):
@@ -489,17 +527,40 @@ class TestPooledState:
         for tok in SOLVER_TOKENS:
             assert _digest(solve(q, tok, 1e-6)) == want[tok]
 
-    def test_a_point_seed_solve_reads_b_through_the_seed_once(
-            self, monkeypatch):
-        (q,) = _grid_queries(13, (84,))
-        calls = []
-        b_at = MQuadratic.b_at
-        monkeypatch.setattr(MQuadratic, "b_at", lambda self, idx: (
-            calls.append(idx), b_at(self, idx))[1])
+    def test_a_workspace_holds_all_of_b(self):
+        # point and distribution seeds at two rhos on one grid, which share
+        # the pooled b, and a quadratic with a b of its own, each solved in
+        # turn
+        s = np.zeros(13 * 13)
+        s[[84, 85, 97]] = [0.6, 0.4 - 1e-6, 1e-6]
+        queries = _grid_queries(13, (84, 40, s), rhos=(1e-3, 3e-4))
+        queries.append(random_m_matrix(30, 0.2, seed=3))
+        order = np.random.default_rng(5).permutation(
+            np.tile(np.arange(len(queries)), 3))
+        for step, k in enumerate(order):
+            q = queries[k]
+            ws = GradientWorkspace(q, Counters())
+            assert ws.b.tobytes() == q.b.tobytes()
+            ws.release()
+            solve(q, SOLVER_TOKENS[step % len(SOLVER_TOKENS)], 1e-6)
+
+    def test_a_warm_solve_at_a_kept_rho_writes_b_on_its_seed_only(self):
+        # a value planted in the pooled b on a row that no solve reads
+        # stays there until a query at a new rho copies in its base
+        first, second, other_rho = _grid_queries(
+            13, (84, 85), rhos=(1e-3, 3e-4))[:3]
+        want = {tok: _digest(_cold(second, tok)) for tok in SOLVER_TOKENS}
+        solve(first, "cdpr", 1e-6)
+        (buf,) = first._spare
+        buf.b[0] = 7.0
         for token in SOLVER_TOKENS:
-            calls.clear()
-            solve(q, token, 1e-6)
-            assert len(calls) == 1, token
+            solve(first, token, 1e-6)
+            assert _digest(solve(second, token, 1e-6)) == want[token]
+        assert buf.b[0] == 7.0
+        solve(other_rho, "cdpr", 1e-6)
+        base, _, _ = other_rho._parts
+        assert buf.base is base
+        assert buf.b.tobytes() == base.tobytes()
 
     def test_seed_rows_listed_late_read_the_seed(self):
         # a seed weight below rho*d leaves b < 0 at its node, so its row is
@@ -508,7 +569,7 @@ class TestPooledState:
         s = np.zeros(graph.n)
         s[[84, 85, 97]] = [0.6, 0.4 - 1e-6, 1e-6]
         q = build_pagerank_quadratic(PageRankInstance(graph, 0.1, 1e-3, s))
-        assert q.b_at(np.array([97]))[0] < 0.0
+        assert q.b[97] < 0.0
         dense = MQuadratic(q.Q, q.b, q.alpha, q.L, validate=False)
         for token in SOLVER_TOKENS:
             sol = solve(q, token, 1e-6)
