@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -72,63 +73,63 @@ class Graph:
     n : int
         Number of nodes; node ids are 0..n-1.
     edges : array-like of (int, int)
-        Undirected edges, in any order and orientation. The first invalid
-        pair in input order (an endpoint outside [0, n), a self-loop, or a
-        repeat of an earlier pair in either orientation) raises
-        :class:`EdgeError`. Graphs that are disconnected or have isolated
-        nodes are rejected with a plain ``ValueError``.
+        Undirected edges, in any order and orientation. Endpoints must be
+        integers: a bool or float endpoint raises ``ValueError``. The first
+        invalid pair in input order (an endpoint outside [0, n), a
+        self-loop, or a repeat of an earlier pair in either orientation)
+        raises :class:`EdgeError`. Graphs that are disconnected or have
+        isolated nodes are rejected with a plain ``ValueError``.
+
+    Construction of m edges takes O(n + m) time besides sorting each
+    node's neighbours, and sorts no pairs: a few scans check the ids, one
+    counting sort (scipy's COO to CSR conversion) puts both orientations of
+    every pair in their rows, and scipy sorts each row and sums repeats, so
+    a repeat leaves fewer than 2m entries.  Besides the retained adjacency
+    (``int8`` data, ``int32`` indices below 2^31 nodes) and the degrees, it
+    allocates the 2m-entry row, column and data arrays of the conversion,
+    and ``connected_components`` a float64 copy of the adjacency.  Only a
+    fault sorts the pairs, to name the first bad one.
     """
 
     def __init__(self, n, edges):
         n = int(n)
-        try:
-            e = np.asarray(edges, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("edge endpoint out of range [0, %d)" % n)
-        if e.size == 0:
-            e = e.reshape(0, 2)
-        if e.ndim != 2 or e.shape[1] != 2:
-            raise ValueError("edges must be pairs of node ids")
-        e = np.sort(e, axis=1)  # normalize orientation
-        # the sort is stable, so every copy of a pair but the first is marked
-        order = np.lexsort((e[:, 1], e[:, 0]))
-        s = e[order]
-        bad = (e[:, 0] < 0) | (e[:, 1] >= n) | (e[:, 0] == e[:, 1])
-        bad[order[1:]] |= (s[1:] == s[:-1]).all(axis=1)
-        if bad.any():
-            k = int(np.argmax(bad))
-            i, j = map(int, e[k])
-            if i < 0 or j >= n:
-                raise EdgeError("edge endpoint out of range [0, %d)" % n, "range", k)
-            if i == j:
-                raise EdgeError("self-loop at node %d" % i, "loop", k)
-            first = int(np.flatnonzero((e == e[k]).all(axis=1))[0])
-            raise EdgeError("duplicate edge (%d, %d)" % (i, j), "duplicate", k, first)
+        e = _edge_array(edges, n)
+        m = e.shape[0]
+        if m and (e.min() < 0 or e.max() >= n or (e[:, 0] == e[:, 1]).any()):
+            _raise_first_bad_pair(e, n)
         if n < 1:
             raise ValueError("graph needs at least one node")
-        e = s  # the lexsorted pairs, freed once the adjacency holds them
-        del s, order, bad
-        if n > 2 * e.shape[0]:
-            # m edges cover at most 2m nodes; name the smallest uncovered one
-            # without allocating anything of length n
+        if n > 2 * m:
+            # m edges cover at most 2m nodes; name a repeated pair first, as
+            # every graph does, then the smallest uncovered node, without
+            # allocating anything of length n
+            _raise_first_bad_pair(e, n)
             ids = np.unique(e)
             gaps = np.flatnonzero(ids != np.arange(ids.size))
             i = int(gaps[0]) if gaps.size else ids.size
             raise ValueError("isolated node %d (every node needs degree >= 1)" % i)
 
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        del e
+        # both orientations of every pair, in the index dtype scipy would
+        # pick, so the conversion copies nothing; scipy then sorts each row
+        # and sums repeats, which leaves a canonical CSR
+        idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        rows = np.empty(2 * m, dtype=idx)
+        cols = np.empty(2 * m, dtype=idx)
+        rows[:m] = cols[m:] = e[:, 0]
+        rows[m:] = cols[:m] = e[:, 1]
         adj = sp.csr_matrix(
-            (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n)
+            (np.ones(2 * m, dtype=np.int8), (rows, cols)), shape=(n, n)
         )
         del rows, cols
-        adj.sort_indices()
+        if adj.nnz != 2 * m:
+            _raise_first_bad_pair(e, n)
         degrees = np.diff(adj.indptr)
         if (degrees == 0).any():
             i = int(np.flatnonzero(degrees == 0)[0])
             raise ValueError("isolated node %d (every node needs degree >= 1)" % i)
-        ncomp, _ = connected_components(adj, directed=False)
+        # on a symmetric adjacency the strong components are the connected
+        # ones, and the strong search needs no transpose
+        ncomp, _ = connected_components(adj, directed=True, connection="strong")
         if ncomp != 1:
             raise ValueError("graph is not connected (%d components)" % ncomp)
 
@@ -155,6 +156,50 @@ class Graph:
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.num_edges)
+
+
+def _edge_array(edges, n):
+    """``edges`` as an (m, 2) int64 array.  A bool or float endpoint raises
+    ``ValueError``; so does one beyond int64, as out of range [0, n)."""
+    # numpy reads True in a list of ints as 1, so a list is checked item by
+    # item; an array by its dtype
+    e = edges if isinstance(edges, np.ndarray) else np.asarray(edges, dtype=object)
+    if e.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise ValueError("edges must be pairs of node ids")
+    if e.dtype == object:
+        integral = all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                       for v in e.flat)
+    else:
+        integral = e.dtype.kind in "iu"
+    if not integral:
+        raise ValueError("edge endpoints must be integers")
+    try:
+        return e.astype(np.int64, copy=False)
+    except OverflowError:
+        raise ValueError("edge endpoint out of range [0, %d)" % n)
+
+
+def _raise_first_bad_pair(e, n):
+    """Raise :class:`EdgeError` for the first invalid pair of the int64
+    ``e`` in input order, if there is one."""
+    e = np.sort(e, axis=1)  # normalize orientation
+    # the sort is stable, so every copy of a pair but the first is marked
+    order = np.lexsort((e[:, 1], e[:, 0]))
+    s = e[order]
+    bad = (e[:, 0] < 0) | (e[:, 1] >= n) | (e[:, 0] == e[:, 1])
+    bad[order[1:]] |= (s[1:] == s[:-1]).all(axis=1)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    i, j = map(int, e[k])
+    if i < 0 or j >= n:
+        raise EdgeError("edge endpoint out of range [0, %d)" % n, "range", k)
+    if i == j:
+        raise EdgeError("self-loop at node %d" % i, "loop", k)
+    first = int(np.flatnonzero((e == e[k]).all(axis=1))[0])
+    raise EdgeError("duplicate edge (%d, %d)" % (i, j), "duplicate", k, first)
 
 
 class PageRankInstance:
@@ -432,7 +477,10 @@ class PageRankOperator:
     teleport weight ``alpha``, ``sqrt_d`` = sqrt(d) and ``dinv_sqrt`` =
     1/sqrt(d), built once in O(n + m) as read-only arrays, and a node of
     maximum degree with the number of such nodes.  ``Q`` is a canonical
-    CSR, so every quadratic built on it shares it uncopied.
+    CSR, so every quadratic built on it shares it uncopied.  Besides ``Q``
+    (float64 data, n + 2m entries) and the two n-length vectors, the build
+    allocates the 2m off-diagonal values, one 2m gather of ``dinv_sqrt``
+    and scipy's sum with the diagonal; it makes no index array.
 
     :meth:`of` keeps one operator on the graph, for the last alpha asked for.
     The graph is immutable, so the cache never goes stale, and a new alpha
@@ -449,8 +497,9 @@ class PageRankOperator:
 
         # the off-diagonal part on adj's pattern plus the diagonal; scipy's
         # sum of two canonical CSRs is canonical
-        rows = np.repeat(np.arange(n), graph.degrees)
-        off = -(1.0 - a) / 2.0 * (dinv_sqrt[rows] * dinv_sqrt[adj.indices])
+        off = np.repeat(dinv_sqrt, graph.degrees)  # dinv_sqrt of each row
+        off *= dinv_sqrt[adj.indices]
+        off *= -(1.0 - a) / 2.0
         Q = (sp.csr_matrix((off, adj.indices, adj.indptr), shape=(n, n))
              + sp.identity(n, format="csr") * ((1.0 + a) / 2.0))
 

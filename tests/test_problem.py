@@ -81,11 +81,22 @@ class TestGraph:
             e[flip] = e[flip][:, ::-1]
             want = np.sort(e, axis=1)
             want = want[np.lexsort((want[:, 1], want[:, 0]))]
-            got = Graph(family.n, e).edges
+            graph = Graph(family.n, e)
+            got = graph.edges
             assert got.dtype == np.int64 and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
             assert not got.flags.writeable
-            assert Graph(family.n, e).num_edges == len(want)
+            assert graph.num_edges == len(want)
+            # the reference: scipy's CSR of both orientations of those pairs
+            rows = np.concatenate([want[:, 0], want[:, 1]])
+            cols = np.concatenate([want[:, 1], want[:, 0]])
+            ref = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)),
+                                shape=(family.n, family.n))
+            ref.sort_indices()
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(graph._adj, name), getattr(ref, name)
+                assert a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("end", [2**64, -2**63 - 1])
     def test_endpoint_beyond_int64_is_a_range_error(self, end):
@@ -100,6 +111,14 @@ class TestGraph:
         # the first repeat in input order, not the smallest repeated pair
         (np.array([(1, 2), (0, 1), (2, 1), (1, 0)]), r"duplicate edge \(1, 2\)",
          "duplicate", 2, 0),
+        # a repeat before a range fault, and a range fault before a repeat
+        ([(0, 1), (1, 0), (0, 3)], r"duplicate edge \(0, 1\)", "duplicate",
+         1, 0),
+        ([(0, 1), (5, 1), (1, 0)], r"edge endpoint out of range \[0, 3\)",
+         "range", 1, None),
+        # 257 copies would sum to 1 in the int8 adjacency
+        ([(1, 2)] + [(0, 1)] * 257, r"duplicate edge \(0, 1\)", "duplicate",
+         2, 1),
     ])
     def test_first_bad_pair_in_input_order(self, edges, message, kind,
                                            position, first):
@@ -107,6 +126,60 @@ class TestGraph:
             Graph(3, edges)
         assert (info.value.kind, info.value.position, info.value.first) == (
             kind, position, first)
+
+    def test_repeat_is_named_before_an_isolated_node(self):
+        # 5 nodes and 2 pairs: some node is isolated, but the repeat comes first
+        with pytest.raises(EdgeError, match=r"^duplicate edge \(0, 1\)$") as info:
+            Graph(5, [(0, 1), (1, 0)])
+        assert (info.value.position, info.value.first) == (1, 0)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1.7), (1, 2)],
+        [(0, 1.0), (1, 2)],
+        [(0, np.float64(1)), (1, 2)],
+        np.array([[0, 1.5], [1, 2.0]]),
+        [(True, 2), (0, 1)],
+        [(np.True_, 2), (0, 1)],
+        np.array([[False, True], [True, True]]),
+    ])
+    def test_non_integer_endpoints_rejected(self, edges):
+        # casting to int64 truncated 1.7 and read True as node 1
+        with pytest.raises(ValueError, match="^edge endpoints must be integers$"):
+            Graph(3, edges)
+
+    @pytest.mark.parametrize("edges", [
+        np.array([(0, 1), (1, 2)], dtype=np.int32),
+        np.array([(0, 1), (1, 2)], dtype=np.uint8),
+        [(np.int64(0), np.uint16(1)), (1, 2)],
+        np.array([(0, 1), (1, 2)], dtype=object),
+    ])
+    def test_integer_endpoint_types_accepted(self, edges):
+        assert Graph(3, edges).edges.tolist() == [[0, 1], [1, 2]]
+
+    @pytest.mark.parametrize("edges", [[], np.empty((0, 2)), np.empty(0, dtype=bool)])
+    def test_no_edges_is_an_isolated_node(self, edges):
+        with pytest.raises(ValueError, match="^isolated node 0 "):
+            Graph(1, edges)
+
+    def test_construction_peaks_follow_the_edge_bytes(self):
+        # on a 300 x 300 grid, as multiples of the (m, 2) int64 edges: the
+        # constructor once peaked at 4.25 (a row-wise sort, a lexsort and
+        # an undirected connected_components) and the operator at 5.0 (an
+        # int64 row index per entry); now 2.9 and 4.0
+        edges = _grid(300, 0).graph.edges.copy()
+        n = 300 * 300
+        tracemalloc.start()
+        try:
+            graph = Graph(n, edges)
+            graph_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            PageRankOperator(graph, 0.1)
+            operator_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert graph_peak <= 3.5 * edges.nbytes, graph_peak / edges.nbytes
+        assert operator_peak <= 4.5 * edges.nbytes, operator_peak / edges.nbytes
 
 
 class TestPageRankInstance:
