@@ -595,38 +595,55 @@ def restrict(q, S):
 
     Principal submatrices of an SPD M-matrix keep the M-matrix structure and
     only tighten the spectral bounds, so the restriction keeps (alpha, L).
+    It gathers the rows S and keeps the entries whose column lies in S,
+    relabelled by position in S: O(vol(S)) entries, where scipy's column
+    index would build an n-length lookup.  ``b`` on S is read from
+    ``q._parts``, so a corrected quadratic builds no dense ``b``.
     """
-    S = np.asarray(S, dtype=np.int64)
-    if S.size > 1 and np.any(S[1:] <= S[:-1]):
-        raise ValueError("restriction indices must be strictly increasing")
-    if S.size and (S[0] < 0 or S[-1] >= q.n):
-        raise ValueError("restriction index out of range")
-    return _restricted(q, S, q.b[S])
-
-
-def _restricted(q, S, b):
-    """:func:`restrict` for a valid int64 ``S``, with ``b`` the b of ``q``
-    on ``S``, read by the caller."""
-    # gather the rows S and keep the entries whose column lies in S, relabelled
-    # by position in S; this reads O(vol(S)) entries, where scipy's column
-    # index would build an n-length lookup
+    S = _sorted_indices(q, S)
     Q = q.Q
     pos, counts = _row_entries(Q, S)
-    # n after the last key keeps every search inside the keys
-    keys = np.append(S, q.n)
-    cols = Q.indices[pos]
-    at = keys.searchsorted(cols)
-    hit = keys[at] == cols
+    at, hit = _find(S, q.n, Q.indices[pos])
     row_hits = np.bincount(np.repeat(np.arange(S.size), counts)[hit],
                            minlength=S.size)
     indptr = np.concatenate([[0], np.cumsum(row_hits)])
     sub = sp.csr_matrix((Q.data[pos[hit]], at[hit], indptr),
                         shape=(S.size, S.size))
+    b = _b_on(q, S)
     # q.Q is canonical, so sub is too: freeze it and b so MQuadratic takes
     # them as they are
     for arr in (sub.data, sub.indices, sub.indptr, b):
         arr.setflags(write=False)
     return MQuadratic(sub, b, q.alpha, q.L, validate=False)
+
+
+def _sorted_indices(q, S):
+    """``S`` as int64, checked to be strictly increasing indices of q."""
+    S = np.asarray(S, dtype=np.int64)
+    if S.size > 1 and np.any(S[1:] <= S[:-1]):
+        raise ValueError("restriction indices must be strictly increasing")
+    if S.size and (S[0] < 0 or S[-1] >= q.n):
+        raise ValueError("restriction index out of range")
+    return S
+
+
+def _find(S, n, idx):
+    """For each of ``idx``, indices in [0, n), its place in the sorted int64
+    ``S`` and whether it is there."""
+    # n after the last key keeps every search inside the keys
+    keys = np.append(S, n)
+    at = keys.searchsorted(idx)
+    return at, keys[at] == idx
+
+
+def _b_on(q, rows):
+    """``b`` of q on the sorted int64 ``rows``, read from ``q._parts`` in
+    O(|rows| + |nodes| log |rows|)."""
+    base, nodes, values = q._parts
+    b = base[rows]
+    at, hit = _find(rows, q.n, nodes)
+    b[at[hit]] = values[hit]
+    return b
 
 
 def _matvec(Q, x, out):
@@ -971,22 +988,45 @@ class OptimalityReport:
 
 
 def check_optimality(q, x, pagerank_box=None):
-    """Evaluate the sign conditions for optimality of x over the orthant."""
+    """Evaluate the sign conditions for optimality of x over the orthant.
+
+    The gradient is computed only on the rows where it can differ from -b
+    or be negative: the Q-neighbourhood of supp(x), ``q.positive_b`` and
+    the corrected rows of ``b``.  Those rows are a CSR row slice of ``Q``
+    times ``x``, so each row sums its entries in the order of ``Q @ x``, and
+    ``b`` on them is read from ``q._parts``.  On every other row x = 0 and
+    the gradient is -b >= 0, which adds nothing to either residual; only
+    the caps are compared with it there.  The report equals the one from
+    the full gradient bit for bit, and no dense ``b`` is built.
+    """
     x = np.asarray(x, dtype=float)
+    if x.shape != (q.n,):
+        raise ValueError("x must have length %d" % q.n)
     # every sign test below is false for NaN, which would pass as stationary
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     if (x < 0).any():
         raise ValueError("x must be nonnegative")
-    g = q.Q @ x - q.b
-    pos = x > 0
+    base, nodes, _ = q._parts
+    supp = np.flatnonzero(x)
+    pos, _ = _row_entries(q.Q, supp)
+    rows = np.sort(np.concatenate((q.Q.indices[pos], supp, q.positive_b,
+                                   nodes)))
+    # one sort and a compare: numpy 2's np.unique hashes, which took over
+    # ten times as long on a few thousand rows
+    rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
+    g = q.Q[rows] @ x - _b_on(q, rows)
+    pos = x[rows] > 0
     viol_pos = float(np.max(np.abs(g[pos]))) if pos.any() else 0.0
     zero = ~pos
     viol_zero = float(max(0.0, np.max(-g[zero]))) if zero.any() else 0.0
     box = []
     if pagerank_box is not None:
-        cap = np.asarray(pagerank_box, dtype=float)
-        box = np.flatnonzero(zero & (g > cap)).tolist()
+        cap = np.broadcast_to(np.asarray(pagerank_box, dtype=float), (q.n,))
+        off = np.setdiff1d(np.flatnonzero(-base > cap), rows,
+                           assume_unique=True)
+        box = np.sort(np.concatenate((rows[zero & (g > cap[rows])],
+                                      off))).tolist()
     return OptimalityReport(viol_pos, viol_zero, box)
 
 
@@ -997,5 +1037,8 @@ def volume(q, S):
 
 
 def internal_volume(q, S):
-    """Stored nonzeros of the S-by-S principal submatrix of Q (S sorted)."""
-    return restrict(q, S).Q.nnz
+    """Stored nonzeros of the S-by-S principal submatrix of Q (S sorted),
+    counted on the rows S without building the submatrix."""
+    S = _sorted_indices(q, S)
+    pos, _ = _row_entries(q.Q, S)
+    return int(np.count_nonzero(_find(S, q.n, q.Q.indices[pos])[1]))

@@ -67,7 +67,6 @@ from .problem import (
     gradient,
     restrict,
     _matvec,
-    _restricted,
     _RowGather,
 )
 
@@ -91,11 +90,18 @@ ASPR_VARIANTS = ("plain", "early", "constraints")
 # solver tokens accepted by solve(); aspr carries its variant after a colon
 SOLVER_TOKENS = ("ista", "cdpr", "aspr", "aspr:early", "aspr:constraints")
 
-# the largest iteration budget a solve may set: ista's max_iter or the inner
-# length of one aspr stage.  Both grow with kappa = L/alpha and reach counts
-# no run could finish at a tiny alpha; a budget above this cap (over a
-# quarter of an hour at a microsecond per step) raises ValueError instead.
+# the largest iteration budget a solve may set: ista's max_iter, which grows
+# with kappa = L/alpha, or the inner length of one aspr stage, which grows
+# with the certified kappa_S = L_S/alpha_S of its working set and reaches
+# 1/alpha once that set is as badly conditioned as Q (the whole of a
+# connected graph, say).  At a tiny alpha both reach counts no run could
+# finish; a budget above this cap (over a quarter of an hour at a
+# microsecond per step) raises ValueError instead.
 MAX_ITERATIONS = 10**9
+
+# the Jacobi sweeps toward Q_SS v = 1 that pick the vector of an aspr stage's
+# Collatz-Wielandt bound (see _conditioning)
+_JACOBI_SWEEPS = 3
 
 # the directions cdpr's basis holds before it first doubles
 _BASIS_START = 8
@@ -196,10 +202,47 @@ def _coeff_growth(kappa):
     return 2.0 * kappa / (2.0 * kappa + 1.0 - math.sqrt(1.0 + 4.0 * kappa))
 
 
-def _apgd_loop(q, S, x0s, T, counters, lower=None, observe=None, out=None,
-               full_every=0, ws=None):
-    """Accelerated projected gradient on the restriction of q to S; returns
-    the last output iterate on S and whether the loop aborted.
+def _conditioning(sub):
+    """Certified spectral bounds (alpha_S, L_S) of ``sub``, a principal
+    restriction Q_SS of an M-matrix quadratic that keeps its (alpha, L):
+    alpha <= alpha_S <= lambda_min(Q_SS) and lambda_max(Q_SS) <= L_S <= L.
+
+    alpha_S is the larger of alpha and the Collatz-Wielandt bound: for an
+    M-matrix, lambda_min(Q_SS) >= min_i (Q_SS v)_i / v_i at every v > 0
+    (Berman & Plemmons, Nonnegative Matrices in the Mathematical Sciences,
+    1994, ch. 6).  v takes _JACOBI_SWEEPS Jacobi sweeps from 1 toward
+    Q_SS v = 1; each sweep is (1 + N v)/D for the splitting Q_SS = D - N
+    with N >= 0, so v stays positive.  L_S is the smaller of L and the
+    largest row sum of |Q_SS|, which is 2*Q_ii - (Q_SS 1)_i for an
+    M-matrix.  Both are read from rounded products: row i of Q_SS v
+    rounds by at most about m*u times the row sum of |Q_SS| v, which is
+    2*Q_ii*v_i - (Q_SS v)_i, with u the unit roundoff and m = |S| + 4
+    above the entries of a row.  Each bound gives up twice that, which
+    also covers its own few roundings, so both hold in exact arithmetic
+    for the stored Q_SS.  Costs O(ivol(S)) in a fixed number of numpy
+    calls."""
+    Q = sub.Q
+    k = Q.shape[0]
+    d = Q.diagonal()
+    slack = 2.0 * (k + 4) * 2.0**-53
+    v = np.ones(k)
+    qv = _matvec(Q, v, np.empty(k))
+    L_S = min(sub.L, float((2.0 * d - qv).max()) * (1.0 + slack))
+    for _ in range(_JACOBI_SWEEPS):
+        v = v + (1.0 - qv) / d
+        qv = _matvec(Q, v, qv)
+    if not (v > 0).all():
+        return sub.alpha, L_S
+    low = qv - slack * (2.0 * d * v - qv)
+    return max(sub.alpha, float((low / v).min()) * (1.0 - slack)), L_S
+
+
+def _apgd_loop(sub, alpha, L, S, x0s, T, counters, lower=None, observe=None,
+               out=None, full_every=0, ws=None):
+    """Accelerated projected gradient on ``sub``, the restriction of a
+    quadratic to the sorted coordinates S, with ``alpha`` and ``L`` spectral
+    bounds of ``sub.Q`` (alpha*I <= Q_SS <= L*I); returns the last output
+    iterate on S and whether the loop aborted.
 
     A restricted gradient is charged the nonzeros of the columns of Q[S, S]
     in supp(x_S).  ``lower`` (same length as S) turns the clamp into
@@ -214,11 +257,8 @@ def _apgd_loop(q, S, x0s, T, counters, lower=None, observe=None, out=None,
     ``observe`` sees each output iterate embedded in the dense ``out``,
     which must vanish off S.
     """
-    kappa = q.kappa
-    alpha = q.alpha
+    kappa = L / alpha
     growth = _coeff_growth(kappa)
-    # S lies in the workspace's listed rows, whose b it holds
-    sub = restrict(q, S) if ws is None else _restricted(q, S, ws.b[S])
     col_nnz = np.diff(sub.Q.indptr)
     qx = np.empty(S.size)
     y = x0s.copy()
@@ -283,8 +323,8 @@ def apgd(q, S, x0, T, observe=None):
     if S.size == 0 or T == 0:
         out[S] = x0[S]
         return out
-    out[S], _ = _apgd_loop(q, S, x0[S], T, Counters(), observe=observe,
-                           out=out)
+    out[S], _ = _apgd_loop(restrict(q, S), q.alpha, q.L, S, x0[S], T,
+                           Counters(), observe=observe, out=out)
     return out
 
 
@@ -501,13 +541,39 @@ def cdpr(q, observe=None):
 def aspr(q, eps, variant="plain", observe=None):
     """Staged accelerated solver with working-set expansion.
 
-    Per stage: run the accelerated inner loop on the working set long enough
-    to certify an inner gap of (shrink^2 * alpha / 2), retract every working
-    coordinate by the shrink margin (clamped), then expand the working set
+    Per stage on the working set S: run the accelerated inner loop on the
+    restriction Q_SS long enough to certify ||y - x*_S|| <= shrink, with
+    x*_S the minimizer over the coordinates S; retract every working
+    coordinate by the shrink margin (clamped); then expand the working set
     by every certainly-negative coordinate of one full gradient.  The
     retraction keeps each stage start below its subspace optimum, which
     makes every expansion coordinate provably part of the optimal support.
     Terminates with a certified objective gap of at most eps.
+
+    The stage is sized by the conditioning of Q_SS, not of Q.
+    :func:`_conditioning` certifies alpha_S and L_S with
+    alpha <= alpha_S <= lambda_min(Q_SS) and lambda_max(Q_SS) <= L_S <= L;
+    alpha_S is often far above alpha (a working set that is not the whole
+    graph leaks mass through its boundary).  The inner loop steps with them
+    (momentum from kappa_S = L_S/alpha_S, and x - g/alpha_S), so from a
+    start x0:
+
+    - R = ||x0 - x*_S|| <= ||g_S(x0)|| / alpha_S, since
+      alpha_S * R^2 <= <g_S(x0), x0 - x*_S> at the constrained optimum;
+    - after T steps the inner gap is at most (L_S - alpha_S) R^2 / (2 A_T),
+      with A_T = growth^(T - 1) >= exp((T - 1) / (2 sqrt(kappa_S)));
+    - an inner gap of shrink^2 * alpha_S / 2 gives ||y - x*_S||^2 <=
+      shrink^2 by strong convexity on S, so max(0, y - shrink) <= x*_S.
+
+    So T = 1 + ceil(2 sqrt(kappa_S) * log((L_S - alpha_S) * ||g_S(x0)||^2
+    / (alpha_S^3 * shrink^2))), computed in log space.  The shrink margin
+    and the final certificate keep the global alpha and L: with shrink^2 =
+    eps * alpha / ((1 + |S|) L^2), the final iterate lies below x*_S = x*
+    and within (1 + sqrt|S|) shrink of it, so its gradient residual v (the
+    gradient where x > 0, its negative part where x = 0) has ||v|| <=
+    ||Q (x - x*)|| <= L (1 + sqrt|S|) shrink over all n coordinates, and
+    as (1 + sqrt|S|)^2 <= 2 (1 + |S|), the gap ||v||^2 / (2 alpha) is at
+    most eps.
 
     variant="early": every |S| inner iterations, with S the stage's working
     set, the restricted gradient is upgraded to a full one;
@@ -515,7 +581,8 @@ def aspr(q, eps, variant="plain", observe=None):
     the stage aborts there and the new coordinates join immediately.
     variant="constraints": coordinatewise lower bounds, certified at any
     iterate observed with nonpositive working-set gradient, replace zero in
-    every clamp (inner projection and retraction).
+    every clamp (inner projection and retraction); they lie below x*_S, so
+    the stage's bounds and length are unchanged.
 
     ``observe`` sees each stage's iterate and working set (see the module
     docstring); an aborted stage is observed at its abort point.
@@ -525,7 +592,7 @@ def aspr(q, eps, variant="plain", observe=None):
         raise ValueError("variant must be one of %s" % (ASPR_VARIANTS,))
     ws = GradientWorkspace(q, Counters())
     x, g, counters = ws.x, ws.g, ws.counters
-    alpha, L, kappa = q.alpha, q.L, q.kappa
+    alpha, L = q.alpha, q.L
     if not ws.admit(ws.negatives()).size:
         return _solution(ws, eps, ws.S)
     lower = ws.pooled("lower", float) if variant == "constraints" else None
@@ -534,29 +601,32 @@ def aspr(q, eps, variant="plain", observe=None):
     while True:
         S = ws.S
         counters.stages += 1
+        sub = restrict(q, S)
+        alpha_S, L_S = _conditioning(sub)
         shrink = math.sqrt(eps * alpha / ((1.0 + S.size) * L * L))
         gs0 = g[S]
         norm2 = float(gs0 @ gs0)
         if norm2 == 0.0:
             T = 0
-        elif L == alpha:
+        elif L_S == alpha_S:
             T = 1
         else:
-            # the log of (L - alpha) * norm2 / (2 * inner_gap * alpha^2),
-            # with inner_gap = shrink^2 * alpha / 2; the quotient itself
-            # underflows its denominator for a tiny alpha
-            log_arg = (math.log(L - alpha) + math.log(norm2)
+            # the log of (L_S - alpha_S) * norm2 / (alpha_S^3 * shrink^2);
+            # the quotient itself underflows for a tiny alpha
+            log_arg = (math.log(L_S - alpha_S) + math.log(norm2)
                        + math.log1p(S.size) + 2.0 * math.log(L)
-                       - math.log(eps) - 4.0 * math.log(alpha))
+                       - math.log(eps) - math.log(alpha)
+                       - 3.0 * math.log(alpha_S))
             if log_arg <= 0.0:
                 T = 1
             else:
                 T = 1 + math.ceil(_budget(
-                    q, 2.0 * math.sqrt(kappa) * log_arg, "an aspr stage"))
+                    q, 2.0 * math.sqrt(L_S / alpha_S) * log_arg,
+                    "an aspr stage"))
         lower_s = lower[S].copy() if lower is not None else None
         period = int(S.size) if variant == "early" else 0
-        y, aborted = _apgd_loop(q, S, x[S], T, counters, lower=lower_s,
-                                full_every=period, ws=ws)
+        y, aborted = _apgd_loop(sub, alpha_S, L_S, S, x[S], T, counters,
+                                lower=lower_s, full_every=period, ws=ws)
         if aborted:
             if observe is not None:
                 observe(x, S, None)

@@ -223,14 +223,16 @@ class TestSolveErrors:
         assert "eps=" in res.stderr and "alpha=" in res.stderr
 
     @pytest.mark.parametrize("solver, alpha, eps", [
-        ("aspr", "1e-80", "1e-6"),
-        ("aspr", "1e-75", "1e-6"),
+        ("aspr", "1e-80", "1e-200"),
+        ("aspr", "1e-75", "1e-200"),
         ("ista", "1e-100", "1e-200"),
     ])
     def test_alpha_too_small_for_the_iteration_budget_is_input_error(
             self, tmp_path, solver, alpha, eps):
         # aspr's inner length divided by an underflowed zero or ran for a
-        # budget of order sqrt(1/alpha); ista's max_iter is of order 1/alpha
+        # budget of order sqrt(1/alpha); ista's max_iter is of order 1/alpha.
+        # At eps 1e-200 aspr's working set reaches the whole path, whose
+        # smallest eigenvalue is alpha itself
         path = tmp_path / "path.txt"
         path.write_text("0 1\n1 2\n2 3\n")
         res = run_cli("solve", "--graph", str(path), "--alpha", alpha,
@@ -240,6 +242,33 @@ class TestSolveErrors:
         assert res.stdout == ""
         assert res.stderr.count("\n") == 1
         assert res.stderr.startswith("error: alpha=%s is too small" % alpha)
+
+    @pytest.mark.parametrize("alpha", ["1e-80", "1e-75"])
+    def test_tiny_alpha_answer_meets_eps(self, tmp_path, capsys, alpha):
+        # f* is about 1e-150 here, so x = 0 meets eps = 1e-6: aspr's first
+        # working set {0} is a 1x1 block of about 0.5, which a stage sized by
+        # 1/alpha could not finish
+        from sparsepr import (Graph, PageRankInstance, build_pagerank_quadratic,
+                              dense_solve_active_set, objective)
+        path = tmp_path / "path.txt"
+        path.write_text("0 1\n1 2\n2 3\n")
+        assert cli.main(["solve", "--graph", str(path), "--alpha", alpha,
+                         "--rho", "1e-3", "--seed-node", "0", "--solver",
+                         "aspr", "--eps", "1e-6"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["gap_bound"] == 1e-6
+        x = np.zeros(4)
+        for i, v in out["x"]:
+            x[i] = v
+        q = build_pagerank_quadratic(PageRankInstance(
+            Graph(4, [(0, 1), (1, 2), (2, 3)]), float(alpha), 1e-3, 0))
+        ref = dense_solve_active_set(q)
+        assert objective(q, x) - ref.objective_value <= 1e-6
+        # the answer's own strong-convexity certificate ||v||^2 / (2 alpha),
+        # with ||v||^2 at most 4 times the larger residual squared
+        res = out["residuals"]
+        v_max = max(res["max_violation_positive"], res["max_violation_zero_low"])
+        assert 4 * v_max ** 2 / (2 * float(alpha)) <= 1e-6
 
     @pytest.mark.parametrize("rho", ["nan", "inf"])
     def test_non_finite_rho_is_input_error(self, two_node_file, rho):
@@ -346,7 +375,7 @@ class TestVerify:
          "worst 7.288e-16\n"
          "PASS cdpr/conjugacy_annihilation_monotonicity: 25 checks, "
          "worst 1.249e-15\n"
-         "PASS aspr/certified_gap: 150 checks, worst 2.903e-01\n"
+         "PASS aspr/certified_gap: 150 checks, worst 2.904e-01\n"
          "PASS aspr+ista/support_purity: 175 checks\n"
          "PASS aspr/subspace_sandwich: 53 checks, worst 0.000e+00\n"
          "all 11 invariants passed (instances=20, max-n=40, seed=7)\n"),

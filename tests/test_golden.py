@@ -67,14 +67,14 @@ GOLDEN = {
         _counters(45, 0, 9631, 46, 0), GRID_SUPPORT, GRID_SUPPORT,
         "22e36fb6c937e5a57a625301461f34995c8e5317238b13a93810ae2299f55d40"),
     ("grid", "aspr"): (
-        _counters(6, 579, 43032, 7, 579), GRID_SUPPORT, GRID_SUPPORT,
-        "c7d9d7ca0cb103d38f7a371ee5ead350844fb7788e90d2c8060d8888faa5cb83"),
+        _counters(6, 384, 40369, 7, 384), GRID_SUPPORT, GRID_SUPPORT,
+        "fb2561e74f191721fa73f2c05e159439f171bad1eab623a955bd74673fcfeecf"),
     ("grid", "aspr:early"): (
-        _counters(6, 234, 32658, 12, 224), GRID_SUPPORT, GRID_SUPPORT,
-        "f728e6da072b8671dd66ca1ed33fba4ee8e3ea68ceb21910ea4124ae1c48771a"),
+        _counters(6, 208, 30205, 11, 200), GRID_SUPPORT, GRID_SUPPORT,
+        "94b1a4d18c7231e0b7355b8d45af710cc2186d312deb35e9535f5035c1c00c2f"),
     ("grid", "aspr:constraints"): (
-        _counters(6, 581, 43386, 7, 581), GRID_SUPPORT, GRID_SUPPORT,
-        "e24446f09d688e025bdff0a68c1e1da16bca89e4474fab74ab971fcc49daf587"),
+        _counters(6, 386, 40663, 7, 386), GRID_SUPPORT, GRID_SUPPORT,
+        "e7bdd94dec77becfbecea505a5bb8b03dab635d4e9ad472eeff69d0c195d5cef"),
     ("sbm", "ista"): (
         _counters(10, 11, 1218, 12, 0), SBM_ISTA, SBM_ISTA,
         "72104e84ae9b6375f3fbd3fe56528e2cbeee4573fb0d61fad9927d41f1b100a9"),
@@ -82,14 +82,14 @@ GOLDEN = {
         _counters(21, 0, 3608, 22, 0), SBM_OPT, SBM_OPT,
         "5785d379d14eb316f07935672d16e85bd57a6a3008200f334bb6eaf8671d2aaa"),
     ("sbm", "aspr"): (
-        _counters(5, 309, 16067, 6, 309), SBM_ASPR, SBM_OPT,
-        "a8ff05cade3b667d6beb6034cdd5f50a9a7c3f1089b760e09b68abd56a2429f6"),
+        _counters(5, 129, 10641, 6, 129), SBM_ASPR, SBM_OPT,
+        "ea7eef8da7a8ce50522b1430b04a36c1729d504bf01838193ce0aafe24626641"),
     ("sbm", "aspr:early"): (
-        _counters(6, 119, 12898, 12, 110), SBM_ASPR, SBM_OPT,
-        "268116f654d5ddbf2cb07882543550f2eb67c15df50329ea590859abd89dad59"),
+        _counters(5, 75, 8662, 9, 70), SBM_ASPR, SBM_OPT,
+        "3941df90f11cb8afe6594cc87ec34463f600c54d92894b66aa4e409eac128577"),
     ("sbm", "aspr:constraints"): (
-        _counters(4, 275, 11812, 5, 275), SBM_OPT, SBM_OPT,
-        "576e3ed825d6e1b36cf103b07ae4af224765596da870e446294f86e12d79e48e"),
+        _counters(4, 107, 7797, 5, 107), SBM_OPT, SBM_OPT,
+        "9e06848395ad0757e37917a317e6b29f743add85fe742bb02a196c21ce29be7e"),
     ("two_seed", "ista"): (
         _counters(13, 25, 3798, 26, 0), TWO_ISTA, TWO_ISTA,
         "948c4d93e7867e6d9abd27fad6a2d713cad4122835a39035958564b8117e0dbc"),
@@ -97,13 +97,13 @@ GOLDEN = {
         _counters(48, 0, 7804, 49, 0), TWO_OPT, TWO_OPT,
         "da1935eea762884dc0d0716384b247844bdbd900c9be49dbf31520434909510e"),
     ("two_seed", "aspr"): (
-        _counters(7, 625, 60159, 8, 625), TWO_ASPR, TWO_OPT,
+        _counters(7, 458, 58013, 8, 458), TWO_ASPR, TWO_OPT,
         "5d069cb38974cf3a2624159970b51d66d51f8ab1dff2c6109212deb9dc3c7b26"),
     ("two_seed", "aspr:early"): (
-        _counters(6, 265, 38125, 11, 256), TWO_ASPR, TWO_OPT,
-        "36aadc779dc193a752a44891b7d71c6e41dc8311a391bfcddca7b5b6603d909a"),
+        _counters(6, 242, 36389, 10, 235), TWO_ASPR, TWO_OPT,
+        "45e12f60f67c7326a2df434a83464bae4f093a7f8e94c099c709f03ad8bb78b4"),
     ("two_seed", "aspr:constraints"): (
-        _counters(6, 577, 51162, 7, 577), TWO_OPT, TWO_OPT,
+        _counters(6, 410, 49016, 7, 410), TWO_OPT, TWO_OPT,
         "d8495acfd6e6caddfd12ea410685ca463d019b9ae767f7617d0f568f1529dfbf"),
 }
 
@@ -117,11 +117,11 @@ CLI_TOKEN_STDOUT_SHA256 = {
         "2909c5567f93856f2d148289625e59f36160fdc7c10d09bbbafa64a4f97340f1",
     "cdpr": CLI_STDOUT_SHA256,
     "aspr":
-        "8e586e87dfcc1b50b419848d1d49ae90ec76b623c3b469e3fdd8f3a4d7da82ad",
+        "e4f1bdbcc01fb93d99a031b7a8a882a651c40105c2609cf810a97ffd7ebcc698",
     "aspr:early":
-        "757f38f78f734cee539c8affc0d934586ee29b8c0c7929ac1c26d32d329943cc",
+        "eea3cd57293def04aa061100442ab5afe8074859c8d35f4a5bcfb292d1bc7c70",
     "aspr:constraints":
-        "b962365d84b0dd113a398219e5075baaf184546f3828a9c5aef2ec190dad8833",
+        "cf14bbe968276b974dbfb3ddb87fbee9565a3965b7a7d35a0e745c9e59b2b448",
 }
 
 

@@ -25,6 +25,7 @@ from sparsepr.oracle import GRAPH_KINDS, random_graph_instance, random_m_matrix
 from sparsepr.problem import (
     EdgeError,
     GradientWorkspace,
+    OptimalityReport,
     PageRankOperator,
     restrict,
 )
@@ -376,6 +377,11 @@ class TestCheckOptimality:
         with pytest.raises(ValueError):
             check_optimality(two_node, np.array([-0.1, 0.0]))
 
+    @pytest.mark.parametrize("x", [[0.1], [0.1, 0.0, 0.2]])
+    def test_x_of_the_wrong_length_rejected(self, two_node, x):
+        with pytest.raises(ValueError, match="length 2"):
+            check_optimality(two_node, np.array(x))
+
     @pytest.mark.parametrize("x", [[np.nan, 0.0, 0.0], [np.nan] * 3,
                                    [0.0, np.inf, 0.0]])
     def test_non_finite_x_rejected(self, x):
@@ -403,6 +409,32 @@ class TestCheckOptimality:
         rep = check_optimality(q, cdpr(q).x,
                                pagerank_box=pagerank_upper_bounds(inst))
         assert rep.upper_box_violations == []
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_local_check_matches_the_full_gradient(self, seed):
+        # the check computes rows near supp(x), positive_b and the seed only;
+        # its report equals the one from the full Q @ x - b bit for bit, and
+        # it builds no dense b
+        inst = _grid(12, 60)
+        q = build_pagerank_quadratic(inst)
+        rng = np.random.default_rng(seed)
+        x = np.zeros(q.n)
+        near = rng.choice(q.n, 20, replace=False)
+        x[near] = rng.uniform(0.0, 1e-3, near.size) * (rng.uniform(size=20) < 0.7)
+        cap = pagerank_upper_bounds(inst)
+        tight = cap * rng.uniform(0.5, 1.5, q.n)
+        for box in (None, cap, tight, 0.01):
+            rep = check_optimality(q, x, pagerank_box=box)
+            assert q._b is None
+            g = q.Q @ x - build_pagerank_quadratic(inst).b
+            pos, zero = x > 0, x <= 0
+            want = OptimalityReport(
+                float(np.max(np.abs(g[pos]))) if pos.any() else 0.0,
+                float(max(0.0, np.max(-g[zero]))) if zero.any() else 0.0,
+                [] if box is None else
+                np.flatnonzero(zero & (g > np.asarray(box))).tolist())
+            assert repr(rep) == repr(want)
 
 
 class TestPageRankOperator:
@@ -528,6 +560,25 @@ class TestRestrict:
         assert sub.Q.has_canonical_format
         for arr in (sub.Q.data, sub.Q.indices, sub.Q.indptr, sub.b):
             assert not arr.flags.writeable
+
+
+    def test_a_corrected_quadratic_builds_no_dense_b(self):
+        # restrict reads b on S, and internal_volume counts Q_SS's entries,
+        # without the dense b; both give what the dense b gives
+        inst = _grid(9, 40)
+        q = build_pagerank_quadratic(inst)
+        S = np.array([30, 31, 39, 40, 41, 49, 77])
+        sub = restrict(q, S)
+        ivol = internal_volume(q, S)
+        assert q._b is None
+        ref = MQuadratic(q.Q[S][:, S], q.b[S], q.alpha, q.L, validate=False)
+        assert sub.b.tobytes() == ref.b.tobytes()
+        assert ivol == ref.Q.nnz == sub.Q.nnz
+
+    @pytest.mark.parametrize("S", [[1, 0], [-1, 0], [1, 2]])
+    def test_internal_volume_checks_its_indices(self, two_node, S):
+        with pytest.raises(ValueError):
+            internal_volume(two_node, S)
 
 
 class TestVolumes:

@@ -31,7 +31,7 @@ from sparsepr.problem import (
     _matvec,
     _segment_row_products,
 )
-from sparsepr.solvers import ASPR_VARIANTS, _BASIS_START
+from sparsepr.solvers import ASPR_VARIANTS, _BASIS_START, _conditioning
 
 common = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -414,3 +414,34 @@ def test_restricted_product_is_scipys_bit_for_bit(seed, n, density, kind):
     out = np.full(S.size, np.nan)
     assert _matvec(sub.Q, x, out) is out
     assert out.tobytes() == (sub.Q @ x).tobytes()
+
+
+def _assert_stage_bounds(sub):
+    """alpha <= alpha_S <= lambda_min(Q_SS) and lambda_max(Q_SS) <= L_S <= L,
+    up to the rounding of eigvalsh."""
+    alpha_S, L_S = _conditioning(sub)
+    w = np.linalg.eigvalsh(sub.Q.toarray())
+    slack = 1e-12 * sub.L
+    assert sub.alpha <= alpha_S <= w[0] + slack
+    assert w[-1] - slack <= L_S <= sub.L
+    return alpha_S
+
+
+@common
+@given(seed=seeds, n=dims, density=densities,
+       kind=st.sampled_from(("m-matrix",) + GRAPH_KINDS))
+def test_stage_bounds_bracket_the_restricted_spectrum(seed, n, density, kind):
+    # random M-matrix restrictions, and the working sets of an aspr solve
+    if kind == "m-matrix":
+        q = random_m_matrix(n, density, seed=seed)
+        rng = np.random.default_rng(seed + 10)
+        S = np.flatnonzero(rng.uniform(size=n) < 0.6)
+        sets = [S if S.size else np.arange(n), np.arange(n)]
+    else:
+        q = build_pagerank_quadratic(random_graph_instance(kind, {}, seed))
+        sets = []
+        aspr(q, 1e-6, observe=lambda x, S, d: sets.append(S))
+        # on the whole of a connected graph lambda_min is alpha itself
+        assert _conditioning(restrict(q, np.arange(q.n)))[0] == q.alpha
+    for S in sets:
+        _assert_stage_bounds(restrict(q, S))

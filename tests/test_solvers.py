@@ -27,12 +27,13 @@ from sparsepr import (
     subspace_solve,
 )
 from sparsepr.oracle import random_m_matrix
-from sparsepr.problem import GradientWorkspace, MQuadratic
+from sparsepr.problem import GradientWorkspace, MQuadratic, restrict
 from sparsepr.solvers import (
     ASPR_VARIANTS,
     SOLVER_TOKENS,
     Counters,
     _coeff_growth,
+    _conditioning,
     _gap_from_gradient,
     solve,
 )
@@ -321,6 +322,29 @@ class TestASPRSchedule:
         delta = math.sqrt(1e-3 * 0.5 / (2 * 1.0 ** 2))
         assert delta == 0.015811388300841896
         assert abs(delta ** 2 * 0.5 / 2 - 6.25e-05) <= 1e-19
+
+
+class TestStageConditioning:
+    def test_one_coordinate_block_is_its_diagonal(self, two_node):
+        # Q_SS = (0.75): one Jacobi sweep solves it, so both bounds sit
+        # within their rounding slack of the entry
+        alpha_S, L_S = _conditioning(restrict(two_node, [0]))
+        assert two_node.alpha <= alpha_S <= 0.75 <= L_S <= two_node.L
+        assert 0.75 - alpha_S <= 1e-14 and L_S - 0.75 <= 1e-14
+
+    def test_small_working_sets_at_a_tiny_alpha(self):
+        # the 60x60 grid at alpha 1e-4, rho 1e-2, centre seed: the optimal
+        # support has 21 nodes, whose block has lambda_min near 0.078, so
+        # kappa_S is near 12 where 1/alpha is 10^4; sized by 1/alpha, aspr
+        # took 39,661 inner iterations here
+        q = build_pagerank_quadratic(random_graph_instance("grid", {
+            "rows": 60, "cols": 60, "alpha": 1e-4, "rho": 1e-2,
+            "seed_node": 1830}, 0))
+        f_star = objective(q, cdpr(q).x)
+        eps = 1e-6 * abs(f_star)
+        sol = aspr(q, eps)
+        assert sol.counters.inner_iters <= 2000
+        assert objective(q, sol.x) - f_star <= eps
 
 
 class TestASPR:
