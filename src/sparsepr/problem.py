@@ -600,7 +600,11 @@ def restrict(q, S):
     index would build an n-length lookup.  ``b`` on S is read from
     ``q._parts``, so a corrected quadratic builds no dense ``b``.
     """
-    S = _sorted_indices(q, S)
+    S = np.asarray(S, dtype=np.int64)
+    if S.size > 1 and np.any(S[1:] <= S[:-1]):
+        raise ValueError("restriction indices must be strictly increasing")
+    if S.size and (S[0] < 0 or S[-1] >= q.n):
+        raise ValueError("restriction index out of range")
     Q = q.Q
     pos, counts = _row_entries(Q, S)
     at, hit = _find(S, q.n, Q.indices[pos])
@@ -615,16 +619,6 @@ def restrict(q, S):
     for arr in (sub.data, sub.indices, sub.indptr, b):
         arr.setflags(write=False)
     return MQuadratic(sub, b, q.alpha, q.L, validate=False)
-
-
-def _sorted_indices(q, S):
-    """``S`` as int64, checked to be strictly increasing indices of q."""
-    S = np.asarray(S, dtype=np.int64)
-    if S.size > 1 and np.any(S[1:] <= S[:-1]):
-        raise ValueError("restriction indices must be strictly increasing")
-    if S.size and (S[0] < 0 or S[-1] >= q.n):
-        raise ValueError("restriction index out of range")
-    return S
 
 
 def _find(S, n, idx):
@@ -1014,7 +1008,7 @@ def check_optimality(q, x, pagerank_box=None):
                                    nodes)))
     # one sort and a compare: numpy 2's np.unique hashes, which took over
     # ten times as long on a few thousand rows
-    rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
+    rows = np.concatenate((rows[:1], rows[1:][rows[1:] != rows[:-1]]))
     g = q.Q[rows] @ x - _b_on(q, rows)
     pos = x[rows] > 0
     viol_pos = float(np.max(np.abs(g[pos]))) if pos.any() else 0.0
@@ -1037,8 +1031,5 @@ def volume(q, S):
 
 
 def internal_volume(q, S):
-    """Stored nonzeros of the S-by-S principal submatrix of Q (S sorted),
-    counted on the rows S without building the submatrix."""
-    S = _sorted_indices(q, S)
-    pos, _ = _row_entries(q.Q, S)
-    return int(np.count_nonzero(_find(S, q.n, q.Q.indices[pos])[1]))
+    """Stored nonzeros of the S-by-S principal submatrix of Q (S sorted)."""
+    return restrict(q, S).Q.nnz

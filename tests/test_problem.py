@@ -339,6 +339,17 @@ class TestObjective:
         assert_close(objective(two_node, np.array([0.65, 0.15])), -0.1425, 1e-15)
 
 
+def _full_report(q, x, box):
+    """check_optimality's report from the full gradient Q @ x - b."""
+    g = q.Q @ x - q.b
+    pos, zero = x > 0, x <= 0
+    return OptimalityReport(
+        float(np.max(np.abs(g[pos]))) if pos.any() else 0.0,
+        float(max(0.0, np.max(-g[zero]))) if zero.any() else 0.0,
+        [] if box is None else
+        np.flatnonzero(zero & (g > np.asarray(box))).tolist())
+
+
 class TestCheckOptimality:
     def test_clean_at_optimum(self, two_node):
         inst = two_node_instance()
@@ -427,14 +438,19 @@ class TestCheckOptimality:
         for box in (None, cap, tight, 0.01):
             rep = check_optimality(q, x, pagerank_box=box)
             assert q._b is None
-            g = q.Q @ x - build_pagerank_quadratic(inst).b
-            pos, zero = x > 0, x <= 0
-            want = OptimalityReport(
-                float(np.max(np.abs(g[pos]))) if pos.any() else 0.0,
-                float(max(0.0, np.max(-g[zero]))) if zero.any() else 0.0,
-                [] if box is None else
-                np.flatnonzero(zero & (g > np.asarray(box))).tolist())
+            want = _full_report(build_pagerank_quadratic(inst), x, box)
             assert repr(rep) == repr(want)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_local_check_with_no_rows_to_check(self, n):
+        # at x = 0 with b <= 0 and no corrected rows, no row can violate
+        # anything; the check still compares every row with its cap
+        q = MQuadratic(sp.identity(n, format="csr"), -np.arange(1.0, n + 1),
+                       1.0, 1.0, validate=False)
+        x = np.zeros(n)
+        for box in (None, 0.5, 2.5):
+            rep = check_optimality(q, x, pagerank_box=box)
+            assert repr(rep) == repr(_full_report(q, x, box))
 
 
 class TestPageRankOperator:
