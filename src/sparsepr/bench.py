@@ -16,8 +16,9 @@ import time
 import numpy as np
 
 from .oracle import random_graph_instance
-from .problem import build_pagerank_quadratic, internal_volume, volume
-from .solvers import solve
+from .problem import (build_pagerank_quadratic, internal_volume, restrict,
+                      volume)
+from .solvers import _conditioning, solve
 
 __all__ = ["RunRecord", "CSV_HEADER", "run_cell", "bench_grid",
            "predictor_comment"]
@@ -26,7 +27,10 @@ __all__ = ["RunRecord", "CSV_HEADER", "run_cell", "bench_grid",
 @dataclasses.dataclass
 class RunRecord:
     """One benchmark cell; its CSV row prints floats with repr, so they
-    round-trip."""
+    round-trip.  ``kappa_S`` is no CSV column: it is the certified
+    L_S/alpha_S of the answer's support (see ``solvers._conditioning``),
+    1.0 on an empty support, and only :func:`predictor_comment` reads
+    it."""
 
     family: str
     n: int
@@ -43,13 +47,15 @@ class RunRecord:
     ivol_supp: int
     gap: float
     wall_ns: int
+    kappa_S: float
 
     def to_csv_row(self):
         # str of a float is its repr
         return ",".join(str(getattr(self, name)) for name in _CSV_COLUMNS)
 
 
-_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(RunRecord))
+_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(RunRecord)
+                     if f.name != "kappa_S")
 CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
@@ -79,6 +85,10 @@ def run_cell(family, size, alpha, rho, solver_token, seed, eps=1e-6):
 
     supp = sol.support
     gap = 0.0 if sol.gap_bound == "exact" else float(sol.gap_bound)
+    kappa_S = 1.0
+    if supp.size:
+        alpha_S, L_S = _conditioning(restrict(q, supp))
+        kappa_S = L_S / alpha_S
     return RunRecord(
         family=family, n=q.n, alpha=float(alpha), rho=float(rho),
         solver=name, variant=variant or "plain",
@@ -87,17 +97,21 @@ def run_cell(family, size, alpha, rho, solver_token, seed, eps=1e-6):
         full_gradients=sol.counters.full_gradients,
         support_size=int(supp.size),
         vol_supp=volume(q, supp), ivol_supp=internal_volume(q, supp),
-        gap=gap, wall_ns=int(wall),
+        gap=gap, wall_ns=int(wall), kappa_S=kappa_S,
     )
 
 
 def predictor_comment(record):
     """Crossover predictors for one instance, as a '#' CSV comment.
 
-    With k = |support|, vol and ivol its volumes, and kappa = L/alpha = 1/alpha:
-    the conjugate solver beats the baseline when kappa > max(k^3/vol, k),
-    the staged accelerated solver when kappa > max((k*ivol/vol)^2, k), and
-    the conjugate solver beats the accelerated one when kappa > (k^2/ivol)^2.
+    With k = |support|, vol and ivol its volumes, kappa = L/alpha = 1/alpha
+    and kappa_S the record's certified conditioning of the support block,
+    by which each ``aspr`` stage is sized: the conjugate solver beats the
+    baseline when kappa > max(k^3/vol, k), the staged accelerated solver
+    when kappa_S > max((k*ivol/vol)^2, k), and the conjugate solver beats
+    the accelerated one when kappa_S > (k^2/ivol)^2.  So
+    ``cdpr_vs_ista_thr`` compares against kappa, and ``aspr_vs_ista_thr``
+    and ``cdpr_vs_aspr_thr`` against kappa_S.
     """
     k = max(record.support_size, 1)
     vol = max(record.vol_supp, 1)
@@ -107,11 +121,11 @@ def predictor_comment(record):
     aspr_thr = max((k * ivol / vol) ** 2, k)
     duel_thr = (k ** 2 / ivol) ** 2
     return ("# predictors family=%s n=%d alpha=%r solver=%s variant=%s "
-            "kappa=%r supp=%d cdpr_vs_ista_thr=%r aspr_vs_ista_thr=%r "
-            "cdpr_vs_aspr_thr=%r" % (
+            "kappa=%r kappa_S=%r supp=%d cdpr_vs_ista_thr=%r "
+            "aspr_vs_ista_thr=%r cdpr_vs_aspr_thr=%r" % (
                 record.family, record.n, record.alpha, record.solver,
-                record.variant, kappa, record.support_size, cdpr_thr,
-                aspr_thr, duel_thr))
+                record.variant, kappa, record.kappa_S, record.support_size,
+                cdpr_thr, aspr_thr, duel_thr))
 
 
 def bench_grid(families, sizes, alphas, rhos, solvers, seed, repeat=1,

@@ -763,12 +763,21 @@ class _RowGather:
                                self._starts[:self._n_full])
 
 
+def _sorted_union(*ids):
+    """The sorted distinct ids of the given integer arrays, by one sort of
+    their concatenation and a neighbour compare: numpy 2's np.unique, and
+    so np.union1d, hashes, which took over ten times as long on a few
+    thousand ids."""
+    ids = np.sort(np.concatenate(ids))
+    return np.concatenate((ids[:1], ids[1:][ids[1:] != ids[:-1]]))
+
+
 def _neighborhood(q, support):
     """The sorted rows whose Q-row overlaps the given columns, and those
     columns themselves."""
     support = np.asarray(support, dtype=np.int64)
     pos, _ = _row_entries(q.Q, support)
-    return np.union1d(q.Q.indices[pos], support)
+    return _sorted_union(q.Q.indices[pos], support)
 
 
 def gradient(q, x, coords=None):
@@ -920,7 +929,7 @@ class GradientWorkspace:
         new = coords[~self._member[coords]]
         if new.size:
             self._member[new] = True
-            self.S = np.union1d(self.S, new)
+            self.S = _sorted_union(self.S, new)
             self._unspread.append(new)
         return new
 
@@ -1004,11 +1013,7 @@ def check_optimality(q, x, pagerank_box=None):
     base, nodes, _ = q._parts
     supp = np.flatnonzero(x)
     pos, _ = _row_entries(q.Q, supp)
-    rows = np.sort(np.concatenate((q.Q.indices[pos], supp, q.positive_b,
-                                   nodes)))
-    # one sort and a compare: numpy 2's np.unique hashes, which took over
-    # ten times as long on a few thousand rows
-    rows = np.concatenate((rows[:1], rows[1:][rows[1:] != rows[:-1]]))
+    rows = _sorted_union(q.Q.indices[pos], supp, q.positive_b, nodes)
     g = q.Q[rows] @ x - _b_on(q, rows)
     pos = x[rows] > 0
     viol_pos = float(np.max(np.abs(g[pos]))) if pos.any() else 0.0

@@ -238,7 +238,7 @@ def _conditioning(sub):
 
 
 def _apgd_loop(sub, alpha, L, S, x0s, T, counters, lower=None, observe=None,
-               out=None, full_every=0, ws=None):
+               out=None, full_every=0, ws=None, radius=None):
     """Accelerated projected gradient on ``sub``, the restriction of a
     quadratic to the sorted coordinates S, with ``alpha`` and ``L`` spectral
     bounds of ``sub.Q`` (alpha*I <= Q_SS <= L*I); returns the last output
@@ -256,11 +256,47 @@ def _apgd_loop(sub, alpha, L, S, x0s, T, counters, lower=None, observe=None,
     features need ``ws``, whose tolerance both sign tests allow as slack.
     ``observe`` sees each output iterate embedded in the dense ``out``,
     which must vanish off S.
+
+    With a ``radius`` r, the loop stops at the first point x_in at which it
+    takes a restricted gradient and can certify ||x_in - x*|| <= r, with x*
+    the minimizer over x >= 0 on S, and returns x_in; ``inner_iters``
+    counts that step.  ``lower`` must then lie below x*, so x* is also the
+    minimizer over x >= lower.  The test is the gradient mapping of a
+    mu-strongly convex, L-smooth function on a convex set (Nesterov,
+    Introductory Lectures on Convex Optimization, 2004, section 2.2.3):
+    with x+ = max(lower, x_in - grad/L) and G = L (x_in - x+),
+    <G, x_in - x*> >= ||G||^2 / (2L) + (mu/2) ||x_in - x*||^2, so
+    ||x_in - x*|| <= 2 ||G|| / mu, here with mu = ``alpha``.  G is formed
+    as min(gs, L (x_in - lower)), which equals L (x_in - x+) and keeps the
+    small gs from cancelling against x_in.  The loop already holds gs, the
+    rounded gradient at x_in, so the test costs no product:
+
+    - row i of gs = Q_SS x_in - b rounds by at most
+      gamma_m ((|Q_SS| x_in)_i + |b_i|), with gamma_m = m u / (1 - m u),
+      u the unit roundoff and m = |S| + 4 above the terms of a row; at
+      x_in >= 0 an M-matrix has |Q_SS| x_in = 2 diag(Q_SS) x_in - Q_SS x_in,
+      read from the product the loop just took, so the error e has
+      ||e|| <= gamma_m (||2 diag x_in - Q_SS x_in|| + ||b||), the extra 3
+      in m covering the rounding of that vector;
+    - projection is nonexpansive, so the G of the true gradient lies
+      within ||e|| of the G of gs, and the stop asks
+      2 (||G|| + ||e||) <= alpha * r;
+    - the norms, the sums and the target round by a few units of u
+      relative to their values each, and the test gives up a factor of
+      1 + 2 (|S| + 4) u, as :func:`_conditioning` does.
+
+    An aborted or full step is never tested; T stays the cap.
     """
     kappa = L / alpha
     growth = _coeff_growth(kappa)
     col_nnz = np.diff(sub.Q.indptr)
     qx = np.empty(S.size)
+    if radius is not None:
+        roundoff = (S.size + 4) * 2.0**-53
+        gamma = roundoff / (1.0 - roundoff)
+        twice_diag = 2.0 * sub.Q.diagonal()
+        norm_b = math.sqrt(float(sub.b @ sub.b))
+        target = 0.5 * alpha * radius / (1.0 + 2.0 * roundoff)
     y = x0s.copy()
     z = x0s.copy()
     A, a = 0.0, 1.0
@@ -282,6 +318,13 @@ def _apgd_loop(sub, alpha, L, S, x0s, T, counters, lower=None, observe=None,
         if full and nonpos_on_set and ws.admit(ws.negatives()).size:
             counters.inner_iters += 1
             return y, True
+        if radius is not None and not full:
+            G = np.minimum(gs, L * (x_in if lower is None else x_in - lower))
+            w = twice_diag * x_in - qx
+            if (math.sqrt(float(G @ G))
+                    + gamma * (math.sqrt(float(w @ w)) + norm_b)) <= target:
+                counters.inner_iters += 1
+                return x_in, False
         znew = ((kappa - 1.0 + A) / (kappa - 1.0 + A1)) * z \
             + (a / (kappa - 1.0 + A1)) * (x_in - gs / alpha)
         if lower is None:
@@ -331,9 +374,12 @@ def apgd(q, S, x0, T, observe=None):
 def _solution(ws, gap_bound, ever=None):
     """The solve's answer, read on the working set, off which ``ws.x``
     vanishes; ``ws`` is then released.  ``ever`` defaults to the
-    coordinates marked in ``ws.ever``."""
+    coordinates marked in ``ws.ever``.  An iterate that is not finite
+    raises SolverError, so no label is ever attached to it."""
     S = ws.S
     x_S = ws.x[S]
+    if not np.isfinite(x_S).all():
+        raise SolverError("the iterate holds a non-finite value")
     if ever is None:
         ever = S[ws.ever[S]]
     sol = Solution(ws.q.n, S, x_S, S[x_S > 0], gap_bound, ws.counters, ever,
@@ -542,13 +588,13 @@ def aspr(q, eps, variant="plain", observe=None):
     """Staged accelerated solver with working-set expansion.
 
     Per stage on the working set S: run the accelerated inner loop on the
-    restriction Q_SS long enough to certify ||y - x*_S|| <= shrink, with
-    x*_S the minimizer over the coordinates S; retract every working
-    coordinate by the shrink margin (clamped); then expand the working set
-    by every certainly-negative coordinate of one full gradient.  The
-    retraction keeps each stage start below its subspace optimum, which
-    makes every expansion coordinate provably part of the optimal support.
-    Terminates with a certified objective gap of at most eps.
+    restriction Q_SS until it certifies ||y - x*_S|| <= shrink, with x*_S
+    the minimizer over the coordinates S; retract every working coordinate
+    by the shrink margin (clamped); then expand the working set by every
+    certainly-negative coordinate of one full gradient.  The retraction
+    keeps each stage start below its subspace optimum, which makes every
+    expansion coordinate provably part of the optimal support.  Terminates
+    with a certified objective gap of at most eps.
 
     The stage is sized by the conditioning of Q_SS, not of Q.
     :func:`_conditioning` certifies alpha_S and L_S with
@@ -566,14 +612,27 @@ def aspr(q, eps, variant="plain", observe=None):
       shrink^2 by strong convexity on S, so max(0, y - shrink) <= x*_S.
 
     So T = 1 + ceil(2 sqrt(kappa_S) * log((L_S - alpha_S) * ||g_S(x0)||^2
-    / (alpha_S^3 * shrink^2))), computed in log space.  The shrink margin
-    and the final certificate keep the global alpha and L: with shrink^2 =
-    eps * alpha / ((1 + |S|) L^2), the final iterate lies below x*_S = x*
-    and within (1 + sqrt|S|) shrink of it, so its gradient residual v (the
-    gradient where x > 0, its negative part where x = 0) has ||v|| <=
-    ||Q (x - x*)|| <= L (1 + sqrt|S|) shrink over all n coordinates, and
-    as (1 + sqrt|S|)^2 <= 2 (1 + |S|), the gap ||v||^2 / (2 alpha) is at
-    most eps.
+    / (alpha_S^3 * shrink^2))), computed in log space.  T is a worst case
+    and only the cap: the stage ends at the first point x_in whose
+    restricted gradient certifies ||x_in - x*_S|| <= shrink, and y is that
+    x_in.  The certificate is the gradient mapping, which needs no product
+    beyond the gradient the step takes anyway: with
+    G = L_S (x_in - max(lower, x_in - g_S(x_in) / L_S)), where lower is 0
+    but in the constraints variant, ||x_in - x*_S|| <= 2 ||G|| / alpha_S.
+    The stop asks 2 (||G|| + ||e||) <= alpha_S * shrink, with e a bound on
+    the rounding of the gradient read from the same product (see
+    :func:`_apgd_loop`, which derives the test and its rounding margin).
+    ``inner_iters`` counts the certifying step.  A stage whose test has
+    not fired by step T ends at the y of step T, which the a-priori bound
+    certifies.
+
+    The shrink margin and the final certificate keep the global alpha and
+    L: with shrink^2 = eps * alpha / ((1 + |S|) L^2), the final iterate
+    lies below x*_S = x* and within (1 + sqrt|S|) shrink of it, so its
+    gradient residual v (the gradient where x > 0, its negative part where
+    x = 0) has ||v|| <= ||Q (x - x*)|| <= L (1 + sqrt|S|) shrink over all
+    n coordinates, and as (1 + sqrt|S|)^2 <= 2 (1 + |S|), the gap
+    ||v||^2 / (2 alpha) is at most eps.
 
     variant="early": every |S| inner iterations, with S the stage's working
     set, the restricted gradient is upgraded to a full one;
@@ -626,7 +685,8 @@ def aspr(q, eps, variant="plain", observe=None):
         lower_s = lower[S].copy() if lower is not None else None
         period = int(S.size) if variant == "early" else 0
         y, aborted = _apgd_loop(sub, alpha_S, L_S, S, x[S], T, counters,
-                                lower=lower_s, full_every=period, ws=ws)
+                                lower=lower_s, full_every=period, ws=ws,
+                                radius=shrink)
         if aborted:
             if observe is not None:
                 observe(x, S, None)

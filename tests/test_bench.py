@@ -8,8 +8,8 @@ from sparsepr.bench import (
     run_cell,
 )
 from sparsepr.oracle import random_graph_instance
-from sparsepr.problem import build_pagerank_quadratic
-from sparsepr.solvers import solve
+from sparsepr.problem import build_pagerank_quadratic, restrict
+from sparsepr.solvers import _conditioning, solve
 
 
 def sample_record():
@@ -110,3 +110,21 @@ class TestPredictors:
         assert line.startswith("# predictors")
         assert "kappa=" in line and "cdpr_vs_ista_thr=" in line
         assert "aspr_vs_ista_thr=" in line and "cdpr_vs_aspr_thr=" in line
+
+    def test_aspr_is_priced_at_the_support_conditioning(self):
+        # the comment prints the certified kappa_S of the answer's support,
+        # by which aspr sizes its stages, next to the global kappa
+        rec = run_cell("grid", 6, 0.5, 0.005, "aspr", seed=3)
+        q = build_pagerank_quadratic(random_graph_instance(
+            "grid", {"rows": 6, "cols": 6, "alpha": 0.5, "rho": 0.005}, 3))
+        supp = solve(q, "aspr", 1e-6).support
+        assert 0 < supp.size < q.n
+        alpha_S, L_S = _conditioning(restrict(q, supp))
+        assert rec.kappa_S == L_S / alpha_S
+        assert 1.0 <= rec.kappa_S < 1.0 / rec.alpha
+        line = predictor_comment(rec)
+        assert "kappa=%r kappa_S=%r " % (1.0 / rec.alpha, rec.kappa_S) in line
+        assert "kappa_S" not in CSV_HEADER
+        # an empty support has no block, and no aspr stage runs
+        empty = run_cell("path", 4, 0.3, 1.0, "aspr", seed=11)
+        assert empty.support_size == 0 and empty.kappa_S == 1.0

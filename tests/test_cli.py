@@ -372,7 +372,7 @@ class TestVerify:
          "worst 7.288e-16\n"
          "PASS cdpr/conjugacy_annihilation_monotonicity: 25 checks, "
          "worst 1.249e-15\n"
-         "PASS aspr/certified_gap: 150 checks, worst 2.904e-01\n"
+         "PASS aspr/certified_gap: 150 checks, worst 3.267e-01\n"
          "PASS aspr+ista/support_purity: 175 checks\n"
          "PASS aspr/subspace_sandwich: 53 checks, worst 0.000e+00\n"
          "all 11 invariants passed (instances=20, max-n=40, seed=7)\n"),

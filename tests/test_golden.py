@@ -67,14 +67,14 @@ GOLDEN = {
         _counters(45, 0, 9631, 46, 0), GRID_SUPPORT, GRID_SUPPORT,
         "22e36fb6c937e5a57a625301461f34995c8e5317238b13a93810ae2299f55d40"),
     ("grid", "aspr"): (
-        _counters(6, 384, 40369, 7, 384), GRID_SUPPORT, GRID_SUPPORT,
-        "fb2561e74f191721fa73f2c05e159439f171bad1eab623a955bd74673fcfeecf"),
+        _counters(6, 96, 10749, 7, 96), GRID_SUPPORT, GRID_SUPPORT,
+        "17bbfdcc9c9939d0b83f6802cfcda160f47cf9424289914871ee53e2cd141f19"),
     ("grid", "aspr:early"): (
-        _counters(6, 208, 30205, 11, 200), GRID_SUPPORT, GRID_SUPPORT,
-        "94b1a4d18c7231e0b7355b8d45af710cc2186d312deb35e9535f5035c1c00c2f"),
+        _counters(6, 81, 10336, 8, 78), GRID_SUPPORT, GRID_SUPPORT,
+        "ffe51ac7de36fd5f2585d893892329273aec3be836b9d814d5661b5a755a97cc"),
     ("grid", "aspr:constraints"): (
-        _counters(6, 386, 40663, 7, 386), GRID_SUPPORT, GRID_SUPPORT,
-        "e7bdd94dec77becfbecea505a5bb8b03dab635d4e9ad472eeff69d0c195d5cef"),
+        _counters(6, 95, 10552, 7, 95), GRID_SUPPORT, GRID_SUPPORT,
+        "8083871a594939e1e8205d03fcb7b5a6db8c12b82874f3ce2f1c8cea7a6e5884"),
     ("sbm", "ista"): (
         _counters(10, 11, 1218, 12, 0), SBM_ISTA, SBM_ISTA,
         "72104e84ae9b6375f3fbd3fe56528e2cbeee4573fb0d61fad9927d41f1b100a9"),
@@ -82,14 +82,14 @@ GOLDEN = {
         _counters(21, 0, 3608, 22, 0), SBM_OPT, SBM_OPT,
         "5785d379d14eb316f07935672d16e85bd57a6a3008200f334bb6eaf8671d2aaa"),
     ("sbm", "aspr"): (
-        _counters(5, 129, 10641, 6, 129), SBM_ASPR, SBM_OPT,
-        "ea7eef8da7a8ce50522b1430b04a36c1729d504bf01838193ce0aafe24626641"),
+        _counters(5, 46, 4146, 6, 46), SBM_ASPR, SBM_OPT,
+        "cee1c82ef4a94ad97f7800c2132c35a9589dd7a8e4f0db42f1f0239b1cd45cd6"),
     ("sbm", "aspr:early"): (
-        _counters(5, 75, 8662, 9, 70), SBM_ASPR, SBM_OPT,
-        "3941df90f11cb8afe6594cc87ec34463f600c54d92894b66aa4e409eac128577"),
+        _counters(5, 39, 3900, 7, 36), SBM_ASPR, SBM_OPT,
+        "6da3ad82a874ac38efee8c9477a3355a4c711c3574b95c98595230e8bf0a01d1"),
     ("sbm", "aspr:constraints"): (
-        _counters(4, 107, 7797, 5, 107), SBM_OPT, SBM_OPT,
-        "9e06848395ad0757e37917a317e6b29f743add85fe742bb02a196c21ce29be7e"),
+        _counters(4, 36, 2757, 5, 36), SBM_OPT, SBM_OPT,
+        "3a7476d5b2594d7508221f5f43fcb0bf0bd2b309bc872e681076a8fedc66e094"),
     ("two_seed", "ista"): (
         _counters(13, 25, 3798, 26, 0), TWO_ISTA, TWO_ISTA,
         "948c4d93e7867e6d9abd27fad6a2d713cad4122835a39035958564b8117e0dbc"),
@@ -97,14 +97,14 @@ GOLDEN = {
         _counters(48, 0, 7804, 49, 0), TWO_OPT, TWO_OPT,
         "da1935eea762884dc0d0716384b247844bdbd900c9be49dbf31520434909510e"),
     ("two_seed", "aspr"): (
-        _counters(7, 458, 58013, 8, 458), TWO_ASPR, TWO_OPT,
-        "5d069cb38974cf3a2624159970b51d66d51f8ab1dff2c6109212deb9dc3c7b26"),
+        _counters(7, 125, 17269, 8, 125), TWO_ASPR, TWO_OPT,
+        "a62edb8ad5e9a935d802a021c61e507345613172facb709c8af623731fe7767a"),
     ("two_seed", "aspr:early"): (
-        _counters(6, 242, 36389, 10, 235), TWO_ASPR, TWO_OPT,
-        "45e12f60f67c7326a2df434a83464bae4f093a7f8e94c099c709f03ad8bb78b4"),
+        _counters(7, 119, 16957, 8, 117), TWO_ASPR, TWO_OPT,
+        "398750af1cfd3ebbef32e9542539193db0dd02d9dbadf7eb1c662c6033a8c0c2"),
     ("two_seed", "aspr:constraints"): (
-        _counters(6, 410, 49016, 7, 410), TWO_OPT, TWO_OPT,
-        "d8495acfd6e6caddfd12ea410685ca463d019b9ae767f7617d0f568f1529dfbf"),
+        _counters(6, 105, 13350, 7, 105), TWO_OPT, TWO_OPT,
+        "901a43ff161ef079d37e97adc3926bd0b450bcf1c9ba1bb7296692a987a00b38"),
 }
 
 # sha256 of the stdout of the solve in test_cli_stdout_is_pinned
@@ -117,11 +117,11 @@ CLI_TOKEN_STDOUT_SHA256 = {
         "2909c5567f93856f2d148289625e59f36160fdc7c10d09bbbafa64a4f97340f1",
     "cdpr": CLI_STDOUT_SHA256,
     "aspr":
-        "e4f1bdbcc01fb93d99a031b7a8a882a651c40105c2609cf810a97ffd7ebcc698",
+        "26ee004dd390d0798ff9b98b6d76e525fe37a6da85403f3bba202d1fa7d64602",
     "aspr:early":
-        "eea3cd57293def04aa061100442ab5afe8074859c8d35f4a5bcfb292d1bc7c70",
+        "99e43a3b646fae6a9f97831968436dcb858cc92ec8cccb63c694c6e39252963c",
     "aspr:constraints":
-        "cf14bbe968276b974dbfb3ddb87fbee9565a3965b7a7d35a0e745c9e59b2b448",
+        "805f4bf6a335906412e598a41bde21c6ee7c5a774b0c1846a1224337d9d803a0",
 }
 
 

@@ -1,5 +1,7 @@
 """Randomized structural properties, driven by hypothesis."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,8 +32,14 @@ from sparsepr.problem import (
     _RowGather,
     _matvec,
     _segment_row_products,
+    _sorted_union,
 )
-from sparsepr.solvers import ASPR_VARIANTS, _BASIS_START, _conditioning
+from sparsepr.solvers import (
+    ASPR_VARIANTS,
+    _BASIS_START,
+    _apgd_loop,
+    _conditioning,
+)
 
 common = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -445,3 +453,53 @@ def test_stage_bounds_bracket_the_restricted_spectrum(seed, n, density, kind):
         assert _conditioning(restrict(q, np.arange(q.n)))[0] == q.alpha
     for S in sets:
         _assert_stage_bounds(restrict(q, S))
+
+
+@common
+@given(seed=seeds, n=dims, density=densities, bounded=st.booleans(),
+       digits=st.integers(min_value=1, max_value=8))
+def test_stage_ends_within_its_radius(seed, n, density, bounded, digits):
+    # one aspr stage on a random M-matrix restriction, from the lower bound
+    # (zero, or half the optimum): stopped by its certificate or at its
+    # a-priori length T, it ends within r of the restricted optimum
+    q = random_m_matrix(n, density, seed=seed)
+    rng = np.random.default_rng(seed + 11)
+    S = np.flatnonzero(rng.uniform(size=n) < 0.7)
+    S = S if S.size else np.arange(n)
+    sub = restrict(q, S)
+    x_star = dense_solve_active_set(sub).x_star
+    lower = 0.5 * x_star if bounded else None
+    x0 = np.zeros(S.size) if lower is None else lower.copy()
+    alpha_S, L_S = _conditioning(sub)
+    g0 = _matvec(sub.Q, x0, np.empty(S.size)) - sub.b
+    r = 10.0 ** -digits * (1.0 + float(np.linalg.norm(x_star)))
+    # aspr's stage length for the distance r
+    norm2 = float(g0 @ g0)
+    T = 0
+    if norm2 > 0.0:
+        T = 1
+        log_arg = math.log((L_S - alpha_S) * norm2 / (alpha_S ** 3 * r * r)) \
+            if L_S > alpha_S else 0.0
+        if log_arg > 0.0:
+            T = 1 + math.ceil(2.0 * math.sqrt(L_S / alpha_S) * log_arg)
+    counters = Counters()
+    x, aborted = _apgd_loop(sub, alpha_S, L_S, S, x0, T, counters,
+                            lower=lower, radius=r)
+    assert not aborted
+    assert counters.inner_iters <= T
+    # the reference solve rounds at about 1e-15 of x*, far below r
+    assert np.linalg.norm(x - x_star) <= r + 1e-12
+
+
+@common
+@given(seed=seeds, sizes=st.lists(st.integers(min_value=0, max_value=40),
+                                  min_size=1, max_size=4))
+def test_sorted_union_is_union1d_byte_for_byte(seed, sizes):
+    rng = np.random.default_rng(seed)
+    ids = [rng.integers(0, 50, size).astype(dtype) for size, dtype in
+           zip(sizes, (np.int64, np.int32, np.int64, np.int32))]
+    merged = _sorted_union(*ids)
+    # np.union1d is np.unique of the concatenation
+    expected = np.unique(np.concatenate(ids))
+    assert merged.dtype == expected.dtype
+    assert merged.tobytes() == expected.tobytes()

@@ -282,6 +282,15 @@ class TestCDPR:
         assert report.max_violation_positive <= sol.tolerance
         assert report.max_violation_zero_low <= sol.tolerance
 
+    def test_non_finite_answer_is_never_labelled(self):
+        # b scaled by 2^520 overflows the curvature of a direction; the
+        # answer came back all NaN, with support [] and gap bound "exact"
+        q0 = random_m_matrix(40, 0.2, 0)
+        q = MQuadratic(q0.Q, q0.b * 2.0**520, q0.alpha, q0.L)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SolverError, match="non-finite"):
+            cdpr(q)
+
 
 class TestISTA:
     def test_two_node_converges(self, two_node):
@@ -344,6 +353,21 @@ class TestStageConditioning:
         eps = 1e-6 * abs(f_star)
         sol = aspr(q, eps)
         assert sol.counters.inner_iters <= 2000
+        assert objective(q, sol.x) - f_star <= eps
+
+    def test_stages_end_at_their_certificate(self):
+        # the 60x60 grid at alpha 1e-3, rho 3e-3, centre seed: support 69.
+        # Run to their a-priori lengths, aspr's stages took 7,447 inner
+        # iterations; the gradient-mapping stop ends them at about 1,200
+        q = build_pagerank_quadratic(random_graph_instance("grid", {
+            "rows": 60, "cols": 60, "alpha": 1e-3, "rho": 3e-3,
+            "seed_node": 1830}, 0))
+        exact = cdpr(q)
+        assert exact.support.size == 69
+        f_star = objective(q, exact.x)
+        eps = 1e-6 * abs(f_star)
+        sol = aspr(q, eps)
+        assert sol.counters.inner_iters <= 1500
         assert objective(q, sol.x) - f_star <= eps
 
 
