@@ -650,6 +650,18 @@ def _matvec(Q, x, out):
     return out
 
 
+def _add_rows(Q, rows, x, out):
+    """Add row ``rows[k]`` of the CSR ``Q`` times ``x`` onto ``out[k]`` and
+    return ``out``: scipy's ``csr_matvec`` kernel on those rows, which adds
+    each entry's product onto ``out[k]`` in column order."""
+    pos, counts = _row_entries(Q, rows)
+    indptr = np.zeros(rows.size + 1, dtype=Q.indptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    csr_matvec(rows.size, Q.shape[1], indptr, Q.indices[pos], Q.data[pos], x,
+               out)
+    return out
+
+
 def negative_tolerance(q):
     """Default threshold below which a gradient entry counts as negative.
 
@@ -657,23 +669,6 @@ def negative_tolerance(q):
     relative tolerance by the problem's natural gradient magnitude L*max|b|.
     """
     return 1e-12 * q.L * q.max_abs_b
-
-
-def _segment_row_products(q, rows, x):
-    """For each requested row i, the dot product <Q[i, :], x>, all rows
-    evaluated through one shared gather + segmented-sum so that any two calls
-    agree bit-exactly on common rows.
-    """
-    Q = q.Q
-    rows = np.asarray(rows, dtype=np.int64)
-    pos, counts = _row_entries(Q, rows)
-    out = np.zeros(rows.size)
-    if pos.size == 0:
-        return out
-    prod = Q.data[pos] * x[Q.indices[pos]]
-    nz = counts > 0
-    out[nz] = np.add.reduceat(prod, (np.cumsum(counts) - counts)[nz])
-    return out
 
 
 def _row_entries(Q, rows):
@@ -684,83 +679,6 @@ def _row_entries(Q, rows):
     seg_starts = np.cumsum(counts) - counts
     pos = np.arange(int(counts.sum())) - np.repeat(seg_starts - starts, counts)
     return pos, counts
-
-
-# the entries a row gather holds before its buffers first double
-_GATHER_START = 16
-
-
-def _append(buf, size, new):
-    """Write ``new`` into ``buf`` after its first ``size`` entries and return
-    (buf, size + new.size); a full ``buf`` is replaced by one at least twice
-    as long that keeps those entries."""
-    end = size + new.size
-    if end > buf.size:
-        grown = np.empty(max(end, 2 * buf.size), dtype=buf.dtype)
-        grown[:size] = buf[:size]
-        buf = grown
-    buf[size:end] = new
-    return buf, end
-
-
-class _RowGather:
-    """The entries of a growing list of rows of ``Q``, gathered once, row
-    after row, into buffers that double when full.  ``rows`` lists the rows
-    in the order :meth:`extend` was given them, and ``full`` those with at
-    least one entry, whose entries ``cols`` holds in that order.
-    :meth:`row_sums` then takes one multiply and one segmented sum, and
-    gives the same bytes as :func:`_segment_row_products` on ``full``,
-    which sums the same entries in the same order.
-    """
-
-    def __init__(self, Q):
-        self._Q = Q
-        self._rows = np.empty(_GATHER_START, dtype=np.int64)
-        self._full = np.empty(_GATHER_START, dtype=np.int64)
-        self._starts = np.empty(_GATHER_START, dtype=np.int64)
-        self._cols = np.empty(_GATHER_START, dtype=Q.indices.dtype)
-        self._vals = np.empty(_GATHER_START)
-        self._n_rows = self._n_full = self._n_entries = 0
-
-    @property
-    def rows(self):
-        return self._rows[:self._n_rows]
-
-    @property
-    def full(self):
-        return self._full[:self._n_full]
-
-    @property
-    def cols(self):
-        return self._cols[:self._n_entries]
-
-    def extend(self, rows):
-        """Append the given rows (int64 indices), gather their entries and
-        return the rows that have none."""
-        Q, size = self._Q, self._n_entries
-        if rows.size == 1:  # one row is a slice of Q
-            sl = slice(Q.indptr[rows[0]], Q.indptr[rows[0] + 1])
-            cols, vals = Q.indices[sl], Q.data[sl]
-            counts, starts = np.array([cols.size]), np.array([size])
-        else:
-            pos, counts = _row_entries(Q, rows)
-            cols, vals = Q.indices[pos], Q.data[pos]
-            starts = size + (np.cumsum(counts) - counts)
-        has = counts > 0
-        self._rows, self._n_rows = _append(self._rows, self._n_rows, rows)
-        self._starts, _ = _append(self._starts, self._n_full, starts[has])
-        self._full, self._n_full = _append(self._full, self._n_full, rows[has])
-        self._cols, _ = _append(self._cols, size, cols)
-        self._vals, self._n_entries = _append(self._vals, size, vals)
-        return rows[~has]
-
-    def row_sums(self, at_cols):
-        """For each row of ``full``, the sum of its entries times
-        ``at_cols``, a vector read at ``cols``."""
-        if not self._n_full:
-            return np.zeros(0)
-        return np.add.reduceat(self._vals[:self._n_entries] * at_cols,
-                               self._starts[:self._n_full])
 
 
 def _sorted_union(*ids):
@@ -783,20 +701,23 @@ def _neighborhood(q, support):
 def gradient(q, x, coords=None):
     """Gradient Qx - b, either in full or restricted to ``coords``.
 
-    The restricted result agrees bit-exactly with the corresponding slice of
-    the full result: both run every requested row through the same segmented
-    reduction.
+    Every row is summed in one order: it starts at -b_i and adds Q_ij x_j
+    in increasing j, by scipy's ``csr_matvec`` kernel on the requested
+    rows.  A term with x_j = 0 leaves a sequential sum unchanged up to the
+    sign of a zero, so a sum over supp(x) alone, such as the scatter of
+    :meth:`GradientWorkspace.refresh`, gives the same bits, and the
+    restricted result is a slice of the full one, both up to the sign of a
+    zero.  The full gradient sums the Q-neighbourhood of supp(x); every
+    other row is -b.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if coords is None:
-        rows = _neighborhood(q, np.flatnonzero(x))
-        vals = _segment_row_products(q, rows, x)
         g = -q.b
-        g[rows] += vals
+        rows = _neighborhood(q, np.flatnonzero(x))
+        g[rows] = _add_rows(q.Q, rows, x, g[rows])
         return g
     coords = np.asarray(coords, dtype=np.int64)
-    vals = _segment_row_products(q, coords, x)
-    return vals - q.b[coords]
+    return _add_rows(q.Q, coords, x, -q.b[coords])
 
 
 class _Buffers:
@@ -834,16 +755,20 @@ class GradientWorkspace:
     rows only.
 
     ``g`` holds the gradient on the listed ``rows`` only and is never
-    written elsewhere, where the gradient is -b.  The entries of the listed
-    rows are read once, when a row is listed, and every refresh recomputes
-    each listed row by the segmented reduction that :func:`gradient` uses
-    over them.  Rows outside the true neighbourhood add exact zeros, so
-    ``g`` on the listed rows equals ``gradient(q, x)`` there bit for bit up
-    to the sign of a zero.  ``b`` equals ``q.b`` on every row: the set-up
-    writes the corrected entries of ``q._parts`` over the base that the
-    pooled copy already holds, and copies the base in first only when the
-    pooled set last held another one (a new rho, or the set's first
-    solve).  Every read of ``b`` is then a plain index.
+    written elsewhere, where the gradient is -b.  The workspace keeps the
+    list of rows, not their entries.  A refresh sets the listed rows of
+    ``g`` to -b, then adds Q_ij x_j onto row i by one ``np.add.at`` over the
+    entries of the rows j of supp(x), in increasing j.  ``Q`` is symmetric
+    bit for bit (:func:`validate_m_matrix` checks it), so row j holds Q_ij,
+    and each row i takes its terms in the order that :func:`gradient` adds
+    them, less the terms with x_j = 0, which leave a sequential sum
+    unchanged.  So ``g`` on the listed rows equals ``gradient(q, x)`` there
+    bit for bit up to the sign of a zero, and a refresh reads the entries
+    of supp(x), not those of the listed rows.  ``b`` equals ``q.b`` on
+    every row: the set-up writes the corrected entries of ``q._parts`` over
+    the base that the pooled copy already holds, and copies the base in
+    first only when the pooled set last held another one (a new rho, or the
+    set's first solve).  Every read of ``b`` is then a plain index.
 
     ``S`` only grows, through :meth:`admit`, which replaces the array and
     never writes it, so a caller may keep an old ``S``.  ``ever`` marks
@@ -882,7 +807,7 @@ class GradientWorkspace:
         pos = q.positive_b
         rows = pos[-self.b[pos] < -tol]
         self.g[rows] = -self.b[rows]
-        self._gather = _RowGather(q.Q)
+        self._rows = np.empty(0, dtype=np.int64)
         self._list(rows)
         self.S = np.empty(0, dtype=np.int64)
         self._unspread = []  # what admit added since the last refresh
@@ -890,15 +815,12 @@ class GradientWorkspace:
     @property
     def rows(self):
         """The listed rows, in the order they were listed."""
-        return self._gather.rows
+        return self._rows
 
     def _list(self, rows):
         """List the given unlisted rows."""
         self.listed[rows] = True
-        empty = self._gather.extend(rows)
-        if empty.size:
-            # a row with no entry sums nothing, at every x
-            self.g[empty] = 0.0 - self.b[empty]
+        self._rows = np.concatenate((self._rows, rows))
 
     def pooled(self, name, dtype):
         """The pooled n-length array ``name`` of ``dtype``, zero where the
@@ -937,7 +859,7 @@ class GradientWorkspace:
         """Record which coordinates of ``S`` are positive, then recompute
         ``g`` at ``x``.  Charges ``counters`` one full gradient and the
         column nonzeros of supp(x)."""
-        S, x, gather = self.S, self.x, self._gather
+        S, x, g, Q = self.S, self.x, self.g, self.q.Q
         self.ever[S] |= x[S] > 0
         if self._unspread:
             new = np.concatenate(self._unspread)
@@ -945,10 +867,13 @@ class GradientWorkspace:
             rows = _neighborhood(self.q, new)
             rows = rows[~self.listed[rows]]
             self._list(rows)
-        full = gather.full
-        self.g[full] = gather.row_sums(x[gather.cols]) - self.b[full]
+        rows = self._rows
+        g[rows] = -self.b[rows]
+        supp = S[x[S] != 0]
+        pos, counts = _row_entries(Q, supp)
+        np.add.at(g, Q.indices[pos], Q.data[pos] * np.repeat(x[supp], counts))
         self.counters.full_gradients += 1
-        self.counters.nnz_touched += volume(self.q, S[x[S] != 0])
+        self.counters.nnz_touched += pos.size
 
     def negatives(self):
         """Sorted coordinates whose gradient is below ``-tol``."""

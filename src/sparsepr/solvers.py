@@ -67,7 +67,7 @@ from .problem import (
     gradient,
     restrict,
     _matvec,
-    _RowGather,
+    _row_entries,
 )
 
 __all__ = [
@@ -403,6 +403,17 @@ def _check_eps(q, eps):
                          % (eps, q.alpha, sys.float_info.min))
 
 
+def _squared_norm(q, v):
+    """||v||^2 of a gradient ``v``; a square that overflows raises
+    ValueError, which names the scale of b that causes it."""
+    with np.errstate(over="ignore"):
+        out = float(v @ v)
+    if out == math.inf:
+        raise ValueError("max|b|=%r is too large: the squared norm of the "
+                         "gradient overflows; scale b down" % q.max_abs_b)
+    return out
+
+
 def _budget(q, steps, solver):
     """``steps``, once checked against MAX_ITERATIONS."""
     if not steps <= MAX_ITERATIONS:
@@ -432,15 +443,19 @@ def ista_baseline(q, eps):
         return _solution(ws, eps)
     counters.stages += 1
     target = 2.0 * q.alpha * eps
-    scale = q.max_abs_b + q.alpha
-    max_iter = int(_budget(q, 200 + 4 * q.kappa * max(
-        4.0, math.log((q.L * scale / q.alpha) ** 2 / target + 2.0)), "ista"))
+    # log((L * (max|b| + alpha) / alpha)^2 / target + 2), taken in log
+    # space as log(e^r + 2), since the square overflows at a huge max|b|
+    r = 2.0 * (math.log(q.L) + math.log(q.max_abs_b + q.alpha)
+               - math.log(q.alpha)) - math.log(target)
+    log_arg = (r + math.log1p(2.0 * math.exp(-r)) if r > 0.0
+               else math.log(math.exp(r) + 2.0))
+    max_iter = int(_budget(q, 200 + 4 * q.kappa * max(4.0, log_arg), "ista"))
     for _ in range(max_iter):
         neg = ws.negatives()
         if (x[neg] > 0).all():
             A = ws.S
             on = g[A[x[A] > 0]]
-            if float(on @ on) <= target:
+            if _squared_norm(q, on) <= target:
                 return _solution(ws, eps)
         if ws.admit(neg).size:
             counters.stages += 1
@@ -458,7 +473,10 @@ def _pivot_noise(ws, i):
 
     cdpr's steps never lower x, so each x_j is a sum of at most |S|
     nonnegative terms, and rounds by at most gamma_|S| * x_j; a row sum of
-    Q x - b rounds by gamma_(entries + 1) times its absolute terms.  The
+    Q x - b rounds by gamma_(entries + 1) times its absolute terms.  Both
+    bounds hold for a sum taken in any order (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 4.2), so they do not
+    depend on the order in which the workspace adds a row's terms.  The
     sum of the two is at most the bound.  Rounding in the step lengths and
     directions is left out."""
     cols, vals = ws.q.row(i)
@@ -482,11 +500,11 @@ def _gap_from_gradient(ws):
 
 
 def _widened(A):
-    """The square A in the top-left corner of a square of zeros twice as
-    wide (at least _BASIS_START)."""
+    """A in the leading corner of zeros twice as wide in every dimension
+    (at least _BASIS_START)."""
     k = A.shape[0]
-    out = np.zeros((max(2 * k, _BASIS_START),) * 2)
-    out[:k, :k] = A
+    out = np.zeros((max(2 * k, _BASIS_START),) * A.ndim)
+    out[(slice(k),) * A.ndim] = A
     return out
 
 
@@ -513,20 +531,21 @@ def cdpr(q, observe=None):
     between the two thresholds is left at zero.
 
     The basis is dense and lower triangular in pivot order: row k of ``D``
-    holds direction k on the first k + 1 pivots, and row k of ``N`` the same
-    over its curvature; both double when full.  A stage reads the new
-    pivot's row on the earlier pivots for the Gram-Schmidt coefficients,
-    sums the scaled directions row by row, and takes ``Q d`` on the pivots
-    from their rows, gathered once in pivot order.  Its numpy calls do not
-    grow with the number of stored directions.
+    holds direction k on the first k + 1 pivots, and ``curv[k]`` its
+    curvature; both double when full.  A stage reads the new pivot's row
+    on the earlier pivots for the Gram-Schmidt coefficients, assembles the
+    direction by one BLAS product of the coefficients with ``D``, and takes
+    ``Q d`` on the pivots as the workspace takes its gradient: the entries
+    of the rows j of supp(d), in increasing j, scaled by d_j and summed by
+    one ``np.bincount`` over the pivot ranks.  Its numpy calls do not grow
+    with the number of stored directions.
     """
     ws = GradientWorkspace(q, Counters())
     x, g, counters = ws.x, ws.g, ws.counters
     tol = ws.tol
     # 1 + each pivot's place in pivot order, 0 off the pivots
     rank = ws.pooled("rank", np.int64)
-    D = N = np.zeros((0, 0))
-    pivot_rows = _RowGather(q.Q)
+    D, curv = np.zeros((0, 0)), np.zeros(0)
     K = 0  # directions stored
     while True:
         neg = ws.negatives()
@@ -549,7 +568,7 @@ def cdpr(q, observe=None):
             raise SolverError("row %d of Q is empty" % i)
         counters.nnz_touched += int(cols_i.size)
         if K == D.shape[0]:
-            D, N = _widened(D), _widened(N)
+            D, curv = _widened(D), _widened(curv)
 
         # dk = (0, d): the new direction read by 1 + pivot order
         dk = np.empty(K + 2)
@@ -557,17 +576,17 @@ def cdpr(q, observe=None):
         dk[K + 1] = gi
         at = rank[cols_i]
         on = at > 0
-        coeff = -gi * (N[:K, at[on] - 1] * vals_i[on]).sum(axis=1)
-        # reduces row after row, as adding each scaled direction in turn does
-        np.add.reduce(coeff[:, None] * D[:K, :K], axis=0, out=dk[1:K + 1])
+        coeff = -gi * (D[:K, at[on] - 1] @ vals_i[on]) / curv[:K]
+        np.matmul(coeff, D[:K, :K], out=dk[1:K + 1])
         rank[i] = K + 1
-        pivot_rows.extend(np.array([i]))
         supp = ws.S
-        order = rank[supp]
-        d_vals = dk[order]
-        d_cols = dk[rank[pivot_rows.cols]]
-        qd = pivot_rows.row_sums(d_cols)[order - 1]
-        counters.nnz_touched += int(np.count_nonzero(d_cols))
+        d_vals = dk[rank[supp]]
+        nz = d_vals != 0
+        pos, counts = _row_entries(q.Q, supp[nz])
+        at = rank[q.Q.indices[pos]]
+        qd = np.bincount(at, q.Q.data[pos] * np.repeat(d_vals[nz], counts),
+                         K + 2)[rank[supp]]
+        counters.nnz_touched += int(np.count_nonzero(at))
         curvature = float(d_vals @ qd)
         if curvature <= 0:
             raise SolverError("nonpositive curvature along a direction")
@@ -575,7 +594,7 @@ def cdpr(q, observe=None):
         x[supp] += step * d_vals
 
         D[K, :K + 1] = dk[1:]
-        N[K, :K + 1] = dk[1:] / curvature
+        curv[K] = curvature
         K += 1
         counters.stages += 1
         ws.refresh()
@@ -664,7 +683,7 @@ def aspr(q, eps, variant="plain", observe=None):
         alpha_S, L_S = _conditioning(sub)
         shrink = math.sqrt(eps * alpha / ((1.0 + S.size) * L * L))
         gs0 = g[S]
-        norm2 = float(gs0 @ gs0)
+        norm2 = _squared_norm(q, gs0)
         if norm2 == 0.0:
             T = 0
         elif L_S == alpha_S:

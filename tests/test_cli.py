@@ -359,7 +359,7 @@ class TestVerify:
          "PASS cdpr/exact_minimizer_and_stage_count: 10 checks, "
          "worst 7.288e-16\n"
          "PASS cdpr/conjugacy_annihilation_monotonicity: 10 checks, "
-         "worst 1.249e-15\n"
+         "worst 7.919e-16\n"
          "all 2 invariants passed (instances=8, max-n=40, seed=7)\n"),
         ("all", "20",
          "PASS geometry/gradient_monotonicity: 20000 checks, worst 0.000e+00\n"
@@ -371,7 +371,7 @@ class TestVerify:
          "PASS cdpr/exact_minimizer_and_stage_count: 25 checks, "
          "worst 7.288e-16\n"
          "PASS cdpr/conjugacy_annihilation_monotonicity: 25 checks, "
-         "worst 1.249e-15\n"
+         "worst 9.298e-16\n"
          "PASS aspr/certified_gap: 150 checks, worst 3.267e-01\n"
          "PASS aspr+ista/support_purity: 175 checks\n"
          "PASS aspr/subspace_sandwich: 53 checks, worst 0.000e+00\n"

@@ -62,10 +62,10 @@ def _counters(stages, inner, nnz, full, restricted):
 GOLDEN = {
     ("grid", "ista"): (
         _counters(8, 22, 3330, 23, 0), GRID_SUPPORT, GRID_SUPPORT,
-        "35b28794d3ae18a3699ad7a94f64a3a91ff8304a0dba72f5cc2abda2be04d081"),
+        "9d724d57976fa61a66bea411177d073dc9699fc8390a2101cabdfd003bfac9b6"),
     ("grid", "cdpr"): (
         _counters(45, 0, 9631, 46, 0), GRID_SUPPORT, GRID_SUPPORT,
-        "22e36fb6c937e5a57a625301461f34995c8e5317238b13a93810ae2299f55d40"),
+        "65a9755856066eb7bc20fb32782201418142996d882f90e024a774af4243e890"),
     ("grid", "aspr"): (
         _counters(6, 96, 10749, 7, 96), GRID_SUPPORT, GRID_SUPPORT,
         "17bbfdcc9c9939d0b83f6802cfcda160f47cf9424289914871ee53e2cd141f19"),
@@ -77,10 +77,10 @@ GOLDEN = {
         "8083871a594939e1e8205d03fcb7b5a6db8c12b82874f3ce2f1c8cea7a6e5884"),
     ("sbm", "ista"): (
         _counters(10, 11, 1218, 12, 0), SBM_ISTA, SBM_ISTA,
-        "72104e84ae9b6375f3fbd3fe56528e2cbeee4573fb0d61fad9927d41f1b100a9"),
+        "de543829734dbd584b809b7e1f9d4fa52b6041b139a2bf498d8678dc13451996"),
     ("sbm", "cdpr"): (
         _counters(21, 0, 3608, 22, 0), SBM_OPT, SBM_OPT,
-        "5785d379d14eb316f07935672d16e85bd57a6a3008200f334bb6eaf8671d2aaa"),
+        "1ba6d809ee7de06acd4a0bae981b76290e58d797dc8377d05ad389e608dfde9c"),
     ("sbm", "aspr"): (
         _counters(5, 46, 4146, 6, 46), SBM_ASPR, SBM_OPT,
         "cee1c82ef4a94ad97f7800c2132c35a9589dd7a8e4f0db42f1f0239b1cd45cd6"),
@@ -92,10 +92,10 @@ GOLDEN = {
         "3a7476d5b2594d7508221f5f43fcb0bf0bd2b309bc872e681076a8fedc66e094"),
     ("two_seed", "ista"): (
         _counters(13, 25, 3798, 26, 0), TWO_ISTA, TWO_ISTA,
-        "948c4d93e7867e6d9abd27fad6a2d713cad4122835a39035958564b8117e0dbc"),
+        "5aaca2ea5270e5ec1d4acd68b7ce1cbdac436c0b29dcfbcb037a780fb3649f48"),
     ("two_seed", "cdpr"): (
         _counters(48, 0, 7804, 49, 0), TWO_OPT, TWO_OPT,
-        "da1935eea762884dc0d0716384b247844bdbd900c9be49dbf31520434909510e"),
+        "53c47e75c0395e76fa9275c057a287651926574186429c60e479843b3efc5604"),
     ("two_seed", "aspr"): (
         _counters(7, 125, 17269, 8, 125), TWO_ASPR, TWO_OPT,
         "a62edb8ad5e9a935d802a021c61e507345613172facb709c8af623731fe7767a"),
@@ -109,12 +109,12 @@ GOLDEN = {
 
 # sha256 of the stdout of the solve in test_cli_stdout_is_pinned
 CLI_STDOUT_SHA256 = \
-    "42e4181567cadcd35d9f2f4b85439a353a002cba9175bceaca3d93b2becbeec4"
+    "aff37c7b5550c3127e2297749ceacc4e5da4dd60e9ed56e816692d13f804c47e"
 
 # sha256 of the stdout of the same solve for every solver token
 CLI_TOKEN_STDOUT_SHA256 = {
     "ista":
-        "2909c5567f93856f2d148289625e59f36160fdc7c10d09bbbafa64a4f97340f1",
+        "2a15f1f2614de0b34071315cef3b3bd02995b79772b7fef82ad162d8d1f6ac53",
     "cdpr": CLI_STDOUT_SHA256,
     "aspr":
         "26ee004dd390d0798ff9b98b6d76e525fe37a6da85403f3bba202d1fa7d64602",
@@ -189,7 +189,7 @@ def test_cli_stdout_is_pinned(tmp_path):
     assert out["counters"] == GOLDEN[("grid", "cdpr")][0]
     assert [i for i, _ in out["x"]] == GRID_SUPPORT
     assert out["residuals"] == {
-        "max_violation_positive": 2.0816681711721685e-17,
+        "max_violation_positive": 1.3877787807814457e-17,
         "max_violation_zero_low": 0.0,
         "upper_box_violations": [],
     }

@@ -28,10 +28,7 @@ from sparsepr.oracle import GRAPH_KINDS, random_m_matrix
 from sparsepr.problem import (
     GradientWorkspace,
     restrict,
-    _GATHER_START,
-    _RowGather,
     _matvec,
-    _segment_row_products,
     _sorted_union,
 )
 from sparsepr.solvers import (
@@ -331,35 +328,8 @@ def test_cdpr_stays_exact_across_basis_growth(n, seed, density, kind):
     assert float(np.max(np.abs(cross))) <= 1e-8
 
 
-def test_row_gather_sums_rows_as_the_segmented_reduction_does():
-    # one row at a time, so every doubling of every buffer is crossed with
-    # the sums checked on both sides; row 3 has no entry at all
-    q = random_m_matrix(40, 0.5, seed=3)
-    Q = q.Q.tolil()
-    Q[3, :] = 0.0
-    Q[:, 3] = 0.0
-    q = MQuadratic(Q.tocsr(), q.b, q.alpha, q.L, validate=False)
-    rng = np.random.default_rng(4)
-    x = rng.uniform(0.0, 2.0, q.n) * (rng.uniform(size=q.n) < 0.7)
-    gather = _RowGather(q.Q)
-    listed = []
-    for row in rng.permutation(q.n):
-        empty = gather.extend(np.array([row]))
-        assert empty.tolist() == ([row] if row == 3 else [])
-        listed.append(row)
-        full = [r for r in listed if r != 3]
-        assert gather.rows.tolist() == listed
-        assert gather.full.tolist() == full
-        ref = _segment_row_products(q, full, x)
-        # the first row listed may be the empty row 3
-        cols = [np.zeros(0, dtype=int)] + [q.row(r)[0] for r in full]
-        assert np.array_equal(gather.cols, np.concatenate(cols))
-        assert gather.row_sums(x[gather.cols]).tobytes() == ref.tobytes()
-    assert gather.cols.size > 8 * _GATHER_START
-
-
 @common
-@given(seed=seeds, n=st.integers(min_value=_GATHER_START + 1, max_value=40),
+@given(seed=seeds, n=st.integers(min_value=17, max_value=40),
        density=densities, kind=st.sampled_from(("m-matrix",) + GRAPH_KINDS))
 def test_workspace_across_buffer_growth(seed, n, density, kind):
     if kind == "m-matrix":
@@ -369,8 +339,7 @@ def test_workspace_across_buffer_growth(seed, n, density, kind):
             _graph_of_size(kind, n, seed), 0.3, 1e-3, 0))
     rng = np.random.default_rng(seed + 8)
     # random interleavings of admit (an index array) and refresh (an
-    # iterate, written on S first); the last admit lists every row, which
-    # takes the gather past _GATHER_START entries and rows
+    # iterate, written on S first); the last admit lists every row
     ops = []
     for _ in range(int(rng.integers(2, 10))):
         if rng.uniform() < 0.5:
@@ -393,9 +362,6 @@ def test_workspace_across_buffer_growth(seed, n, density, kind):
             ref.nnz_touched += volume(q, np.flatnonzero(ws.x))
             if check:
                 rows, x = ws.rows, ws.x
-                # each listed row summed as _segment_row_products sums it
-                vals = _segment_row_products(q, rows, x)
-                assert ws.g[rows].tobytes() == (vals - q.b[rows]).tobytes()
                 # + 0.0 makes the signed zeros compare equal
                 assert np.array_equal(ws.g[rows] + 0.0,
                                       gradient(q, x)[rows] + 0.0)
@@ -403,8 +369,38 @@ def test_workspace_across_buffer_growth(seed, n, density, kind):
         return ws
 
     ws = replay(True)
-    assert ws.rows.size == n and ws._gather.cols.size > _GATHER_START
+    assert ws.rows.size == n
     assert replay(False).counters == ws.counters
+
+
+@common
+@given(seed=seeds, n=st.integers(min_value=10, max_value=41))
+def test_gradient_rows_are_summed_in_one_order(seed, n):
+    # the hub of a star has a row of n >= 10 entries, where numpy's pairwise
+    # sums depart from a sequential sum
+    q = build_pagerank_quadratic(PageRankInstance(
+        _graph_of_size("star", n, seed), 0.3, 1e-3, 0))
+    assert q.row(0)[0].size >= 9
+    rng = np.random.default_rng(seed)
+    ws = GradientWorkspace(q, Counters())
+    ws.admit(np.arange(n))
+    ws.x[:] = rng.uniform(0.1, 2.0, n) * (rng.uniform(size=n) < 0.7)
+    ws.refresh()
+    rows, x = ws.rows, ws.x
+    full = gradient(q, x)
+    # + 0.0 makes the signed zeros compare equal
+    assert np.array_equal(ws.g[rows] + 0.0, full[rows] + 0.0)
+    coords = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+    assert gradient(q, x, coords).tobytes() == full[coords].tobytes()
+    # the one order: start at -b_i, then add Q_ij x_j in increasing j over
+    # supp(x)
+    for i in range(n):
+        total = -q.b[i]
+        for j, v in zip(*q.row(i)):
+            if x[j] != 0:
+                total += v * x[j]
+        assert total + 0.0 == full[i] + 0.0
+    ws.release()
 
 
 @common

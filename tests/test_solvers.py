@@ -4,6 +4,7 @@ acceleration coefficients, working-set expansion, and counters."""
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,21 @@ def recorder(q, calls):
     def observe(x, S, d):
         calls.append((S.tolist(), d, x.copy(), gradient(q, x)))
     return observe
+
+
+def _huge_b(variant):
+    """Raise as ``variant`` does (an ista_baseline or an aspr variant) on
+    random_m_matrix(40, 0.2, 0) with b scaled by 2^520, where the squared
+    norm of a gradient overflows, with every warning an error."""
+    q0 = random_m_matrix(40, 0.2, 0)
+    q = MQuadratic(q0.Q, q0.b * 2.0**520, q0.alpha, q0.L)
+    with warnings.catch_warnings(), \
+            pytest.raises(ValueError, match=r"max\|b\|=.* is too large"):
+        warnings.simplefilter("error")
+        if variant == "ista":
+            ista_baseline(q, 1e-6)
+        else:
+            aspr(q, 1e-6, variant=variant)
 
 
 def _pivot_order(calls):
@@ -258,10 +274,14 @@ class TestCDPR:
             assert np.max(np.abs(off)) <= 1e-8
 
     def test_tiny_alpha_reports_the_raised_threshold(self):
-        # a connected 300-node graph: 1,500 random edges plus a path.  At
-        # alpha 1e-6 a pivot's gradient reads below -negative_tolerance(q)
+        # a connected 300-node graph: 1,500 random edges plus a path.  At a
+        # tiny alpha a pivot's gradient reads below -negative_tolerance(q)
         # again; a threshold of 16 units of roundoff times L*max x was
-        # still below it, and the solve raised "pivot ... revisited"
+        # still below it, and the solve raised "pivot ... revisited".  At
+        # alpha 1e-8 the rounding on the support is hundreds of times
+        # negative_tolerance(q), so the threshold rises whatever order the
+        # rows are summed in; at 1e-6 it is near one times, and whether it
+        # rises turns on that order
         rng = np.random.default_rng(0)
         n = 300
         edges = set()
@@ -271,7 +291,7 @@ class TestCDPR:
                 edges.add((int(i), int(j)))
         edges |= {(i, i + 1) for i in range(n - 1)}
         q = build_pagerank_quadratic(
-            PageRankInstance(Graph(n, sorted(edges)), 1e-6, 1e-5, 7))
+            PageRankInstance(Graph(n, sorted(edges)), 1e-8, 1e-5, 7))
         sol = cdpr(q)
         assert sol.support.size == n
         assert sol.tolerance > negative_tolerance(q)
@@ -323,6 +343,10 @@ class TestISTA:
         with pytest.raises(ValueError):
             ista_baseline(two_node, 0.0)
 
+    def test_huge_b_names_its_scale(self):
+        # the budget squared L * max|b| / alpha and raised OverflowError
+        _huge_b("ista")
+
 
 class TestASPRSchedule:
     def test_shrink_margin_and_inner_gap(self):
@@ -372,6 +396,12 @@ class TestStageConditioning:
 
 
 class TestASPR:
+    @pytest.mark.parametrize("variant", ASPR_VARIANTS)
+    def test_huge_b_names_its_scale(self, variant):
+        # ||g_S||^2 overflowed to inf with a RuntimeWarning, and the stage
+        # length that it made infinite blamed alpha
+        _huge_b(variant)
+
     def test_two_node_stage_trace(self, two_node):
         stages = []
         sol = aspr(two_node, 1e-6, observe=recorder(two_node, stages))
