@@ -681,6 +681,16 @@ def _row_entries(Q, rows):
     return pos, counts
 
 
+def _support_terms(Q, supp, vals):
+    """The terms Q_ij x_j that the rows of supp(x) add onto gradient rows
+    i, with ``vals`` holding x on the sorted ``supp``: their columns i and
+    the products, row j after row j.  Scattered onto -b in this order (by
+    ``np.add.at`` or ``np.bincount``), each row i sums its terms in
+    increasing j, the order of :func:`gradient`, as ``Q`` is symmetric."""
+    pos, counts = _row_entries(Q, supp)
+    return Q.indices[pos], Q.data[pos] * np.repeat(vals, counts)
+
+
 def _sorted_union(*ids):
     """The sorted distinct ids of the given integer arrays, by one sort of
     their concatenation and a neighbour compare: numpy 2's np.unique, and
@@ -870,10 +880,10 @@ class GradientWorkspace:
         rows = self._rows
         g[rows] = -self.b[rows]
         supp = S[x[S] != 0]
-        pos, counts = _row_entries(Q, supp)
-        np.add.at(g, Q.indices[pos], Q.data[pos] * np.repeat(x[supp], counts))
+        cols, terms = _support_terms(Q, supp, x[supp])
+        np.add.at(g, cols, terms)
         self.counters.full_gradients += 1
-        self.counters.nnz_touched += pos.size
+        self.counters.nnz_touched += cols.size
 
     def negatives(self):
         """Sorted coordinates whose gradient is below ``-tol``."""

@@ -67,7 +67,7 @@ from .problem import (
     gradient,
     restrict,
     _matvec,
-    _row_entries,
+    _support_terms,
 )
 
 __all__ = [
@@ -535,9 +535,9 @@ def cdpr(q, observe=None):
     curvature; both double when full.  A stage reads the new pivot's row
     on the earlier pivots for the Gram-Schmidt coefficients, assembles the
     direction by one BLAS product of the coefficients with ``D``, and takes
-    ``Q d`` on the pivots as the workspace takes its gradient: the entries
-    of the rows j of supp(d), in increasing j, scaled by d_j and summed by
-    one ``np.bincount`` over the pivot ranks.  Its numpy calls do not grow
+    ``Q d`` on the pivots as the workspace takes its gradient: the terms
+    of the rows j of supp(d), in increasing j (``_support_terms``), summed
+    by one ``np.bincount`` over the pivot ranks.  Its numpy calls do not grow
     with the number of stored directions.
     """
     ws = GradientWorkspace(q, Counters())
@@ -582,10 +582,9 @@ def cdpr(q, observe=None):
         supp = ws.S
         d_vals = dk[rank[supp]]
         nz = d_vals != 0
-        pos, counts = _row_entries(q.Q, supp[nz])
-        at = rank[q.Q.indices[pos]]
-        qd = np.bincount(at, q.Q.data[pos] * np.repeat(d_vals[nz], counts),
-                         K + 2)[rank[supp]]
+        cols, terms = _support_terms(q.Q, supp[nz], d_vals[nz])
+        at = rank[cols]
+        qd = np.bincount(at, terms, K + 2)[rank[supp]]
         counters.nnz_touched += int(np.count_nonzero(at))
         curvature = float(d_vals @ qd)
         if curvature <= 0:
