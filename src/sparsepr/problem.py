@@ -14,10 +14,19 @@ The solvers charge them to a ``sparsepr.solvers.Counters`` in the
 sparse-matrix nonzeros the access pattern reads: ``volume(q, supp(x))`` for a
 full gradient (a :meth:`GradientWorkspace.refresh`), and the nonzeros of the
 requested rows whose column lies in ``supp(x)`` for a restricted one.
+
+Every gather of rows of a CSR matrix here runs scipy's ``csr_row_index``
+kernel, the one its fancy row indexing runs (:func:`_gather_rows`): the
+restriction, the gradient on a set of rows, a neighbourhood, the
+optimality check and the rows of a solve's working set, which a
+:class:`GradientWorkspace` keeps as one block.  That block serves the
+workspace's gradient (scipy's ``csc_matvec``) and ``cdpr``'s product of
+``Q`` with its direction (``csr_matvec``).
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import numbers
@@ -25,7 +34,7 @@ import operator
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index
 from scipy.sparse.csgraph import connected_components
 
 __all__ = [
@@ -595,23 +604,22 @@ def restrict(q, S):
 
     Principal submatrices of an SPD M-matrix keep the M-matrix structure and
     only tighten the spectral bounds, so the restriction keeps (alpha, L).
-    It gathers the rows S and keeps the entries whose column lies in S,
-    relabelled by position in S: O(vol(S)) entries, where scipy's column
-    index would build an n-length lookup.  ``b`` on S is read from
-    ``q._parts``, so a corrected quadratic builds no dense ``b``.
+    It gathers the rows S (:func:`_gather_rows`) and keeps the entries
+    whose column lies in S, relabelled by position in S: O(vol(S))
+    entries, where scipy's column index would build an n-length lookup.
+    ``b`` on S is read from ``q._parts``, so a corrected quadratic builds
+    no dense ``b``.
     """
     S = np.asarray(S, dtype=np.int64)
     if S.size > 1 and np.any(S[1:] <= S[:-1]):
         raise ValueError("restriction indices must be strictly increasing")
     if S.size and (S[0] < 0 or S[-1] >= q.n):
         raise ValueError("restriction index out of range")
-    Q = q.Q
-    pos, counts = _row_entries(Q, S)
-    at, hit = _find(S, q.n, Q.indices[pos])
-    row_hits = np.bincount(np.repeat(np.arange(S.size), counts)[hit],
-                           minlength=S.size)
-    indptr = np.concatenate([[0], np.cumsum(row_hits)])
-    sub = sp.csr_matrix((Q.data[pos[hit]], at[hit], indptr),
+    block = _gather_rows(q.Q, S)
+    at, hit = _find(S, q.n, block.indices)
+    # the kept entries before each row's start
+    indptr = np.concatenate(([0], np.cumsum(hit)))[block.indptr]
+    sub = sp.csr_matrix((block.data[hit], at[hit], indptr),
                         shape=(S.size, S.size))
     b = _b_on(q, S)
     # q.Q is canonical, so sub is too: freeze it and b so MQuadratic takes
@@ -654,11 +662,8 @@ def _add_rows(Q, rows, x, out):
     """Add row ``rows[k]`` of the CSR ``Q`` times ``x`` onto ``out[k]`` and
     return ``out``: scipy's ``csr_matvec`` kernel on those rows, which adds
     each entry's product onto ``out[k]`` in column order."""
-    pos, counts = _row_entries(Q, rows)
-    indptr = np.zeros(rows.size + 1, dtype=Q.indptr.dtype)
-    np.cumsum(counts, out=indptr[1:])
-    csr_matvec(rows.size, Q.shape[1], indptr, Q.indices[pos], Q.data[pos], x,
-               out)
+    block = _gather_rows(Q, rows)
+    csr_matvec(rows.size, Q.shape[1], *block, x, out)
     return out
 
 
@@ -671,24 +676,25 @@ def negative_tolerance(q):
     return 1e-12 * q.L * q.max_abs_b
 
 
-def _row_entries(Q, rows):
-    """Positions in ``Q.indices``/``Q.data`` of the entries of the given rows,
-    row after row, and each row's entry count."""
-    starts = Q.indptr[rows]
-    counts = Q.indptr[rows + 1] - starts
-    seg_starts = np.cumsum(counts) - counts
-    pos = np.arange(int(counts.sum())) - np.repeat(seg_starts - starts, counts)
-    return pos, counts
+_Block = collections.namedtuple("_Block", "indptr indices data")
 
 
-def _support_terms(Q, supp, vals):
-    """The terms Q_ij x_j that the rows of supp(x) add onto gradient rows
-    i, with ``vals`` holding x on the sorted ``supp``: their columns i and
-    the products, row j after row j.  Scattered onto -b in this order (by
-    ``np.add.at`` or ``np.bincount``), each row i sums its terms in
-    increasing j, the order of :func:`gradient`, as ``Q`` is symmetric."""
-    pos, counts = _row_entries(Q, supp)
-    return Q.indices[pos], Q.data[pos] * np.repeat(vals, counts)
+def _gather_rows(A, rows):
+    """The given rows of ``A``, a CSR matrix or a :class:`_Block`, row
+    after row, as a :class:`_Block` in ``A``'s index dtype: scipy's
+    ``csr_row_index`` kernel, which its fancy row indexing runs.  The
+    kernel takes its index dtype from its arguments, so ``rows`` is cast
+    to ``A``'s, which would otherwise be copied whole."""
+    rows = rows.astype(A.indices.dtype, copy=False)
+    counts = A.indptr[rows + 1] - A.indptr[rows]
+    indptr = np.zeros(rows.size + 1, dtype=A.indices.dtype)
+    counts.cumsum(out=indptr[1:])
+    nnz = int(indptr[-1])
+    block = _Block(indptr, np.empty(nnz, dtype=A.indices.dtype),
+                   np.empty(nnz, dtype=A.data.dtype))
+    csr_row_index(rows.size, rows, A.indptr, A.indices, A.data,
+                  block.indices, block.data)
+    return block
 
 
 def _sorted_union(*ids):
@@ -696,7 +702,8 @@ def _sorted_union(*ids):
     their concatenation and a neighbour compare: numpy 2's np.unique, and
     so np.union1d, hashes, which took over ten times as long on a few
     thousand ids."""
-    ids = np.sort(np.concatenate(ids))
+    ids = np.concatenate(ids)
+    ids.sort()
     return np.concatenate((ids[:1], ids[1:][ids[1:] != ids[:-1]]))
 
 
@@ -704,8 +711,7 @@ def _neighborhood(q, support):
     """The sorted rows whose Q-row overlaps the given columns, and those
     columns themselves."""
     support = np.asarray(support, dtype=np.int64)
-    pos, _ = _row_entries(q.Q, support)
-    return _sorted_union(q.Q.indices[pos], support)
+    return _sorted_union(_gather_rows(q.Q, support).indices, support)
 
 
 def gradient(q, x, coords=None):
@@ -765,20 +771,28 @@ class GradientWorkspace:
     rows only.
 
     ``g`` holds the gradient on the listed ``rows`` only and is never
-    written elsewhere, where the gradient is -b.  The workspace keeps the
-    list of rows, not their entries.  A refresh sets the listed rows of
-    ``g`` to -b, then adds Q_ij x_j onto row i by one ``np.add.at`` over the
-    entries of the rows j of supp(x), in increasing j.  ``Q`` is symmetric
-    bit for bit (:func:`validate_m_matrix` checks it), so row j holds Q_ij,
-    and each row i takes its terms in the order that :func:`gradient` adds
-    them, less the terms with x_j = 0, which leave a sequential sum
-    unchanged.  So ``g`` on the listed rows equals ``gradient(q, x)`` there
-    bit for bit up to the sign of a zero, and a refresh reads the entries
-    of supp(x), not those of the listed rows.  ``b`` equals ``q.b`` on
-    every row: the set-up writes the corrected entries of ``q._parts`` over
-    the base that the pooled copy already holds, and copies the base in
-    first only when the pooled set last held another one (a new rho, or the
-    set's first solve).  Every read of ``b`` is then a plain index.
+    written elsewhere, where the gradient is -b.  ``block`` holds the rows
+    of ``S``, in the order of ``S``, as one CSR block in ``Q``'s index
+    dtype (indptr, indices, data): :meth:`admit` gathers it whenever ``S``
+    grows, by scipy's ``csr_row_index`` kernel (:func:`_gather_rows`), so
+    it takes O(vol(S)) memory.  A refresh lists the neighbourhood rows of
+    the coordinates admitted since the last one, read from their rows in
+    the block; sets the listed rows of ``g`` to -b; then adds Q_ij x_j onto
+    row i by scipy's ``csc_matvec`` kernel on the block, which reads row j
+    as column j and scatters its terms in increasing j.  ``Q`` is
+    symmetric bit for bit (:func:`validate_m_matrix` checks it), so row j
+    holds Q_ij, and each row i takes its terms in the order that
+    :func:`gradient` adds them; the terms with x_j = 0 that one adds and
+    the other skips leave a sequential sum unchanged.  So ``g`` on the
+    listed rows equals ``gradient(q, x)`` there bit for bit up to the sign
+    of a zero, and a refresh reads the entries of the rows of ``S``, not
+    those of the listed rows.
+
+    ``b`` equals ``q.b`` on every row: the set-up writes the corrected
+    entries of ``q._parts`` over the base that the pooled copy already
+    holds, and copies the base in first only when the pooled set last held
+    another one (a new rho, or the set's first solve).  Every read of ``b``
+    is then a plain index.
 
     ``S`` only grows, through :meth:`admit`, which replaces the array and
     never writes it, so a caller may keep an old ``S``.  ``ever`` marks
@@ -787,7 +801,7 @@ class GradientWorkspace:
     ``counters`` pays for the solve under the column cost model: the
     set-up starts at x = 0, where g = -b, and charges one full gradient and
     no nonzeros for it; each :meth:`refresh` charges one full gradient and
-    ``volume(q, supp(x))``.
+    ``volume(q, supp(x))``, the entries of the block's rows where x > 0.
 
     The n-length arrays are a set that :meth:`release` hands back to
     ``q._spare`` for the next workspace on ``q`` or, for a PageRank query,
@@ -820,6 +834,7 @@ class GradientWorkspace:
         self._rows = np.empty(0, dtype=np.int64)
         self._list(rows)
         self.S = np.empty(0, dtype=np.int64)
+        self.block = _gather_rows(q.Q, self.S)
         self._unspread = []  # what admit added since the last refresh
 
     @property
@@ -856,34 +871,40 @@ class GradientWorkspace:
 
     def admit(self, coords):
         """Add to ``S`` the given coordinates (unique indices) that are not
-        in it yet, and return those."""
+        in it yet, gather ``block`` again if there are any, and return
+        those."""
         coords = np.asarray(coords, dtype=np.int64)
         new = coords[~self._member[coords]]
         if new.size:
             self._member[new] = True
-            self.S = _sorted_union(self.S, new)
+            # new holds no member and no repeat: the union is a plain sort
+            S = np.concatenate((self.S, new))
+            S.sort()
+            self.S = S
+            self.block = _gather_rows(self.q.Q, S)
             self._unspread.append(new)
         return new
 
     def refresh(self):
         """Record which coordinates of ``S`` are positive, then recompute
-        ``g`` at ``x``.  Charges ``counters`` one full gradient and the
-        column nonzeros of supp(x)."""
-        S, x, g, Q = self.S, self.x, self.g, self.q.Q
-        self.ever[S] |= x[S] > 0
+        ``g`` at ``x`` from ``block``.  Charges ``counters`` one full
+        gradient and the column nonzeros of supp(x)."""
+        S, x, g, block = self.S, self.x, self.g, self.block
+        xs = x[S]
+        self.ever[S] |= xs > 0
         if self._unspread:
             new = np.concatenate(self._unspread)
             self._unspread = []
-            rows = _neighborhood(self.q, new)
+            near = _gather_rows(block, S.searchsorted(new)).indices
+            rows = _sorted_union(near, new)
             rows = rows[~self.listed[rows]]
             self._list(rows)
         rows = self._rows
         g[rows] = -self.b[rows]
-        supp = S[x[S] != 0]
-        cols, terms = _support_terms(Q, supp, x[supp])
-        np.add.at(g, cols, terms)
+        csc_matvec(g.size, S.size, *block, xs, g)
         self.counters.full_gradients += 1
-        self.counters.nnz_touched += cols.size
+        counts = block.indptr[1:] - block.indptr[:-1]
+        self.counters.nnz_touched += int(counts[xs != 0].sum())
 
     def negatives(self):
         """Sorted coordinates whose gradient is below ``-tol``."""
@@ -947,9 +968,9 @@ def check_optimality(q, x, pagerank_box=None):
         raise ValueError("x must be nonnegative")
     base, nodes, _ = q._parts
     supp = np.flatnonzero(x)
-    pos, _ = _row_entries(q.Q, supp)
-    rows = _sorted_union(q.Q.indices[pos], supp, q.positive_b, nodes)
-    g = q.Q[rows] @ x - _b_on(q, rows)
+    rows = _sorted_union(_gather_rows(q.Q, supp).indices, supp, q.positive_b,
+                         nodes)
+    g = _add_rows(q.Q, rows, x, np.zeros(rows.size)) - _b_on(q, rows)
     pos = x[rows] > 0
     viol_pos = float(np.max(np.abs(g[pos]))) if pos.any() else 0.0
     zero = ~pos

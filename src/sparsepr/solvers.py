@@ -62,13 +62,9 @@ import sys
 
 import numpy as np
 
-from .problem import (
-    GradientWorkspace,
-    gradient,
-    restrict,
-    _matvec,
-    _support_terms,
-)
+from scipy.sparse._sparsetools import csr_matvec
+
+from .problem import GradientWorkspace, gradient, restrict, _matvec
 
 __all__ = [
     "SolverError",
@@ -532,28 +528,37 @@ def cdpr(q, observe=None):
 
     The basis is dense and lower triangular in pivot order: row k of ``D``
     holds direction k on the first k + 1 pivots, and ``curv[k]`` its
-    curvature; both double when full.  A stage reads the new pivot's row
-    on the earlier pivots for the Gram-Schmidt coefficients, assembles the
-    direction by one BLAS product of the coefficients with ``D``, and takes
-    ``Q d`` on the pivots as the workspace takes its gradient: the terms
-    of the rows j of supp(d), in increasing j (``_support_terms``), summed
-    by one ``np.bincount`` over the pivot ranks.  Its numpy calls do not grow
-    with the number of stored directions.
+    curvature; both double when full.  A stage picks its pivot by one scan
+    of the gradient on the workspace's listed rows, with no sort; reads the
+    new pivot's row on the earlier pivots for the Gram-Schmidt
+    coefficients; assembles the direction by one BLAS product of the
+    coefficients with ``D``; and takes ``Q d`` on the pivots from the
+    workspace's ``block``, which holds the pivots' rows.  That product is
+    scipy's ``csr_matvec`` kernel on the block, with its column ids mapped
+    through the pivot ranks, into ``dk`` = (0, d) in pivot order, so a
+    column off the pivots reads 0; each row sums its terms in increasing
+    column, the order of the workspace's gradient.  It is charged, as a
+    scatter from the rows of supp(d) would read, the entries of the
+    pivots' rows on supp(d), which ``Q``'s symmetric pattern makes equal.
+    Its numpy calls do not grow with the number of stored directions.
     """
     ws = GradientWorkspace(q, Counters())
     x, g, counters = ws.x, ws.g, ws.counters
     tol = ws.tol
-    # 1 + each pivot's place in pivot order, 0 off the pivots
-    rank = ws.pooled("rank", np.int64)
+    # 1 + each pivot's place in pivot order, 0 off the pivots, in Q's index
+    # dtype, as the block's column ids mapped through it are a kernel input
+    rank = ws.pooled("rank", q.Q.indices.dtype)
     D, curv = np.zeros((0, 0)), np.zeros(0)
     K = 0  # directions stored
     while True:
-        neg = ws.negatives()
-        if neg.size == 0:
+        rows = ws.rows
+        g_rows = g[rows]
+        # fmin skips a NaN, which no sign test counts as negative
+        least = np.fmin.reduce(g_rows, initial=np.inf)
+        if not least < -ws.tol:
             break
-        # the most negative gradient; neg is sorted and argmin takes the
-        # first, so a tie goes to the smallest index
-        i = int(neg[np.argmin(g[neg])])
+        # the most negative gradient; a tie goes to the smallest index
+        i = int(rows[g_rows == least].min())
         if not ws.admit([i]).size:
             # the threshold only grows, so the workspace's list stays complete
             floor = _pivot_noise(ws, i)
@@ -581,11 +586,12 @@ def cdpr(q, observe=None):
         rank[i] = K + 1
         supp = ws.S
         d_vals = dk[rank[supp]]
-        nz = d_vals != 0
-        cols, terms = _support_terms(q.Q, supp[nz], d_vals[nz])
-        at = rank[cols]
-        qd = np.bincount(at, terms, K + 2)[rank[supp]]
-        counters.nnz_touched += int(np.count_nonzero(at))
+        # Q d on the pivots: the pivots' rows with their columns read in dk
+        block = ws.block
+        mapped = rank[block.indices]
+        qd = np.zeros(supp.size)
+        csr_matvec(supp.size, K + 2, block.indptr, mapped, block.data, dk, qd)
+        counters.nnz_touched += int(np.count_nonzero(dk[mapped]))
         curvature = float(d_vals @ qd)
         if curvature <= 0:
             raise SolverError("nonpositive curvature along a direction")

@@ -84,9 +84,16 @@ def test_workspace_gradient_is_the_full_gradient(seed, n, density, kind):
     assert ws.counters == ref
     candidates = set(np.flatnonzero(-q.b < -tol).tolist())
     made = np.zeros(q.n, dtype=bool)
-    for _ in range(4):
-        # grow the working set; some coordinates stay or fall back to zero
-        ws.admit(rng.choice(q.n, size=rng.integers(0, 3), replace=False))
+    _assert_block_is_rows_of_S(q, ws)
+    for step in range(4):
+        # grow the working set, many coordinates at once or one at a time
+        # (as cdpr does); some coordinates stay or fall back to zero
+        coords = rng.choice(q.n, size=rng.integers(0, 3), replace=False)
+        parts = [coords] if step % 2 else [coords[k:k + 1]
+                                           for k in range(coords.size)]
+        for part in parts:
+            ws.admit(part)
+            _assert_block_is_rows_of_S(q, ws)
         S = ws.S
         ws.x[S] = rng.uniform(0.0, 2.0, S.size) * (
             rng.uniform(size=S.size) < 0.7)
@@ -112,6 +119,16 @@ def test_workspace_gradient_is_the_full_gradient(seed, n, density, kind):
         new = ws.admit(ws.negatives())
         assert np.array_equal(new, np.setdiff1d(ws.negatives(), before))
         assert np.array_equal(ws.S, np.union1d(before, new))
+        _assert_block_is_rows_of_S(q, ws)
+
+
+def _assert_block_is_rows_of_S(q, ws):
+    """The workspace's block holds the rows of its working set, as scipy's
+    row indexing gathers them, in Q's index dtype."""
+    rows = q.Q[ws.S]
+    for got, ref in zip(ws.block, (rows.indptr, rows.indices, rows.data)):
+        assert got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
 
 
 @common
@@ -263,6 +280,30 @@ def test_pivot_choice_is_minimal_and_deterministic(seed, n, density):
         assert i == np.flatnonzero(g == g.min())[0]
         x_prev, S_prev = x, S
     assert [S.tolist() for S, _ in runs[1]] == [S.tolist() for S, _ in runs[0]]
+
+
+@common
+@given(seed=seeds, n=dims, density=densities,
+       kind=st.sampled_from(("m-matrix",) + GRAPH_KINDS))
+def test_cdpr_counts_the_entries_each_stage_reads(seed, n, density, kind):
+    # per stage: the new pivot's row; Q d on the pivots, the entries of the
+    # rows of supp(d) whose column is a pivot; and the refresh, vol(supp x)
+    if kind == "m-matrix":
+        q = random_m_matrix(n, density, seed=seed)
+    else:
+        q = build_pagerank_quadratic(random_graph_instance(kind, {}, seed))
+    counts, prev = [], [np.empty(0, dtype=np.int64)]
+
+    def observe(x, S, d):
+        (i,) = np.setdiff1d(S, prev[0])
+        prev[0] = S
+        on_pivots = q.Q[S[d != 0]][:, S].nnz
+        counts.append(volume(q, [i]) + on_pivots
+                      + volume(q, np.flatnonzero(x)))
+
+    sol = cdpr(q, observe=observe)
+    assert len(counts) == sol.counters.stages
+    assert sum(counts) == sol.counters.nnz_touched
 
 
 def _graph_of_size(kind, n, seed):
