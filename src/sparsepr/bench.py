@@ -18,7 +18,7 @@ import numpy as np
 from .oracle import random_graph_instance
 from .problem import (build_pagerank_quadratic, internal_volume, restrict,
                       volume)
-from .solvers import _conditioning, solve
+from .solvers import _conditioning, _restriction, solve
 
 __all__ = ["RunRecord", "CSV_HEADER", "run_cell", "bench_grid",
            "predictor_comment"]
@@ -87,7 +87,7 @@ def run_cell(family, size, alpha, rho, solver_token, seed, eps=1e-6):
     gap = 0.0 if sol.gap_bound == "exact" else float(sol.gap_bound)
     kappa_S = 1.0
     if supp.size:
-        alpha_S, L_S = _conditioning(restrict(q, supp))
+        alpha_S, L_S = _conditioning(_restriction(restrict(q, supp)))
         kappa_S = L_S / alpha_S
     return RunRecord(
         family=family, n=q.n, alpha=float(alpha), rho=float(rho),

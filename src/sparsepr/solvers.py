@@ -56,6 +56,7 @@ write to any of the three.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import sys
@@ -64,7 +65,8 @@ import numpy as np
 
 from scipy.sparse._sparsetools import csr_matvec
 
-from .problem import GradientWorkspace, gradient, restrict, _matvec
+from .problem import (GradientWorkspace, gradient, restrict, _Block, _matvec,
+                      _restricted)
 
 __all__ = [
     "SolverError",
@@ -101,6 +103,11 @@ _JACOBI_SWEEPS = 3
 
 # the directions cdpr's basis holds before it first doubles
 _BASIS_START = 8
+
+# a quadratic restricted to a sorted working set S, as an aspr stage reads
+# it: Q_SS as a problem._Block in position ids, its diagonal, b on S, and the
+# (alpha, L) of the whole quadratic, which Q_SS keeps
+_Restriction = collections.namedtuple("_Restriction", "Q diag b alpha L")
 
 
 class SolverError(RuntimeError):
@@ -198,9 +205,18 @@ def _coeff_growth(kappa):
     return 2.0 * kappa / (2.0 * kappa + 1.0 - math.sqrt(1.0 + 4.0 * kappa))
 
 
+def _restriction(sub):
+    """The :class:`_Restriction` of ``sub``, a quadratic made by
+    :func:`~sparsepr.problem.restrict`."""
+    Q = sub.Q
+    return _Restriction(_Block(Q.indptr, Q.indices, Q.data), Q.diagonal(),
+                        sub.b, sub.alpha, sub.L)
+
+
 def _conditioning(sub):
-    """Certified spectral bounds (alpha_S, L_S) of ``sub``, a principal
-    restriction Q_SS of an M-matrix quadratic that keeps its (alpha, L):
+    """Certified spectral bounds (alpha_S, L_S) of the :class:`_Restriction`
+    ``sub``, a principal restriction Q_SS of an M-matrix quadratic that
+    keeps its (alpha, L):
     alpha <= alpha_S <= lambda_min(Q_SS) and lambda_max(Q_SS) <= L_S <= L.
 
     alpha_S is the larger of alpha and the Collatz-Wielandt bound: for an
@@ -216,10 +232,9 @@ def _conditioning(sub):
     above the entries of a row.  Each bound gives up twice that, which
     also covers its own few roundings, so both hold in exact arithmetic
     for the stored Q_SS.  Costs O(ivol(S)) in a fixed number of numpy
-    calls."""
-    Q = sub.Q
-    k = Q.shape[0]
-    d = Q.diagonal()
+    calls, and reads the diagonal that ``sub`` holds."""
+    Q, d = sub.Q, sub.diag
+    k = d.size
     slack = 2.0 * (k + 4) * 2.0**-53
     v = np.ones(k)
     qv = _matvec(Q, v, np.empty(k))
@@ -235,10 +250,12 @@ def _conditioning(sub):
 
 def _apgd_loop(sub, alpha, L, S, x0s, T, counters, lower=None, observe=None,
                out=None, full_every=0, ws=None, radius=None):
-    """Accelerated projected gradient on ``sub``, the restriction of a
-    quadratic to the sorted coordinates S, with ``alpha`` and ``L`` spectral
-    bounds of ``sub.Q`` (alpha*I <= Q_SS <= L*I); returns the last output
-    iterate on S and whether the loop aborted.
+    """Accelerated projected gradient on ``sub``, the :class:`_Restriction`
+    of a quadratic to the sorted coordinates S, with ``alpha`` and ``L``
+    spectral bounds of ``sub.Q`` (alpha*I <= Q_SS <= L*I); returns the last
+    output iterate on S and whether the loop aborted.  Each restricted
+    gradient is ``csr_matvec`` on ``sub.Q`` minus ``sub.b``, and the stop
+    test reads ``sub.diag``.
 
     A restricted gradient is charged the nonzeros of the columns of Q[S, S]
     in supp(x_S).  ``lower`` (same length as S) turns the clamp into
@@ -285,12 +302,13 @@ def _apgd_loop(sub, alpha, L, S, x0s, T, counters, lower=None, observe=None,
     """
     kappa = L / alpha
     growth = _coeff_growth(kappa)
-    col_nnz = np.diff(sub.Q.indptr)
+    indptr = sub.Q.indptr
+    col_nnz = indptr[1:] - indptr[:-1]
     qx = np.empty(S.size)
     if radius is not None:
         roundoff = (S.size + 4) * 2.0**-53
         gamma = roundoff / (1.0 - roundoff)
-        twice_diag = 2.0 * sub.Q.diagonal()
+        twice_diag = 2.0 * sub.diag
         norm_b = math.sqrt(float(sub.b @ sub.b))
         target = 0.5 * alpha * radius / (1.0 + 2.0 * roundoff)
     y = x0s.copy()
@@ -362,8 +380,8 @@ def apgd(q, S, x0, T, observe=None):
     if S.size == 0 or T == 0:
         out[S] = x0[S]
         return out
-    out[S], _ = _apgd_loop(restrict(q, S), q.alpha, q.L, S, x0[S], T,
-                           Counters(), observe=observe, out=out)
+    out[S], _ = _apgd_loop(_restriction(restrict(q, S)), q.alpha, q.L, S,
+                           x0[S], T, Counters(), observe=observe, out=out)
     return out
 
 
@@ -620,7 +638,11 @@ def aspr(q, eps, variant="plain", observe=None):
     expansion coordinate provably part of the optimal support.  Terminates
     with a certified objective gap of at most eps.
 
-    The stage is sized by the conditioning of Q_SS, not of Q.
+    Each stage restricts Q to S by :func:`~sparsepr.problem._restricted`
+    of the workspace's ``block``, which holds the rows of S since S last
+    grew, and reads b on S from the workspace's copy; so the restriction
+    reads no row of Q, costs O(vol(S)), and builds no scipy matrix and no
+    quadratic.  The stage is sized by the conditioning of Q_SS, not of Q.
     :func:`_conditioning` certifies alpha_S and L_S with
     alpha <= alpha_S <= lambda_min(Q_SS) and lambda_max(Q_SS) <= L_S <= L;
     alpha_S is often far above alpha (a working set that is not the whole
@@ -684,7 +706,8 @@ def aspr(q, eps, variant="plain", observe=None):
     while True:
         S = ws.S
         counters.stages += 1
-        sub = restrict(q, S)
+        # Q_SS from the rows of S that the workspace holds
+        sub = _Restriction(*_restricted(ws.block, S), ws.b[S], alpha, L)
         alpha_S, L_S = _conditioning(sub)
         shrink = math.sqrt(eps * alpha / ((1.0 + S.size) * L * L))
         gs0 = g[S]

@@ -9,7 +9,7 @@ from sparsepr.bench import (
 )
 from sparsepr.oracle import random_graph_instance
 from sparsepr.problem import build_pagerank_quadratic, restrict
-from sparsepr.solvers import _conditioning, solve
+from sparsepr.solvers import _conditioning, _restriction, solve
 
 
 def sample_record():
@@ -119,7 +119,7 @@ class TestPredictors:
             "grid", {"rows": 6, "cols": 6, "alpha": 0.5, "rho": 0.005}, 3))
         supp = solve(q, "aspr", 1e-6).support
         assert 0 < supp.size < q.n
-        alpha_S, L_S = _conditioning(restrict(q, supp))
+        alpha_S, L_S = _conditioning(_restriction(restrict(q, supp)))
         assert rec.kappa_S == L_S / alpha_S
         assert 1.0 <= rec.kappa_S < 1.0 / rec.alpha
         line = predictor_comment(rec)

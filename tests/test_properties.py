@@ -29,6 +29,7 @@ from sparsepr.problem import (
     GradientWorkspace,
     restrict,
     _matvec,
+    _restricted,
     _sorted_union,
 )
 from sparsepr.solvers import (
@@ -36,6 +37,7 @@ from sparsepr.solvers import (
     _BASIS_START,
     _apgd_loop,
     _conditioning,
+    _restriction,
 )
 
 common = settings(max_examples=25, deadline=None, derandomize=True)
@@ -129,6 +131,53 @@ def _assert_block_is_rows_of_S(q, ws):
     for got, ref in zip(ws.block, (rows.indptr, rows.indices, rows.data)):
         assert got.dtype == ref.dtype
         assert got.tobytes() == ref.tobytes()
+
+
+def _int64_indexed(q):
+    """q with its Q held in int64 ids, which MQuadratic keeps as they are
+    once they are frozen and canonical."""
+    Q = q.Q.copy()
+    Q.indices = Q.indices.astype(np.int64)
+    Q.indptr = Q.indptr.astype(np.int64)
+    Q.has_canonical_format = True
+    for arr in (Q.data, Q.indices, Q.indptr):
+        arr.setflags(write=False)
+    return MQuadratic(Q, q.b, q.alpha, q.L, validate=False)
+
+
+@common
+@given(seed=seeds, n=dims, density=densities, int64=st.booleans(),
+       kind=st.sampled_from(("m-matrix",) + GRAPH_KINDS))
+def test_stage_restriction_from_the_block_is_restrict(seed, n, density,
+                                                      int64, kind):
+    # aspr restricts each stage to S from the workspace's block and b; after
+    # every admit, of one coordinate at a time or of many at once, that is
+    # restrict(q, S), whose ids scipy may store in a narrower dtype
+    if kind == "m-matrix":
+        q = random_m_matrix(n, density, seed=seed)
+    else:
+        q = build_pagerank_quadratic(random_graph_instance(kind, {}, seed))
+    if int64:
+        q = _int64_indexed(q)
+    rng = np.random.default_rng(seed + 12)
+    ws = GradientWorkspace(q, Counters())
+    for step in range(4):
+        coords = rng.choice(q.n, size=min(q.n, rng.integers(0, 4)),
+                            replace=False)
+        parts = [coords] if step % 2 else [coords[k:k + 1]
+                                           for k in range(coords.size)]
+        for part in parts:
+            ws.admit(part)
+            S = ws.S
+            Q_SS, diag = _restricted(ws.block, S)
+            ref = restrict(q, S)
+            assert Q_SS.indptr.dtype == Q_SS.indices.dtype == q.Q.indices.dtype
+            assert np.array_equal(Q_SS.indptr, ref.Q.indptr)
+            assert np.array_equal(Q_SS.indices, ref.Q.indices)
+            assert Q_SS.data.tobytes() == ref.Q.data.tobytes()
+            assert ws.b[S].tobytes() == ref.b.tobytes()
+            assert diag.tobytes() == ref.Q.diagonal().tobytes()
+    ws.release()
 
 
 @common
@@ -464,7 +513,7 @@ def test_restricted_product_is_scipys_bit_for_bit(seed, n, density, kind):
 def _assert_stage_bounds(sub):
     """alpha <= alpha_S <= lambda_min(Q_SS) and lambda_max(Q_SS) <= L_S <= L,
     up to the rounding of eigvalsh."""
-    alpha_S, L_S = _conditioning(sub)
+    alpha_S, L_S = _conditioning(_restriction(sub))
     w = np.linalg.eigvalsh(sub.Q.toarray())
     slack = 1e-12 * sub.L
     assert sub.alpha <= alpha_S <= w[0] + slack
@@ -487,7 +536,8 @@ def test_stage_bounds_bracket_the_restricted_spectrum(seed, n, density, kind):
         sets = []
         aspr(q, 1e-6, observe=lambda x, S, d: sets.append(S))
         # on the whole of a connected graph lambda_min is alpha itself
-        assert _conditioning(restrict(q, np.arange(q.n)))[0] == q.alpha
+        assert _conditioning(_restriction(
+            restrict(q, np.arange(q.n))))[0] == q.alpha
     for S in sets:
         _assert_stage_bounds(restrict(q, S))
 
@@ -507,7 +557,7 @@ def test_stage_ends_within_its_radius(seed, n, density, bounded, digits):
     x_star = dense_solve_active_set(sub).x_star
     lower = 0.5 * x_star if bounded else None
     x0 = np.zeros(S.size) if lower is None else lower.copy()
-    alpha_S, L_S = _conditioning(sub)
+    alpha_S, L_S = _conditioning(_restriction(sub))
     g0 = _matvec(sub.Q, x0, np.empty(S.size)) - sub.b
     r = 10.0 ** -digits * (1.0 + float(np.linalg.norm(x_star)))
     # aspr's stage length for the distance r
@@ -520,8 +570,8 @@ def test_stage_ends_within_its_radius(seed, n, density, bounded, digits):
         if log_arg > 0.0:
             T = 1 + math.ceil(2.0 * math.sqrt(L_S / alpha_S) * log_arg)
     counters = Counters()
-    x, aborted = _apgd_loop(sub, alpha_S, L_S, S, x0, T, counters,
-                            lower=lower, radius=r)
+    x, aborted = _apgd_loop(_restriction(sub), alpha_S, L_S, S, x0, T,
+                            counters, lower=lower, radius=r)
     assert not aborted
     assert counters.inner_iters <= T
     # the reference solve rounds at about 1e-15 of x*, far below r

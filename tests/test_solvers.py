@@ -27,6 +27,7 @@ from sparsepr import (
     random_graph_instance,
     subspace_solve,
 )
+from sparsepr import problem
 from sparsepr.oracle import random_m_matrix
 from sparsepr.problem import GradientWorkspace, MQuadratic, restrict
 from sparsepr.solvers import (
@@ -36,6 +37,7 @@ from sparsepr.solvers import (
     _coeff_growth,
     _conditioning,
     _gap_from_gradient,
+    _restriction,
     solve,
 )
 
@@ -368,7 +370,8 @@ class TestStageConditioning:
     def test_one_coordinate_block_is_its_diagonal(self, two_node):
         # Q_SS = (0.75): one Jacobi sweep solves it, so both bounds sit
         # within their rounding slack of the entry
-        alpha_S, L_S = _conditioning(restrict(two_node, [0]))
+        alpha_S, L_S = _conditioning(
+            _restriction(restrict(two_node, [0])))
         assert two_node.alpha <= alpha_S <= 0.75 <= L_S <= two_node.L
         assert 0.75 - alpha_S <= 1e-14 and L_S - 0.75 <= 1e-14
 
@@ -400,6 +403,50 @@ class TestStageConditioning:
         sol = aspr(q, eps)
         assert sol.counters.inner_iters <= 1500
         assert objective(q, sol.x) - f_star <= eps
+
+
+def _community_query():
+    """Six communities of 50 nodes at alpha 0.01, rho 1e-3, seeded by a
+    distribution on three nodes of one: support 76, in five aspr stages."""
+    inst = random_graph_instance("sbm", {
+        "sizes": [50] * 6, "p_in": 0.12, "p_out": 0.004, "alpha": 0.01,
+        "rho": 1e-3}, 5)
+    s = np.zeros(inst.graph.n)
+    s[[3, 17, 40]] = [0.5, 0.3, 0.2]
+    return build_pagerank_quadratic(
+        PageRankInstance(inst.graph, inst.alpha, inst.rho, s))
+
+
+class TestStageRestriction:
+    @pytest.mark.parametrize("variant", ASPR_VARIANTS)
+    @pytest.mark.parametrize("make", [
+        _community_query, lambda: random_m_matrix(40, 0.2, seed=3)],
+        ids=["communities", "m-matrix"])
+    def test_rows_of_Q_are_gathered_only_when_the_working_set_grows(
+            self, monkeypatch, variant, make):
+        # a stage restricts Q to S from the rows the workspace gathered
+        # when S last grew, so Q is read once at the set-up and once per
+        # admit that adds coordinates, not once more per stage
+        q = make()
+        gathers, grows = [], []
+        gather, admit = problem._gather_rows, GradientWorkspace.admit
+
+        def counting_gather(A, rows):
+            if A is q.Q:
+                gathers.append(rows.size)
+            return gather(A, rows)
+
+        def counting_admit(ws, coords):
+            new = admit(ws, coords)
+            if new.size:
+                grows.append(new.size)
+            return new
+
+        monkeypatch.setattr(problem, "_gather_rows", counting_gather)
+        monkeypatch.setattr(GradientWorkspace, "admit", counting_admit)
+        sol = aspr(q, 1e-6, variant=variant)
+        assert sol.counters.stages >= 4
+        assert len(gathers) == 1 + len(grows)
 
 
 class TestASPR:
