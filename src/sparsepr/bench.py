@@ -16,9 +16,8 @@ import time
 import numpy as np
 
 from .oracle import random_graph_instance
-from .problem import (build_pagerank_quadratic, internal_volume, restrict,
-                      volume)
-from .solvers import _conditioning, _restriction, solve
+from .problem import build_pagerank_quadratic, restrict, volume
+from .solvers import _conditioning, solve
 
 __all__ = ["RunRecord", "CSV_HEADER", "run_cell", "bench_grid",
            "predictor_comment"]
@@ -85,9 +84,10 @@ def run_cell(family, size, alpha, rho, solver_token, seed, eps=1e-6):
 
     supp = sol.support
     gap = 0.0 if sol.gap_bound == "exact" else float(sol.gap_bound)
+    sub = restrict(q, supp)
     kappa_S = 1.0
     if supp.size:
-        alpha_S, L_S = _conditioning(_restriction(restrict(q, supp)))
+        alpha_S, L_S = _conditioning(sub)
         kappa_S = L_S / alpha_S
     return RunRecord(
         family=family, n=q.n, alpha=float(alpha), rho=float(rho),
@@ -96,7 +96,7 @@ def run_cell(family, size, alpha, rho, solver_token, seed, eps=1e-6):
         nnz_touched=sol.counters.nnz_touched,
         full_gradients=sol.counters.full_gradients,
         support_size=int(supp.size),
-        vol_supp=volume(q, supp), ivol_supp=internal_volume(q, supp),
+        vol_supp=volume(q, supp), ivol_supp=int(sub.Q.indptr[-1]),
         gap=gap, wall_ns=int(wall), kappa_S=kappa_S,
     )
 

@@ -3,10 +3,12 @@
 Everything here is deliberately independent of the sparse solvers in
 ``sparsepr.solvers``: the reference oracle grows a support by dense
 principal solves and certifies it by its own KKT check, and the geometry
-checker only consumes it.  Solver outputs are always validated against this
-module, never against each other alone.  ``tests/enumeration.py`` keeps a
-brute-force support enumeration that the tests hold the oracle to, bit for
-bit, up to n = 16.
+checker only consumes it.  A subspace solve restricts ``Q`` by scipy's
+indexing, not by ``problem.restrict``, whose form the solvers' stages
+share.  Solver outputs are always validated against this module, never
+against each other alone.  ``tests/enumeration.py`` keeps a brute-force
+support enumeration that the tests hold the oracle to, bit for bit, up to
+n = 16.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ import dataclasses
 import numpy as np
 import scipy.sparse as sp
 
-from .problem import (
-    Graph,
-    MQuadratic,
-    PageRankInstance,
-    objective,
-    restrict,
-)
+from .problem import Graph, MQuadratic, PageRankInstance, objective
 
 __all__ = [
     "OracleError",
@@ -111,7 +107,8 @@ def dense_solve_active_set(q):
 
 def subspace_solve(q, S):
     """Minimizer over {x >= 0, x_i = 0 off S}, embedded back into R^n,
-    found by the dense oracle on the principal restriction to S."""
+    found by the dense oracle on the principal restriction to S, which
+    scipy's fancy indexing takes."""
     S = np.unique(np.asarray(S, dtype=np.int64))
     n = q.n
     if S.size and (S[0] < 0 or S[-1] >= n):
@@ -119,7 +116,8 @@ def subspace_solve(q, S):
     x = np.zeros(n)
     if S.size == 0:
         return _finish(q, x)
-    x[S] = dense_solve_active_set(restrict(q, S)).x_star
+    sub = MQuadratic(q.Q[S][:, S], q.b[S], q.alpha, q.L, validate=False)
+    x[S] = dense_solve_active_set(sub).x_star
     return _finish(q, x)
 
 

@@ -22,8 +22,12 @@ optimality check and the rows of a solve's working set, which a
 :class:`GradientWorkspace` keeps as one block.  That block serves the
 workspace's gradient (scipy's ``csc_matvec``), ``cdpr``'s product of
 ``Q`` with its direction (``csr_matvec``) and ``aspr``'s restriction of
-``Q`` to the working set (:func:`_restricted`), which a stage builds
-without reading ``Q``.
+``Q`` to the working set, which a stage builds without reading ``Q``.
+
+A quadratic restricted to a sorted set S has one form, a
+:class:`Restriction`: Q_SS in position ids, its diagonal and ``b`` on S,
+built by :func:`_restricted` from the rows of S, which :func:`restrict`
+gathers from ``Q`` and an ``aspr`` stage reads from its workspace.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
     "PageRankOperator",
     "build_pagerank_quadratic",
     "pagerank_upper_bounds",
+    "Restriction",
     "restrict",
     "gradient",
     "GradientWorkspace",
@@ -602,26 +607,26 @@ def pagerank_upper_bounds(instance):
     return -op.base(instance.rho)
 
 
+# a quadratic restricted to a sorted index set S: Q_SS as a _Block in
+# position ids, its diagonal, b on S, and the (alpha, L) of the whole
+# quadratic, which Q_SS keeps
+Restriction = collections.namedtuple("Restriction", "Q diag b alpha L")
+
+
 def restrict(q, S):
-    """The principal restriction of q to the sorted index set S.
+    """The principal :class:`Restriction` of q to the sorted index set S.
 
     Principal submatrices of an SPD M-matrix keep the M-matrix structure and
     only tighten the spectral bounds, so the restriction keeps (alpha, L).
-    Its ``Q`` is :func:`_restricted` of the rows S (:func:`_gather_rows`):
-    O(vol(S)) entries, where scipy's column index would build an n-length
-    lookup.  ``b`` on S is read from ``q._parts``, so a corrected quadratic
-    builds no dense ``b``.
+    Its ``Q`` and ``diag`` are :func:`_restricted` of the rows S
+    (:func:`_gather_rows`): O(vol(S)) entries, where scipy's column index
+    would build an n-length lookup.  ``b`` on S is read from ``q._parts``,
+    so a corrected quadratic builds no dense ``b``.  ``aspr`` builds the
+    same form from its workspace's block.
     """
     S = _checked_ids(S, q.n)
-    Q_SS, _ = _restricted(_gather_rows(q.Q, S), S)
-    sub = sp.csr_matrix((Q_SS.data, Q_SS.indices, Q_SS.indptr),
-                        shape=(S.size, S.size))
-    b = _b_on(q, S)
-    # q.Q is canonical, so sub is too: freeze it and b so MQuadratic takes
-    # them as they are
-    for arr in (sub.data, sub.indices, sub.indptr, b):
-        arr.setflags(write=False)
-    return MQuadratic(sub, b, q.alpha, q.L, validate=False)
+    return Restriction(*_restricted(_gather_rows(q.Q, S), S), _b_on(q, S),
+                       q.alpha, q.L)
 
 
 def _checked_ids(S, n):
@@ -1031,6 +1036,6 @@ def volume(q, S):
 
 
 def internal_volume(q, S):
-    """Stored nonzeros of the S-by-S principal submatrix of Q (S sorted)."""
-    S = _checked_ids(S, q.n)
-    return int(_restricted(_gather_rows(q.Q, S), S)[0].indptr[-1])
+    """Stored nonzeros of the S-by-S principal submatrix of Q (S sorted),
+    those of :func:`restrict`'s ``Q``."""
+    return int(restrict(q, S).Q.indptr[-1])

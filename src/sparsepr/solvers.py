@@ -56,7 +56,6 @@ write to any of the three.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import math
 import sys
@@ -65,8 +64,8 @@ import numpy as np
 
 from scipy.sparse._sparsetools import csr_matvec
 
-from .problem import (GradientWorkspace, gradient, restrict, _Block, _matvec,
-                      _restricted)
+from .problem import (GradientWorkspace, Restriction, gradient, restrict,
+                      _matvec, _restricted)
 
 __all__ = [
     "SolverError",
@@ -103,12 +102,6 @@ _JACOBI_SWEEPS = 3
 
 # the directions cdpr's basis holds before it first doubles
 _BASIS_START = 8
-
-# a quadratic restricted to a sorted working set S, as an aspr stage reads
-# it: Q_SS as a problem._Block in position ids, its diagonal, b on S, and the
-# (alpha, L) of the whole quadratic, which Q_SS keeps
-_Restriction = collections.namedtuple("_Restriction", "Q diag b alpha L")
-
 
 class SolverError(RuntimeError):
     """A solver failed to make progress or hit an internal guard."""
@@ -173,6 +166,10 @@ class Solution:
 
 
 def _check_start(q, S, x0):
+    """``x0`` as a float array, once checked against the sorted distinct
+    subspace ids ``S``."""
+    if S.size and (S[0] < 0 or S[-1] >= q.n):
+        raise ValueError("subspace index out of range")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (q.n,):
         raise ValueError("starting point must have length %d" % q.n)
@@ -205,18 +202,10 @@ def _coeff_growth(kappa):
     return 2.0 * kappa / (2.0 * kappa + 1.0 - math.sqrt(1.0 + 4.0 * kappa))
 
 
-def _restriction(sub):
-    """The :class:`_Restriction` of ``sub``, a quadratic made by
-    :func:`~sparsepr.problem.restrict`."""
-    Q = sub.Q
-    return _Restriction(_Block(Q.indptr, Q.indices, Q.data), Q.diagonal(),
-                        sub.b, sub.alpha, sub.L)
-
-
 def _conditioning(sub):
-    """Certified spectral bounds (alpha_S, L_S) of the :class:`_Restriction`
-    ``sub``, a principal restriction Q_SS of an M-matrix quadratic that
-    keeps its (alpha, L):
+    """Certified spectral bounds (alpha_S, L_S) of ``sub``, the
+    :class:`~sparsepr.problem.Restriction` Q_SS of an M-matrix quadratic,
+    which keeps its (alpha, L):
     alpha <= alpha_S <= lambda_min(Q_SS) and lambda_max(Q_SS) <= L_S <= L.
 
     alpha_S is the larger of alpha and the Collatz-Wielandt bound: for an
@@ -250,8 +239,10 @@ def _conditioning(sub):
 
 def _apgd_loop(sub, alpha, L, S, x0s, T, counters, lower=None, observe=None,
                out=None, full_every=0, ws=None, radius=None):
-    """Accelerated projected gradient on ``sub``, the :class:`_Restriction`
-    of a quadratic to the sorted coordinates S, with ``alpha`` and ``L``
+    """Accelerated projected gradient on ``sub``, the
+    :class:`~sparsepr.problem.Restriction` of a quadratic to the sorted
+    coordinates S (``restrict(q, S)`` for :func:`apgd`, one built from the
+    workspace's block for an ``aspr`` stage), with ``alpha`` and ``L``
     spectral bounds of ``sub.Q`` (alpha*I <= Q_SS <= L*I); returns the last
     output iterate on S and whether the loop aborted.  Each restricted
     gradient is ``csr_matvec`` on ``sub.Q`` minus ``sub.b``, and the stop
@@ -380,8 +371,8 @@ def apgd(q, S, x0, T, observe=None):
     if S.size == 0 or T == 0:
         out[S] = x0[S]
         return out
-    out[S], _ = _apgd_loop(_restriction(restrict(q, S)), q.alpha, q.L, S,
-                           x0[S], T, Counters(), observe=observe, out=out)
+    out[S], _ = _apgd_loop(restrict(q, S), q.alpha, q.L, S, x0[S], T,
+                           Counters(), observe=observe, out=out)
     return out
 
 
@@ -638,11 +629,11 @@ def aspr(q, eps, variant="plain", observe=None):
     expansion coordinate provably part of the optimal support.  Terminates
     with a certified objective gap of at most eps.
 
-    Each stage restricts Q to S by :func:`~sparsepr.problem._restricted`
-    of the workspace's ``block``, which holds the rows of S since S last
-    grew, and reads b on S from the workspace's copy; so the restriction
-    reads no row of Q, costs O(vol(S)), and builds no scipy matrix and no
-    quadratic.  The stage is sized by the conditioning of Q_SS, not of Q.
+    Each stage builds the :class:`~sparsepr.problem.Restriction` to S that
+    :func:`~sparsepr.problem.restrict` returns, but from the workspace's
+    ``block``, which holds the rows of S since S last grew, and its copy
+    of b; so the restriction reads no row of Q and costs O(vol(S)).  The
+    stage is sized by the conditioning of Q_SS, not of Q.
     :func:`_conditioning` certifies alpha_S and L_S with
     alpha <= alpha_S <= lambda_min(Q_SS) and lambda_max(Q_SS) <= L_S <= L;
     alpha_S is often far above alpha (a working set that is not the whole
@@ -707,7 +698,7 @@ def aspr(q, eps, variant="plain", observe=None):
         S = ws.S
         counters.stages += 1
         # Q_SS from the rows of S that the workspace holds
-        sub = _Restriction(*_restricted(ws.block, S), ws.b[S], alpha, L)
+        sub = Restriction(*_restricted(ws.block, S), ws.b[S], alpha, L)
         alpha_S, L_S = _conditioning(sub)
         shrink = math.sqrt(eps * alpha / ((1.0 + S.size) * L * L))
         gs0 = g[S]

@@ -1,6 +1,7 @@
 """Ground-truth solvers, geometry checks, and instance generators."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -22,9 +23,9 @@ from sparsepr import (
     verify_geometry,
     volume,
 )
+from sparsepr import problem
 from sparsepr.oracle import OracleError
-from sparsepr.problem import restrict
-from sparsepr.suites import make_corpus
+from sparsepr.suites import make_corpus, suite_rates
 
 from conftest import assert_close, two_node_instance
 from enumeration import dense_solve_enumerate
@@ -39,12 +40,18 @@ def assert_bit_equal(q, label):
                 == np.asarray(getattr(b, name)).tobytes()), (label, name)
 
 
+def scipy_restriction(q, S):
+    """The principal restriction of q to S, taken by scipy's indexing."""
+    return MQuadratic(q.Q[S][:, S], q.b[S], q.alpha, q.L, validate=False)
+
+
 def assert_bit_equal_on_restrictions(q, rng, count, label):
     """The same on ``count`` random principal restrictions of q."""
     for _ in range(count):
         size = int(rng.integers(1, q.n + 1))
         S = np.sort(rng.choice(q.n, size=size, replace=False))
-        assert_bit_equal(restrict(q, S), "%s|S=%s" % (label, S.tolist()))
+        assert_bit_equal(scipy_restriction(q, S),
+                         "%s|S=%s" % (label, S.tolist()))
 
 
 class TestEnumerate:
@@ -152,6 +159,49 @@ class TestSubspace:
                 pos = sol.x_star[np.sort(S)] > 0
                 if pos.any():
                     assert np.max(np.abs(gS[pos])) <= 1e-9
+
+
+class TestIndependentReference:
+    @pytest.fixture
+    def no_solver_restriction(self, monkeypatch):
+        # the solvers restrict through problem._restricted; a call from
+        # anywhere else, the reference included, raises
+        restricted = problem._restricted
+
+        def solvers_only(block, S):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_globals.get("__name__") == "sparsepr.solvers":
+                    return restricted(block, S)
+                frame = frame.f_back
+            raise AssertionError("the reference ran the solvers' restriction")
+
+        monkeypatch.setattr(problem, "_restricted", solvers_only)
+
+    def test_subspace_solve(self, no_solver_restriction, small_corpus):
+        # the same bytes as a dense solve of the dense principal block
+        for item in small_corpus[:12]:
+            q = item.q
+            rng = np.random.default_rng(item.seed + 13)
+            S = np.flatnonzero(rng.uniform(size=q.n) < 0.6)
+            sol = subspace_solve(q, S)
+            dense = MQuadratic(sp.csr_matrix(q.Q.toarray()[np.ix_(S, S)]),
+                               q.b[S], q.alpha, q.L, validate=False)
+            x = np.zeros(q.n)
+            if S.size:
+                x[S] = dense_solve_active_set(dense).x_star
+            assert sol.x_star.tobytes() == x.tobytes(), item.label
+            assert (sol.kkt_residuals.tobytes()
+                    == (q.Q @ x - q.b).tobytes()), item.label
+
+    def test_rates_suite(self, no_solver_restriction):
+        # the lines of `sparsepr verify --suite all --instances 20 --seed 7`
+        assert [check.line() for check in suite_rates(20, 7)] == [
+            "PASS rates/pgd_distance_contraction: 10 checks, "
+            "worst 0.000e+00",
+            "PASS rates/apgd_gap_bound: 10 checks, worst 0.000e+00",
+            "PASS rates/apgd_weight_growth: 71 checks, worst 5.025e-03",
+        ]
 
 
 class TestVerifyGeometry:

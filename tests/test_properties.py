@@ -21,12 +21,14 @@ from sparsepr import (
     negative_tolerance,
     objective,
     random_graph_instance,
+    subspace_solve,
     validate_m_matrix,
     volume,
 )
 from sparsepr.oracle import GRAPH_KINDS, random_m_matrix
 from sparsepr.problem import (
     GradientWorkspace,
+    Restriction,
     restrict,
     _matvec,
     _restricted,
@@ -37,7 +39,6 @@ from sparsepr.solvers import (
     _BASIS_START,
     _apgd_loop,
     _conditioning,
-    _restriction,
 )
 
 common = settings(max_examples=25, deadline=None, derandomize=True)
@@ -146,41 +147,6 @@ def _int64_indexed(q):
 
 
 @common
-@given(seed=seeds, n=dims, density=densities, int64=st.booleans(),
-       kind=st.sampled_from(("m-matrix",) + GRAPH_KINDS))
-def test_stage_restriction_from_the_block_is_restrict(seed, n, density,
-                                                      int64, kind):
-    # aspr restricts each stage to S from the workspace's block and b; after
-    # every admit, of one coordinate at a time or of many at once, that is
-    # restrict(q, S), whose ids scipy may store in a narrower dtype
-    if kind == "m-matrix":
-        q = random_m_matrix(n, density, seed=seed)
-    else:
-        q = build_pagerank_quadratic(random_graph_instance(kind, {}, seed))
-    if int64:
-        q = _int64_indexed(q)
-    rng = np.random.default_rng(seed + 12)
-    ws = GradientWorkspace(q, Counters())
-    for step in range(4):
-        coords = rng.choice(q.n, size=min(q.n, rng.integers(0, 4)),
-                            replace=False)
-        parts = [coords] if step % 2 else [coords[k:k + 1]
-                                           for k in range(coords.size)]
-        for part in parts:
-            ws.admit(part)
-            S = ws.S
-            Q_SS, diag = _restricted(ws.block, S)
-            ref = restrict(q, S)
-            assert Q_SS.indptr.dtype == Q_SS.indices.dtype == q.Q.indices.dtype
-            assert np.array_equal(Q_SS.indptr, ref.Q.indptr)
-            assert np.array_equal(Q_SS.indices, ref.Q.indices)
-            assert Q_SS.data.tobytes() == ref.Q.data.tobytes()
-            assert ws.b[S].tobytes() == ref.b.tobytes()
-            assert diag.tobytes() == ref.Q.diagonal().tobytes()
-    ws.release()
-
-
-@common
 @given(seed=seeds, n=dims, density=densities,
        kind=st.sampled_from(("m-matrix",) + GRAPH_KINDS))
 def test_ever_positive_records_what_each_solver_made_positive(seed, n, density,
@@ -239,17 +205,42 @@ def test_cached_operator_builds_what_a_fresh_graph_builds(seed, kind, queries):
 
 
 @common
-@given(seed=seeds, n=dims, density=densities)
-def test_restriction_matches_scipy_indexing(seed, n, density):
-    q = random_m_matrix(n, density, seed=seed)
-    rng = np.random.default_rng(seed + 6)
-    S = np.flatnonzero(rng.uniform(size=n) < 0.6)
-    sub = restrict(q, S)
-    ref = MQuadratic(q.Q[S][:, S], q.b[S], q.alpha, q.L, validate=False)
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(sub.Q, name), getattr(ref.Q, name))
-    assert np.array_equal(sub.b, ref.b)
-    assert (sub.alpha, sub.L) == (ref.alpha, ref.L)
+@given(seed=seeds, n=dims, density=densities, int64=st.booleans(),
+       kind=st.sampled_from(("m-matrix",) + GRAPH_KINDS))
+def test_restriction_matches_scipy_indexing(seed, n, density, int64, kind):
+    # restrict(q, S), and an aspr stage's restriction from the workspace's
+    # block and b after every admit, of one coordinate at a time or of many
+    # at once, hold scipy's Q[S][:, S] (whose ids scipy may store in a
+    # narrower dtype), its diagonal and b on S
+    if kind == "m-matrix":
+        q = random_m_matrix(n, density, seed=seed)
+    else:
+        q = build_pagerank_quadratic(random_graph_instance(kind, {}, seed))
+    if int64:
+        q = _int64_indexed(q)
+    rng = np.random.default_rng(seed + 12)
+    ws = GradientWorkspace(q, Counters())
+    for step in range(4):
+        coords = rng.choice(q.n, size=min(q.n, rng.integers(0, 4)),
+                            replace=False)
+        parts = [coords] if step % 2 else [coords[k:k + 1]
+                                           for k in range(coords.size)]
+        for part in parts:
+            ws.admit(part)
+            S = ws.S
+            ref = q.Q[S][:, S]
+            for sub in (restrict(q, S),
+                        Restriction(*_restricted(ws.block, S), ws.b[S],
+                                    q.alpha, q.L)):
+                assert (sub.Q.indptr.dtype == sub.Q.indices.dtype
+                        == q.Q.indices.dtype)
+                assert np.array_equal(sub.Q.indptr, ref.indptr)
+                assert np.array_equal(sub.Q.indices, ref.indices)
+                assert sub.Q.data.tobytes() == ref.data.tobytes()
+                assert sub.diag.tobytes() == ref.diagonal().tobytes()
+                assert sub.b.tobytes() == q.b[S].tobytes()
+                assert (sub.alpha, sub.L) == (q.alpha, q.L)
+    ws.release()
 
 
 @common
@@ -503,21 +494,20 @@ def test_restricted_product_is_scipys_bit_for_bit(seed, n, density, kind):
         q = build_pagerank_quadratic(random_graph_instance(kind, {}, seed))
     rng = np.random.default_rng(seed + 9)
     S = np.flatnonzero(rng.uniform(size=q.n) < 0.7)
-    sub = restrict(q, S)
     x = rng.uniform(0.0, 2.0, S.size) * (rng.uniform(size=S.size) < 0.7)
     out = np.full(S.size, np.nan)
-    assert _matvec(sub.Q, x, out) is out
-    assert out.tobytes() == (sub.Q @ x).tobytes()
+    assert _matvec(restrict(q, S).Q, x, out) is out
+    assert out.tobytes() == (q.Q[S][:, S] @ x).tobytes()
 
 
-def _assert_stage_bounds(sub):
+def _assert_stage_bounds(q, S):
     """alpha <= alpha_S <= lambda_min(Q_SS) and lambda_max(Q_SS) <= L_S <= L,
     up to the rounding of eigvalsh."""
-    alpha_S, L_S = _conditioning(_restriction(sub))
-    w = np.linalg.eigvalsh(sub.Q.toarray())
-    slack = 1e-12 * sub.L
-    assert sub.alpha <= alpha_S <= w[0] + slack
-    assert w[-1] - slack <= L_S <= sub.L
+    alpha_S, L_S = _conditioning(restrict(q, S))
+    w = np.linalg.eigvalsh(q.Q[S][:, S].toarray())
+    slack = 1e-12 * q.L
+    assert q.alpha <= alpha_S <= w[0] + slack
+    assert w[-1] - slack <= L_S <= q.L
     return alpha_S
 
 
@@ -536,10 +526,9 @@ def test_stage_bounds_bracket_the_restricted_spectrum(seed, n, density, kind):
         sets = []
         aspr(q, 1e-6, observe=lambda x, S, d: sets.append(S))
         # on the whole of a connected graph lambda_min is alpha itself
-        assert _conditioning(_restriction(
-            restrict(q, np.arange(q.n))))[0] == q.alpha
+        assert _conditioning(restrict(q, np.arange(q.n)))[0] == q.alpha
     for S in sets:
-        _assert_stage_bounds(restrict(q, S))
+        _assert_stage_bounds(q, S)
 
 
 @common
@@ -554,10 +543,10 @@ def test_stage_ends_within_its_radius(seed, n, density, bounded, digits):
     S = np.flatnonzero(rng.uniform(size=n) < 0.7)
     S = S if S.size else np.arange(n)
     sub = restrict(q, S)
-    x_star = dense_solve_active_set(sub).x_star
+    x_star = subspace_solve(q, S).x_star[S]
     lower = 0.5 * x_star if bounded else None
     x0 = np.zeros(S.size) if lower is None else lower.copy()
-    alpha_S, L_S = _conditioning(_restriction(sub))
+    alpha_S, L_S = _conditioning(sub)
     g0 = _matvec(sub.Q, x0, np.empty(S.size)) - sub.b
     r = 10.0 ** -digits * (1.0 + float(np.linalg.norm(x_star)))
     # aspr's stage length for the distance r
@@ -570,8 +559,8 @@ def test_stage_ends_within_its_radius(seed, n, density, bounded, digits):
         if log_arg > 0.0:
             T = 1 + math.ceil(2.0 * math.sqrt(L_S / alpha_S) * log_arg)
     counters = Counters()
-    x, aborted = _apgd_loop(_restriction(sub), alpha_S, L_S, S, x0, T,
-                            counters, lower=lower, radius=r)
+    x, aborted = _apgd_loop(sub, alpha_S, L_S, S, x0, T, counters,
+                            lower=lower, radius=r)
     assert not aborted
     assert counters.inner_iters <= T
     # the reference solve rounds at about 1e-15 of x*, far below r

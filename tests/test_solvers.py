@@ -37,7 +37,6 @@ from sparsepr.solvers import (
     _coeff_growth,
     _conditioning,
     _gap_from_gradient,
-    _restriction,
     solve,
 )
 
@@ -150,6 +149,17 @@ class TestPGD:
         assert len(seen) == 5
         assert all(S == [0, 1] and d is None for S, d, _, _ in seen)
         assert_close(seen[0][2], [0.45, 0.0], 1e-15)
+
+
+@pytest.mark.parametrize("solver", [pgd, apgd], ids=["pgd", "apgd"])
+@pytest.mark.parametrize("S", [[7], [-1], [0, 4]])
+def test_subspace_ids_outside_the_range_are_rejected(solver, S):
+    # subspace_solve names the same fault with the same message
+    q = random_m_matrix(4, 0.5, 0)
+    with pytest.raises(ValueError, match="^subspace index out of range$"):
+        solver(q, S, np.zeros(4), 1)
+    with pytest.raises(ValueError, match="^subspace index out of range$"):
+        subspace_solve(q, S)
 
 
 class TestAPGDCoefficients:
@@ -370,8 +380,7 @@ class TestStageConditioning:
     def test_one_coordinate_block_is_its_diagonal(self, two_node):
         # Q_SS = (0.75): one Jacobi sweep solves it, so both bounds sit
         # within their rounding slack of the entry
-        alpha_S, L_S = _conditioning(
-            _restriction(restrict(two_node, [0])))
+        alpha_S, L_S = _conditioning(restrict(two_node, [0]))
         assert two_node.alpha <= alpha_S <= 0.75 <= L_S <= two_node.L
         assert 0.75 - alpha_S <= 1e-14 and L_S - 0.75 <= 1e-14
 
