@@ -17,12 +17,12 @@ requested rows whose column lies in ``supp(x)`` for a restricted one.
 
 Every gather of rows of a CSR matrix here runs scipy's ``csr_row_index``
 kernel, the one its fancy row indexing runs (:func:`_gather_rows`): the
-restriction, the gradient on a set of rows, a neighbourhood, the
-optimality check and the rows of a solve's working set, which a
-:class:`GradientWorkspace` keeps as one block.  That block serves the
-workspace's gradient (scipy's ``csc_matvec``), ``cdpr``'s product of
-``Q`` with its direction (``csr_matvec``) and ``aspr``'s restriction of
-``Q`` to the working set, which a stage builds without reading ``Q``.
+restriction, the gradient, the optimality check and the rows of a
+solve's working set, which a :class:`GradientWorkspace` keeps as one
+block.  That block serves the workspace's gradient (scipy's
+``csc_matvec``), ``cdpr``'s product of ``Q`` with its direction
+(``csr_matvec``) and ``aspr``'s restriction of ``Q`` to the working set,
+which a stage builds without reading ``Q``.
 
 A quadratic restricted to a sorted set S has one form, a
 :class:`Restriction`: Q_SS in position ids, its diagonal and ``b`` on S,
@@ -745,30 +745,24 @@ def _sorted_union(*ids):
     return np.concatenate((ids[:1], ids[1:][ids[1:] != ids[:-1]]))
 
 
-def _neighborhood(q, support):
-    """The sorted rows whose Q-row overlaps the given columns, and those
-    columns themselves."""
-    support = np.asarray(support, dtype=np.int64)
-    return _sorted_union(_gather_rows(q.Q, support).indices, support)
-
-
 def gradient(q, x, coords=None):
     """Gradient Qx - b, either in full or restricted to ``coords``.
 
     Every row is summed in one order: it starts at -b_i and adds Q_ij x_j
-    in increasing j, by scipy's ``csr_matvec`` kernel on the requested
-    rows.  A term with x_j = 0 leaves a sequential sum unchanged up to the
-    sign of a zero, so a sum over supp(x) alone, such as the scatter of
-    :meth:`GradientWorkspace.refresh`, gives the same bits, and the
-    restricted result is a slice of the full one, both up to the sign of a
-    zero.  The full gradient sums the Q-neighbourhood of supp(x); every
-    other row is -b.
+    in increasing j.  The full gradient is the kernel of
+    :meth:`GradientWorkspace.refresh`: the rows of supp(x), gathered once,
+    read as columns by scipy's ``csc_matvec``, which scatters Q_ij x_j onto
+    -b_i for j in supp(x); ``Q`` is symmetric, so row j holds Q_ij.  The
+    restricted one runs scipy's ``csr_matvec`` on the requested rows, over
+    all their columns.  A term with x_j = 0 leaves a sequential sum
+    unchanged up to the sign of a zero, so the restricted result is a slice
+    of the full one up to the sign of a zero.
     """
     x = np.ascontiguousarray(x, dtype=float)
     if coords is None:
         g = -q.b
-        rows = _neighborhood(q, np.flatnonzero(x))
-        g[rows] = _add_rows(q.Q, rows, x, g[rows])
+        supp = np.flatnonzero(x)
+        csc_matvec(g.size, supp.size, *_gather_rows(q.Q, supp), x[supp], g)
         return g
     coords = np.asarray(coords, dtype=np.int64)
     return _add_rows(q.Q, coords, x, -q.b[coords])
@@ -776,9 +770,9 @@ def gradient(q, x, coords=None):
 
 class _Buffers:
     """The n-length arrays of a :class:`GradientWorkspace`.  Between
-    solves, ``x``, ``listed``, ``member``, ``ever`` and every array in
-    ``extra`` are zero, ``b`` equals the read-only ``base`` (None before
-    the first solve), and ``g`` holds nothing that is read."""
+    solves, ``x``, ``listed``, ``member`` and every array in ``extra`` are
+    zero, ``b`` equals the read-only ``base`` (None before the first
+    solve), and ``g`` holds nothing that is read."""
 
     def __init__(self, n):
         self.x = np.zeros(n)
@@ -787,16 +781,14 @@ class _Buffers:
         self.base = None
         self.listed = np.zeros(n, dtype=bool)
         self.member = np.zeros(n, dtype=bool)
-        self.ever = np.zeros(n, dtype=bool)
         self.extra = {}  # see GradientWorkspace.pooled
 
 
 class GradientWorkspace:
     """The state of one solve: the iterate ``x``, its gradient
-    ``g = Qx - b``, the sorted working set ``S``, and the coordinates the
-    solve ever made positive, kept current at a cost that follows the
-    neighbourhood of the iterate, not n.  The caller writes ``x`` on ``S``
-    only, so ``x`` vanishes off ``S``.
+    ``g = Qx - b`` and the sorted working set ``S``, kept current at a cost
+    that follows the neighbourhood of the iterate, not n.  The caller
+    writes ``x`` on ``S`` only, so ``x`` vanishes off ``S``.
 
     Off the Q-neighbourhood of ``S``, the gradient is -b.  The workspace
     lists the rows with ``-b_i < -tol`` (the only coordinates off that
@@ -819,12 +811,12 @@ class GradientWorkspace:
     row i by scipy's ``csc_matvec`` kernel on the block, which reads row j
     as column j and scatters its terms in increasing j.  ``Q`` is
     symmetric bit for bit (:func:`validate_m_matrix` checks it), so row j
-    holds Q_ij, and each row i takes its terms in the order that
-    :func:`gradient` adds them; the terms with x_j = 0 that one adds and
-    the other skips leave a sequential sum unchanged.  So ``g`` on the
-    listed rows equals ``gradient(q, x)`` there bit for bit up to the sign
-    of a zero, and a refresh reads the entries of the rows of ``S``, not
-    those of the listed rows.
+    holds Q_ij.  This is the kernel of :func:`gradient`, which runs it on
+    the rows of supp(x) only; the terms with x_j = 0 that the block adds
+    leave a sequential sum unchanged.  So ``g`` on the listed rows equals
+    ``gradient(q, x)`` there bit for bit up to the sign of a zero, and a
+    refresh reads the entries of the rows of ``S``, not those of the
+    listed rows.
 
     ``b`` equals ``q.b`` on every row: the set-up writes the corrected
     entries of ``q._parts`` over the base that the pooled copy already
@@ -833,8 +825,7 @@ class GradientWorkspace:
     is then a plain index.
 
     ``S`` only grows, through :meth:`admit`, which replaces the array and
-    never writes it, so a caller may keep an old ``S``.  ``ever`` marks
-    every coordinate that was positive at some :meth:`refresh`.
+    never writes it, so a caller may keep an old ``S``.
 
     ``counters`` pays for the solve under the column cost model: the
     set-up starts at x = 0, where g = -b, and charges one full gradient and
@@ -864,7 +855,7 @@ class GradientWorkspace:
             buf.base = base
         buf.b[nodes] = values
         self._buf = buf
-        self.x, self.g, self.b, self.ever = buf.x, buf.g, buf.b, buf.ever
+        self.x, self.g, self.b = buf.x, buf.g, buf.b
         self.listed, self._member = buf.listed, buf.member
         pos = q.positive_b
         rows = pos[-self.b[pos] < -tol]
@@ -900,7 +891,7 @@ class GradientWorkspace:
         the next workspace.  The caller has read what it keeps and uses
         this workspace no more."""
         buf, S = self._buf, self.S
-        for arr in (buf.x, buf.member, buf.ever, *buf.extra.values()):
+        for arr in (buf.x, buf.member, *buf.extra.values()):
             arr[S] = 0
         buf.listed[self.rows] = False
         base, nodes, _ = self.q._parts
@@ -924,9 +915,8 @@ class GradientWorkspace:
         return new
 
     def refresh(self):
-        """Record which coordinates of ``S`` are positive, then recompute
-        ``g`` at ``x`` from ``block``.  Charges ``counters`` one full
-        gradient and the column nonzeros of supp(x).
+        """Recompute ``g`` at ``x`` from ``block``.  Charges ``counters``
+        one full gradient and the column nonzeros of supp(x).
 
         The kernel reads every row of ``S``, those where x = 0 included, so
         once ``S`` holds coordinates that went back to zero a refresh reads
@@ -935,7 +925,6 @@ class GradientWorkspace:
         column cost model's, which the pinned counters record."""
         S, x, g, block = self.S, self.x, self.g, self.block
         xs = x[S]
-        self.ever[S] |= xs > 0
         if self._unspread:
             new = np.concatenate(self._unspread)
             self._unspread = []
@@ -948,7 +937,8 @@ class GradientWorkspace:
         csc_matvec(g.size, S.size, *block, xs, g)
         self.counters.full_gradients += 1
         counts = block.indptr[1:] - block.indptr[:-1]
-        self.counters.nnz_touched += int(counts[xs != 0].sum())
+        # np.add.reduce is what ndarray.sum wraps in a Python-level call
+        self.counters.nnz_touched += int(np.add.reduce(counts[xs != 0]))
 
     def negatives(self):
         """Sorted coordinates whose gradient is below ``-tol``."""

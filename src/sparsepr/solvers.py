@@ -23,9 +23,8 @@ Every solver is deterministic.  ``ista_baseline``, ``cdpr`` and ``aspr``
 keep a solve's state in one :class:`~sparsepr.problem.GradientWorkspace`:
 the iterate and its gradient, the sorted working set they grow from the
 signs of the gradient (the active set, the pivots, the working set), the
-coordinates ever made positive, the certainly-negative threshold
-``negative_tolerance(q)``, and the :class:`Counters` that their
-:class:`Solution` reports.
+certainly-negative threshold ``negative_tolerance(q)``, and the
+:class:`Counters` that their :class:`Solution` reports.
 
 A solve's n-length state (the workspace's iterate, gradient, ``b`` and
 row marks, ``cdpr``'s pivot ranks and the lower bounds of
@@ -39,19 +38,22 @@ resets the set on the rows it wrote and hands it back; a solve that raises
 drops it.  A warm solve thus allocates nothing of length n: its work, its
 memory and its answer (see :class:`Solution`) follow the rows it lists.
 
-Observing a run: ``pgd``, ``apgd``, ``cdpr`` and ``aspr`` take one
-``observe`` keyword, called as ``observe(x, S, d)`` after each step of
-``pgd``/``apgd`` and after each stage of ``cdpr``/``aspr`` (including an
-``aspr`` stage that the early variant aborts).  ``x`` is the live dense
-iterate; copy it to keep it.  For ``cdpr`` and ``aspr`` it is the pooled
-buffer, which is zeroed after the solve and then serves the next one.
-``S`` is the sorted set of coordinates the solver worked on: the subspace
-for ``pgd``/``apgd``, the pivots so far for ``cdpr`` (also the support of
-its new direction), and the working set for ``aspr``.  ``d`` holds
-``cdpr``'s new conjugate direction on ``S``, as a fresh array, never a view
-of the solver's basis; the other solvers pass None.  ``S`` and ``d`` are
-never written after the call, so they may be kept; an observer must not
-write to any of the three.
+Observing a run: ``pgd``, ``apgd``, ``ista_baseline``, ``cdpr`` and
+``aspr`` take one ``observe`` keyword, called as ``observe(x, S, d)`` after
+each step of ``pgd``/``apgd``/``ista_baseline`` and after each stage of
+``cdpr``/``aspr`` (including an ``aspr`` stage that the early variant
+aborts).  ``x`` is the live dense iterate; copy it to keep it.  For
+``ista_baseline``, ``cdpr`` and ``aspr`` it is the pooled buffer, which is
+zeroed after the solve and then serves the next one.  ``S`` is the sorted
+set of coordinates the solver worked on, which holds supp(x): the subspace
+for ``pgd``/``apgd``, the active set for ``ista_baseline``, the pivots so
+far for ``cdpr`` (also the support of its new direction), and the working
+set for ``aspr``.  ``d`` holds ``cdpr``'s new conjugate direction on ``S``,
+as a fresh array, never a view of the solver's basis; the other solvers
+pass None.  ``S`` and ``d`` are never written after the call, so they may
+be kept; an observer must not write to any of the three.  The coordinates
+a solve ever made positive are the union of ``S[x[S] > 0]`` over the calls
+for ``ista_baseline`` and ``cdpr``, and the last ``S`` for ``aspr``.
 """
 
 from __future__ import annotations
@@ -132,10 +134,8 @@ class Counters:
 class Solution:
     """Solver output: the iterate, its support, the certified gap bound
     ("exact" for the conjugate solver, see :func:`cdpr`), work counters,
-    every coordinate the solver ever made positive, and ``tolerance``: the
-    solve counted a gradient entry below -tolerance as negative.  For
-    ``aspr`` the ever-positive set is its final working set, which holds
-    every coordinate it made positive.
+    and ``tolerance``: the solve counted a gradient entry below -tolerance
+    as negative.
 
     The iterate is held on the working set: ``S`` is the sorted working
     set of the solve, off which the iterate vanishes, and ``x_S`` the
@@ -150,7 +150,6 @@ class Solution:
     support: np.ndarray
     gap_bound: object
     counters: Counters
-    ever_positive: np.ndarray
     tolerance: float
     _x: np.ndarray = dataclasses.field(default=None, init=False, repr=False,
                                        compare=False)
@@ -315,9 +314,11 @@ def _apgd_loop(sub, alpha, L, S, x0s, T, counters, lower=None, observe=None,
             gs = ws.g[S]
         else:
             counters.restricted_gradients += 1
-            counters.nnz_touched += int(col_nnz[x_in != 0].sum())
+            # ufunc reductions: ndarray.sum and .all wrap them in Python
+            counters.nnz_touched += int(np.add.reduce(col_nnz[x_in != 0]))
             gs = _matvec(sub.Q, x_in, qx) - sub.b
-        nonpos_on_set = ws is not None and bool((gs <= ws.tol).all())
+        nonpos_on_set = (ws is not None
+                         and bool(np.logical_and.reduce(gs <= ws.tol)))
         if lower is not None and nonpos_on_set:
             np.maximum(lower, x_in, out=lower)
         if full and nonpos_on_set and ws.admit(ws.negatives()).size:
@@ -376,19 +377,15 @@ def apgd(q, S, x0, T, observe=None):
     return out
 
 
-def _solution(ws, gap_bound, ever=None):
+def _solution(ws, gap_bound):
     """The solve's answer, read on the working set, off which ``ws.x``
-    vanishes; ``ws`` is then released.  ``ever`` defaults to the
-    coordinates marked in ``ws.ever``.  An iterate that is not finite
+    vanishes; ``ws`` is then released.  An iterate that is not finite
     raises SolverError, so no label is ever attached to it."""
     S = ws.S
     x_S = ws.x[S]
     if not np.isfinite(x_S).all():
         raise SolverError("the iterate holds a non-finite value")
-    if ever is None:
-        ever = S[ws.ever[S]]
-    sol = Solution(ws.q.n, S, x_S, S[x_S > 0], gap_bound, ws.counters, ever,
-                   ws.tol)
+    sol = Solution(ws.q.n, S, x_S, S[x_S > 0], gap_bound, ws.counters, ws.tol)
     ws.release()
     return sol
 
@@ -427,7 +424,7 @@ def _budget(q, steps, solver):
     return steps
 
 
-def ista_baseline(q, eps):
+def ista_baseline(q, eps, observe=None):
     """Projected gradient from zero over the full orthant, sparsely.
 
     Only the active set (positive coordinates plus certainly-negative
@@ -437,7 +434,8 @@ def ista_baseline(q, eps):
     once no inactive coordinate has a negative gradient and
     ||grad on support||^2 <= 2*alpha*eps, which certifies an objective gap
     of at most eps by strong convexity.  ``stages`` counts support-expansion
-    events, so the already-optimal instance reports 0.
+    events, so the already-optimal instance reports 0.  ``observe`` sees
+    each step's iterate and active set (see the module docstring).
     """
     _check_eps(q, eps)
     ws = GradientWorkspace(q, Counters())
@@ -468,6 +466,8 @@ def ista_baseline(q, eps):
         x[A] = np.maximum(0.0, x[A] - g[A] / q.L)
         counters.inner_iters += 1
         ws.refresh()
+        if observe is not None:
+            observe(x, ws.S, None)
     raise SolverError("baseline failed to converge in %d iterations" % max_iter)
 
 
@@ -690,7 +690,7 @@ def aspr(q, eps, variant="plain", observe=None):
     x, g, counters = ws.x, ws.g, ws.counters
     alpha, L = q.alpha, q.L
     if not ws.admit(ws.negatives()).size:
-        return _solution(ws, eps, ws.S)
+        return _solution(ws, eps)
     lower = ws.pooled("lower", float) if variant == "constraints" else None
 
     # every stage admits a coordinate or stops, so there are at most n
@@ -742,7 +742,7 @@ def aspr(q, eps, variant="plain", observe=None):
             observe(x, S, None)
         if not ws.admit(ws.negatives()).size:
             break
-    return _solution(ws, eps, ws.S)
+    return _solution(ws, eps)
 
 
 def solve(q, token, eps):

@@ -217,8 +217,11 @@ def suite_aspr(corpus):
         good = set(ref.support.tolist())
         for eps, variant in itertools.product((1e-3, 1e-6), ASPR_VARIANTS):
             gap.checked += 1
+            # aspr's last working set holds every coordinate it made positive
+            sets = [np.empty(0, dtype=np.int64)]
             try:
-                sol = aspr(q, eps, variant=variant)
+                sol = aspr(q, eps, variant=variant,
+                           observe=lambda x, S, d: sets.append(S))
             except Exception as exc:
                 gap.record_failure("%s: aspr(%g, %s) raised %r"
                                    % (item.label, eps, variant, exc))
@@ -229,14 +232,16 @@ def suite_aspr(corpus):
                 gap.record_failure("%s: aspr(%g, %s) gap %.3e exceeds eps"
                                    % (item.label, eps, variant, measured))
             purity.checked += 1
-            stray = set(sol.ever_positive.tolist()) - good
+            stray = set(sets[-1].tolist()) - good
             if stray:
                 purity.record_failure("%s: aspr(%g, %s) touched %s outside supp*"
                                       % (item.label, eps, variant, sorted(stray)))
         purity.checked += 1
+        made = set()
         try:
-            ista_sol = ista_baseline(q, 1e-6)
-            stray = set(ista_sol.ever_positive.tolist()) - good
+            ista_baseline(q, 1e-6, observe=lambda x, S, d:
+                          made.update(S[x[S] > 0].tolist()))
+            stray = made - good
             if stray:
                 purity.record_failure("%s: ista touched %s outside supp*"
                                       % (item.label, sorted(stray)))

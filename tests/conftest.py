@@ -52,6 +52,33 @@ def two_node_reference():
     return dense_solve_active_set(q)
 
 
+class EverPositive:
+    """An observer that reads the coordinates a solve ever made positive:
+    for ``ista`` and ``cdpr`` the union of ``S[x[S] > 0]`` over the
+    observations, for every ``aspr`` token the last observed ``S``, its
+    final working set."""
+
+    def __init__(self, token):
+        self.last = token.startswith("aspr")
+        self.seen = [np.empty(0, dtype=np.int64)]
+
+    def __call__(self, x, S, d):
+        self.seen.append(S if self.last else S[x[S] > 0])
+
+    def ids(self):
+        """The sorted ids, as a list of ints."""
+        if self.last:
+            return self.seen[-1].tolist()
+        return np.unique(np.concatenate(self.seen)).tolist()
+
+
+def answer_bytes(sol):
+    """Every byte of an answer: x, support, counters, tolerance and gap
+    bound."""
+    return (sol.x.tobytes(), sol.support.tobytes(), sol.counters.as_dict(),
+            repr(sol.tolerance), repr(sol.gap_bound))
+
+
 def assert_close(actual, expected, tol, label=""):
     actual = np.asarray(actual, dtype=float)
     expected = np.asarray(expected, dtype=float)

@@ -15,9 +15,11 @@ import sys
 import numpy as np
 import pytest
 
-from sparsepr.oracle import random_graph_instance
+from sparsepr.oracle import random_graph_instance, random_m_matrix
 from sparsepr.problem import PageRankInstance, build_pagerank_quadratic
-from sparsepr.solvers import aspr, cdpr, ista_baseline
+from sparsepr.solvers import SOLVER_TOKENS, aspr, cdpr, ista_baseline
+
+from conftest import EverPositive, answer_bytes
 
 EPS = 1e-6
 
@@ -58,7 +60,8 @@ def _counters(stages, inner, nnz, full, restricted):
             "full_gradients": full, "restricted_gradients": restricted}
 
 
-# (instance, token) -> (counters, support, ever_positive, sha256 of x bytes)
+# (instance, token) -> (counters, support, the coordinates the solve ever
+# made positive as an EverPositive observer reads them, sha256 of x bytes)
 GOLDEN = {
     ("grid", "ista"): (
         _counters(8, 22, 3330, 23, 0), GRID_SUPPORT, GRID_SUPPORT,
@@ -140,24 +143,46 @@ def quadratics():
     }
 
 
-def _run(q, token):
+def _run(q, token, observe=None):
     name, _, variant = token.partition(":")
     if name == "cdpr":
-        return cdpr(q)
+        return cdpr(q, observe=observe)
     if name == "ista":
-        return ista_baseline(q, EPS)
-    return aspr(q, EPS, variant=variant or "plain")
+        return ista_baseline(q, EPS, observe=observe)
+    return aspr(q, EPS, variant=variant or "plain", observe=observe)
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: "-".join(k))
 def test_solver_outputs_are_pinned(quadratics, key):
     counters, support, ever, digest = GOLDEN[key]
-    sol = _run(quadratics[key[0]], key[1])
+    observer = EverPositive(key[1])
+    sol = _run(quadratics[key[0]], key[1], observe=observer)
     assert sol.counters.as_dict() == counters
     assert sol.support.tolist() == support
-    assert sol.ever_positive.tolist() == ever
+    assert observer.ids() == ever
     assert sol.gap_bound == ("exact" if key[1] == "cdpr" else EPS)
     assert hashlib.sha256(sol.x.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("token", SOLVER_TOKENS)
+def test_observing_changes_nothing(quadratics, token):
+    cases = list(quadratics.values()) + [random_m_matrix(30, 0.2, seed=3)]
+    for q in cases:
+        want = answer_bytes(_run(q, token))
+        calls = []
+
+        def observe(x, S, d):
+            assert np.all(S[1:] > S[:-1])
+            assert np.isin(np.flatnonzero(x), S).all()
+            calls.append((S, S.copy()))
+
+        sol = _run(q, token, observe=observe)
+        assert answer_bytes(sol) == want
+        if token == "ista":
+            assert len(calls) == sol.counters.inner_iters
+        # no S was written after its call
+        for S, kept in calls:
+            assert S.tobytes() == kept.tobytes()
 
 
 def _cli_solve(tmp_path, token):

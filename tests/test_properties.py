@@ -34,12 +34,9 @@ from sparsepr.problem import (
     _restricted,
     _sorted_union,
 )
-from sparsepr.solvers import (
-    ASPR_VARIANTS,
-    _BASIS_START,
-    _apgd_loop,
-    _conditioning,
-)
+from sparsepr.solvers import _BASIS_START, _apgd_loop, _conditioning
+
+from conftest import EverPositive
 
 common = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -86,7 +83,6 @@ def test_workspace_gradient_is_the_full_gradient(seed, n, density, kind):
     assert np.array_equal(ws.g[ws.rows], gradient(q, np.zeros(q.n))[ws.rows])
     assert ws.counters == ref
     candidates = set(np.flatnonzero(-q.b < -tol).tolist())
-    made = np.zeros(q.n, dtype=bool)
     _assert_block_is_rows_of_S(q, ws)
     for step in range(4):
         # grow the working set, many coordinates at once or one at a time
@@ -100,9 +96,7 @@ def test_workspace_gradient_is_the_full_gradient(seed, n, density, kind):
         S = ws.S
         ws.x[S] = rng.uniform(0.0, 2.0, S.size) * (
             rng.uniform(size=S.size) < 0.7)
-        made |= ws.x > 0
         ws.refresh()
-        assert np.array_equal(ws.ever, made)
         # the listed rows are the candidates at x = 0 and N(S), once each
         assert ws.rows.size == np.unique(ws.rows).size
         assert set(ws.rows.tolist()) == candidates | set(q.Q[S].indices.tolist())
@@ -149,29 +143,16 @@ def _int64_indexed(q):
 @common
 @given(seed=seeds, n=dims, density=densities,
        kind=st.sampled_from(("m-matrix",) + GRAPH_KINDS))
-def test_ever_positive_records_what_each_solver_made_positive(seed, n, density,
-                                                              kind):
+def test_ista_makes_positive_only_optimal_coordinates(seed, n, density, kind):
     if kind == "m-matrix":
         q = random_m_matrix(n, density, seed=seed)
     else:
         q = build_pagerank_quadratic(random_graph_instance(kind, {}, seed))
-    empty = np.empty(0, dtype=np.int64)
-
-    # cdpr: every coordinate positive at some stage iterate
-    made = [empty]
-    sol = cdpr(q, observe=lambda x, S, d: made.append(np.flatnonzero(x > 0)))
-    assert np.array_equal(sol.ever_positive, np.unique(np.concatenate(made)))
-
-    # aspr: the working set of its last stage
-    for variant in ASPR_VARIANTS:
-        last = [empty]
-        sol = aspr(q, 1e-6, variant=variant,
-                   observe=lambda x, S, d: last.append(S.copy()))
-        assert np.array_equal(sol.ever_positive, last[-1]), variant
-
-    # ista: covers its support and stays inside the optimal support
-    sol = ista_baseline(q, 1e-6)
-    ever = set(sol.ever_positive.tolist())
+    # what ista ever made positive, as its observer reads it, covers its
+    # support and stays inside the optimal support
+    observer = EverPositive("ista")
+    sol = ista_baseline(q, 1e-6, observe=observer)
+    ever = set(observer.ids())
     assert set(sol.support.tolist()) <= ever
     assert ever <= set(dense_solve_active_set(q).support.tolist())
 

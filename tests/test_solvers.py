@@ -40,7 +40,8 @@ from sparsepr.solvers import (
     solve,
 )
 
-from conftest import assert_close, two_node_instance
+from conftest import (EverPositive, answer_bytes, assert_close,
+                      two_node_instance)
 
 
 def recorder(q, calls):
@@ -351,8 +352,9 @@ class TestISTA:
     def test_support_stays_inside_optimal(self, small_corpus):
         for item in small_corpus:
             ref = item.reference()
-            sol = ista_baseline(item.q, 1e-6)
-            assert set(sol.ever_positive) <= set(ref.support)
+            observer = EverPositive("ista")
+            ista_baseline(item.q, 1e-6, observe=observer)
+            assert set(observer.ids()) <= set(ref.support)
 
     def test_unreachable_tolerance_raises_with_cap(self, two_node):
         with pytest.raises(SolverError):
@@ -490,8 +492,9 @@ class TestASPR:
         for item in small_corpus:
             ref = item.reference()
             for variant in ASPR_VARIANTS:
-                sol = aspr(item.q, 1e-6, variant=variant)
-                assert set(sol.ever_positive) <= set(ref.support)
+                observer = EverPositive("aspr")
+                aspr(item.q, 1e-6, variant=variant, observe=observer)
+                assert set(observer.ids()) <= set(ref.support)
 
     @pytest.mark.parametrize("variant", ASPR_VARIANTS)
     def test_stagewise_sandwich(self, small_corpus, variant):
@@ -580,14 +583,7 @@ class TestSolveDispatch:
         # no input error for it
         assert 2.0 * two_node.alpha * 1e-310 < sys.float_info.min
         sol, want = solve(two_node, "cdpr", 1e-310), cdpr(two_node)
-        assert _digest(sol) == _digest(want)
-
-
-def _digest(sol):
-    """Every byte of an answer: x, support, ever-positive set, counters,
-    tolerance and gap bound."""
-    return (sol.x.tobytes(), sol.support.tobytes(), sol.ever_positive.tobytes(),
-            sol.counters.as_dict(), repr(sol.tolerance), repr(sol.gap_bound))
+        assert answer_bytes(sol) == answer_bytes(want)
 
 
 def _cold(q, token):
@@ -631,25 +627,24 @@ class TestPooledState:
                    + _grid_queries(13, (0, 84), rhos=(1e-3, 3e-4)))
         queries.append(random_m_matrix(30, 0.2, seed=3))
         cases = [(q, token) for q in queries for token in SOLVER_TOKENS]
-        want = [_digest(_cold(q, token)) for q, token in cases]
+        want = [answer_bytes(_cold(q, token)) for q, token in cases]
         order = np.random.default_rng(17).permutation(
             np.tile(np.arange(len(cases)), 2))
         for k in order:
             q, token = cases[k]
-            assert _digest(solve(q, token, 1e-6)) == want[k], token
+            assert answer_bytes(solve(q, token, 1e-6)) == want[k], token
         # what a solve hands back is zero wherever the next one reads
         # before it writes, and b is the base it is tagged with
         for q in queries:
             (buf,) = q._spare
-            for arr in (buf.x, buf.listed, buf.member, buf.ever,
-                        *buf.extra.values()):
+            for arr in (buf.x, buf.listed, buf.member, *buf.extra.values()):
                 assert not arr.any()
             assert buf.b.tobytes() == buf.base.tobytes()
 
     @pytest.mark.parametrize("token", ["cdpr", "aspr:constraints"])
     def test_a_solve_that_raised_leaves_no_trace(self, token):
         (q,) = _grid_queries(13, (84,))
-        want = {tok: _digest(_cold(q, tok)) for tok in SOLVER_TOKENS}
+        want = {tok: answer_bytes(_cold(q, tok)) for tok in SOLVER_TOKENS}
         calls = []
 
         class Stop(Exception):
@@ -666,7 +661,7 @@ class TestPooledState:
             else:
                 aspr(q, 1e-6, variant="constraints", observe=observe)
         for tok in SOLVER_TOKENS:
-            assert _digest(solve(q, tok, 1e-6)) == want[tok]
+            assert answer_bytes(solve(q, tok, 1e-6)) == want[tok]
 
     def test_a_workspace_holds_all_of_b(self):
         # point and distribution seeds at two rhos on one grid, which share
@@ -690,13 +685,13 @@ class TestPooledState:
         # stays there until a query at a new rho copies in its base
         first, second, other_rho = _grid_queries(
             13, (84, 85), rhos=(1e-3, 3e-4))[:3]
-        want = {tok: _digest(_cold(second, tok)) for tok in SOLVER_TOKENS}
+        want = {tok: answer_bytes(_cold(second, tok)) for tok in SOLVER_TOKENS}
         solve(first, "cdpr", 1e-6)
         (buf,) = first._spare
         buf.b[0] = 7.0
         for token in SOLVER_TOKENS:
             solve(first, token, 1e-6)
-            assert _digest(solve(second, token, 1e-6)) == want[token]
+            assert answer_bytes(solve(second, token, 1e-6)) == want[token]
         assert buf.b[0] == 7.0
         solve(other_rho, "cdpr", 1e-6)
         base, _, _ = other_rho._parts
@@ -715,7 +710,7 @@ class TestPooledState:
         for token in SOLVER_TOKENS:
             sol = solve(q, token, 1e-6)
             assert 97 in sol.support
-            assert _digest(sol) == _digest(solve(dense, token, 1e-6))
+            assert answer_bytes(sol) == answer_bytes(solve(dense, token, 1e-6))
 
     def test_answers_own_their_iterates(self):
         (q,) = _grid_queries(13, (84,))
@@ -727,4 +722,4 @@ class TestPooledState:
         assert cdpr(q).x.tobytes() == want.tobytes()
         second.x[:] = 7.0
         assert first.x[first.support].tolist() == [-1.0] * first.support.size
-        assert _digest(cdpr(q)) == _digest(_cold(q, "cdpr"))
+        assert answer_bytes(cdpr(q)) == answer_bytes(_cold(q, "cdpr"))
