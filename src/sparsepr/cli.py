@@ -145,9 +145,10 @@ def cmd_verify(args):
 def cmd_bench(args):
     if args.repeat < 1:
         raise ValueError("--repeat must be at least 1")
-    if not args.sizes or not args.alphas or not args.rhos:
-        raise ValueError("--sizes, --alphas and --rhos must be nonempty")
     solvers = [tok for tok in args.solvers.split(",") if tok]
+    if not (args.sizes and args.alphas and args.rhos and solvers):
+        raise ValueError("--sizes, --alphas, --rhos and --solvers must be "
+                         "nonempty")
     records = list(bench_grid([args.family], args.sizes, args.alphas,
                               args.rhos, solvers, args.seed,
                               repeat=args.repeat, eps=args.eps))

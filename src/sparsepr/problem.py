@@ -20,9 +20,9 @@ kernel, the one its fancy row indexing runs (:func:`_gather_rows`): the
 restriction, the gradient, the optimality check and the rows of a
 solve's working set, which a :class:`GradientWorkspace` keeps as one
 block.  That block serves the workspace's gradient (scipy's
-``csc_matvec``), ``cdpr``'s product of ``Q`` with its direction
-(``csr_matvec``) and ``aspr``'s restriction of ``Q`` to the working set,
-which a stage builds without reading ``Q``.
+``csc_matvec``), ``cdpr``'s pivot rows and ``Q d``, and ``aspr``'s
+restriction of ``Q``, so a solve reads ``Q`` only by :func:`_gather_rows`.
+No other module calls scipy's kernels (``csr_matvec``: :func:`_add_product`).
 
 A quadratic restricted to a sorted set S has one form, a
 :class:`Restriction`: Q_SS in position ids, its diagonal and ``b`` on S,
@@ -458,12 +458,6 @@ class MQuadratic:
     def kappa(self):
         return self.L / self.alpha
 
-    def row(self, i):
-        """Column indices and values of row i (== column i by symmetry)."""
-        Q = self.Q
-        sl = slice(Q.indptr[i], Q.indptr[i + 1])
-        return Q.indices[sl], Q.data[sl]
-
     def __repr__(self):
         return "MQuadratic(n=%d, nnz=%d, alpha=%g, L=%g)" % (
             self.n,
@@ -621,8 +615,8 @@ def restrict(q, S):
     Its ``Q`` and ``diag`` are :func:`_restricted` of the rows S
     (:func:`_gather_rows`): O(vol(S)) entries, where scipy's column index
     would build an n-length lookup.  ``b`` on S is read from ``q._parts``,
-    so a corrected quadratic builds no dense ``b``.  ``aspr`` builds the
-    same form from its workspace's block.
+    so a corrected quadratic builds no dense ``b``.  A workspace builds the
+    same form from its block (:meth:`GradientWorkspace.restriction`).
     """
     S = _checked_ids(S, q.n)
     return Restriction(*_restricted(_gather_rows(q.Q, S), S), _b_on(q, S),
@@ -684,24 +678,12 @@ def _b_on(q, rows):
     return b
 
 
-def _matvec(Q, x, out):
-    """``Q @ x`` for a square CSR ``Q``, a matrix or a :class:`_Block`,
-    written into ``out`` and returned.  It runs the kernel that scipy's
-    ``@`` runs, into a zeroed vector, so each row sums its entries in the
-    same order and the bytes are the same; only the Python dispatch around
-    the kernel is skipped."""
-    k = Q.indptr.size - 1
-    out.fill(0.0)
-    csr_matvec(k, k, Q.indptr, Q.indices, Q.data, x, out)
-    return out
-
-
-def _add_rows(Q, rows, x, out):
-    """Add row ``rows[k]`` of the CSR ``Q`` times ``x`` onto ``out[k]`` and
-    return ``out``: scipy's ``csr_matvec`` kernel on those rows, which adds
-    each entry's product onto ``out[k]`` in column order."""
-    block = _gather_rows(Q, rows)
-    csr_matvec(rows.size, Q.shape[1], *block, x, out)
+def _add_product(A, x, out):
+    """Add ``A @ x`` onto ``out`` and return ``out``, for a CSR block ``A``
+    = (indptr, indices, data) of ``out.size`` rows: scipy's ``csr_matvec``,
+    the kernel its ``@`` runs, which starts row k at ``out[k]`` and adds its
+    products in stored order.  The one caller of that kernel."""
+    csr_matvec(out.size, x.size, *A, x, out)
     return out
 
 
@@ -765,23 +747,24 @@ def gradient(q, x, coords=None):
         csc_matvec(g.size, supp.size, *_gather_rows(q.Q, supp), x[supp], g)
         return g
     coords = np.asarray(coords, dtype=np.int64)
-    return _add_rows(q.Q, coords, x, -q.b[coords])
+    return _add_product(_gather_rows(q.Q, coords), x, -q.b[coords])
 
 
 class _Buffers:
-    """The n-length arrays of a :class:`GradientWorkspace`.  Between
-    solves, ``x``, ``listed``, ``member`` and every array in ``extra`` are
-    zero, ``b`` equals the read-only ``base`` (None before the first
-    solve), and ``g`` holds nothing that is read."""
+    """The n-length arrays of a :class:`GradientWorkspace` on ``Q``.
+    Between solves, ``x``, ``listed``, ``member`` and ``rank`` (in ``Q``'s
+    index dtype) are zero, ``b`` equals the read-only ``base`` (None before
+    the first solve), and ``g`` holds nothing that is read."""
 
-    def __init__(self, n):
+    def __init__(self, Q):
+        n = Q.shape[0]
         self.x = np.zeros(n)
         self.g = np.empty(n)
         self.b = np.empty(n)
         self.base = None
         self.listed = np.zeros(n, dtype=bool)
         self.member = np.zeros(n, dtype=bool)
-        self.extra = {}  # see GradientWorkspace.pooled
+        self.rank = np.zeros(n, dtype=Q.indices.dtype)
 
 
 class GradientWorkspace:
@@ -796,9 +779,9 @@ class GradientWorkspace:
     negative_tolerance(q)`` >= 0, so they lie in ``q.positive_b``) and the
     neighbourhood rows of every coordinate :meth:`refresh` has covered.
     The list only grows, and a solver may raise ``tol`` but never lower it,
-    so the list stays complete; ``listed`` marks the listed rows.
-    :meth:`refresh`, :meth:`negatives` and :meth:`admit` touch the listed
-    rows only.
+    so the list stays complete; ``listed`` marks the listed rows, and
+    ``rows`` holds them in the order they were listed.  :meth:`refresh`,
+    :meth:`negatives` and :meth:`admit` touch the listed rows only.
 
     ``g`` holds the gradient on the listed ``rows`` only and is never
     written elsewhere, where the gradient is -b.  ``block`` holds the rows
@@ -824,8 +807,13 @@ class GradientWorkspace:
     another one (a new rho, or the set's first solve).  Every read of ``b``
     is then a plain index.
 
-    ``S`` only grows, through :meth:`admit`, which replaces the array and
-    never writes it, so a caller may keep an old ``S``.
+    ``S`` and ``rows`` only grow, by :meth:`admit` and :meth:`refresh`,
+    which replace the arrays and never write them, so a caller may keep an
+    old one.
+
+    The solvers read ``Q`` through the block only: :meth:`gathered_row`,
+    :meth:`ranked_product` (with ``rank``, which ``cdpr`` writes on ``S``)
+    and :meth:`restriction`.
 
     ``counters`` pays for the solve under the column cost model: the
     set-up starts at x = 0, where g = -b, and charges one full gradient and
@@ -848,7 +836,7 @@ class GradientWorkspace:
         try:
             buf = q._spare.pop()
         except IndexError:
-            buf = _Buffers(q.n)
+            buf = _Buffers(q.Q)
         base, nodes, values = q._parts
         if buf.base is not base:
             buf.b[:] = base
@@ -856,34 +844,20 @@ class GradientWorkspace:
         buf.b[nodes] = values
         self._buf = buf
         self.x, self.g, self.b = buf.x, buf.g, buf.b
-        self.listed, self._member = buf.listed, buf.member
+        self.listed, self._member, self.rank = buf.listed, buf.member, buf.rank
         pos = q.positive_b
         rows = pos[-self.b[pos] < -tol]
         self.g[rows] = -self.b[rows]
-        self._rows = np.empty(0, dtype=np.int64)
+        self.rows = np.empty(0, dtype=np.int64)
         self._list(rows)
         self.S = np.empty(0, dtype=np.int64)
         self.block = _gather_rows(q.Q, self.S)
         self._unspread = []  # what admit added since the last refresh
 
-    @property
-    def rows(self):
-        """The listed rows, in the order they were listed."""
-        return self._rows
-
     def _list(self, rows):
         """List the given unlisted rows."""
         self.listed[rows] = True
-        self._rows = np.concatenate((self._rows, rows))
-
-    def pooled(self, name, dtype):
-        """The pooled n-length array ``name`` of ``dtype``, zero where the
-        caller has not written it.  The caller writes it on ``S`` only,
-        where :meth:`release` zeroes it again."""
-        extra = self._buf.extra
-        if name not in extra:
-            extra[name] = np.zeros(self.q.n, dtype=dtype)
-        return extra[name]
+        self.rows = np.concatenate((self.rows, rows))
 
     def release(self):
         """Reset the pooled arrays on the rows this solve wrote (``S``,
@@ -891,7 +865,7 @@ class GradientWorkspace:
         the next workspace.  The caller has read what it keeps and uses
         this workspace no more."""
         buf, S = self._buf, self.S
-        for arr in (buf.x, buf.member, *buf.extra.values()):
+        for arr in (buf.x, buf.member, buf.rank):
             arr[S] = 0
         buf.listed[self.rows] = False
         base, nodes, _ = self.q._parts
@@ -932,7 +906,7 @@ class GradientWorkspace:
             rows = _sorted_union(near, new)
             rows = rows[~self.listed[rows]]
             self._list(rows)
-        rows = self._rows
+        rows = self.rows
         g[rows] = -self.b[rows]
         csc_matvec(g.size, S.size, *block, xs, g)
         self.counters.full_gradients += 1
@@ -943,7 +917,48 @@ class GradientWorkspace:
     def negatives(self):
         """Sorted coordinates whose gradient is below ``-tol``."""
         rows = self.rows
-        return np.sort(rows[self.g[rows] < -self.tol])
+        neg = rows[self.g[rows] < -self.tol]
+        neg.sort()  # in place: np.sort wraps a copy and this in Python
+        return neg
+
+    def gathered_row(self, i):
+        """Column ids and values of row ``i`` of ``Q``, for ``i`` in ``S``,
+        read from ``block``."""
+        block = self.block
+        k = self.S.searchsorted(i)
+        sl = slice(block.indptr[k], block.indptr[k + 1])
+        return block.indices[sl], block.data[sl]
+
+    def ranked_product(self, dk):
+        """``Q d`` on ``S`` for the ``d`` that ``dk`` holds by ``rank``:
+        column j reads ``dk[rank[j]]``, so ``dk[0]`` = 0 is d off the ranked
+        ids.  Each row sums in increasing column, the order of ``g``, and
+        ``counters`` is charged its entries on supp(d)."""
+        block = self.block
+        mapped = self.rank[block.indices]
+        self.counters.nnz_touched += int(np.count_nonzero(dk[mapped]))
+        return _add_product((block.indptr, mapped, block.data), dk,
+                            np.zeros(self.S.size))
+
+    def restriction(self):
+        """:func:`restrict` of ``q`` to ``S``, built from ``block`` and
+        ``b``: it reads no row of ``Q`` and costs O(vol(S))."""
+        S, q = self.S, self.q
+        return Restriction(*_restricted(self.block, S), self.b[S], q.alpha,
+                           q.L)
+
+    def gap_from_gradient(self):
+        """The objective gap bound ||v||^2 / (2 alpha) that strong convexity
+        gives at ``x``, with v the gradient where x > 0 and its negative
+        part where x = 0.  Off the listed rows x = 0 and g = -b >= -tol, so
+        v is -b on the unlisted rows of ``q.positive_b`` and vanishes
+        elsewhere."""
+        rows = self.rows
+        g = self.g[rows]
+        v = np.where(self.x[rows] > 0, g, np.minimum(g, 0.0))
+        pos = self.q.positive_b
+        off = self.b[pos[~self.listed[pos]]]
+        return (float(v @ v) + float(off @ off)) / (2.0 * self.q.alpha)
 
 
 def objective(q, x):
@@ -1004,7 +1019,8 @@ def check_optimality(q, x, pagerank_box=None):
     supp = np.flatnonzero(x)
     rows = _sorted_union(_gather_rows(q.Q, supp).indices, supp, q.positive_b,
                          nodes)
-    g = _add_rows(q.Q, rows, x, np.zeros(rows.size)) - _b_on(q, rows)
+    g = _add_product(_gather_rows(q.Q, rows), x, np.zeros(rows.size))
+    g -= _b_on(q, rows)
     pos = x[rows] > 0
     viol_pos = float(np.max(np.abs(g[pos]))) if pos.any() else 0.0
     zero = ~pos

@@ -24,19 +24,21 @@ keep a solve's state in one :class:`~sparsepr.problem.GradientWorkspace`:
 the iterate and its gradient, the sorted working set they grow from the
 signs of the gradient (the active set, the pivots, the working set), the
 certainly-negative threshold ``negative_tolerance(q)``, and the
-:class:`Counters` that their :class:`Solution` reports.
+:class:`Counters` that their :class:`Solution` reports.  This module only
+steps: the workspace stores the working set and reads ``Q``, and
+:mod:`sparsepr.problem` makes every call of scipy's kernels.
 
-A solve's n-length state (the workspace's iterate, gradient, ``b`` and
-row marks, ``cdpr``'s pivot ranks and the lower bounds of
-``aspr:constraints``) is pooled with the quadratic: a solve takes the set
-that the last solve on the same quadratic handed back, or for a PageRank
-query the last solve on any quadratic of the same graph and alpha, and
-makes a set only when there is none.  The pooled ``b`` holds all of
-``q.b``: it keeps the shared base of the last solve, so a query at the
-same rho writes only its seed's entries.  When the solve returns, it
-resets the set on the rows it wrote and hands it back; a solve that raises
-drops it.  A warm solve thus allocates nothing of length n: its work, its
-memory and its answer (see :class:`Solution`) follow the rows it lists.
+A solve's n-length state (the workspace's iterate, gradient, ``b``, row
+marks and ``cdpr``'s pivot ranks) is pooled with the quadratic: a solve
+takes the set that the last solve on the same quadratic handed back, or
+for a PageRank query the last solve on any quadratic of the same graph and
+alpha, and makes a set only when there is none.  The pooled ``b`` holds
+all of ``q.b``: it keeps the shared base of the last solve, so a query at
+the same rho writes only its seed's entries.  When the solve returns, it
+resets the set on the rows it wrote and hands it back; a solve that
+raises drops it.  A warm solve thus allocates nothing of length n: its
+work, its memory and its answer (see :class:`Solution`) follow the rows it
+lists.
 
 Observing a run: ``pgd``, ``apgd``, ``ista_baseline``, ``cdpr`` and
 ``aspr`` take one ``observe`` keyword, called as ``observe(x, S, d)`` after
@@ -64,10 +66,7 @@ import sys
 
 import numpy as np
 
-from scipy.sparse._sparsetools import csr_matvec
-
-from .problem import (GradientWorkspace, Restriction, gradient, restrict,
-                      _matvec, _restricted)
+from .problem import GradientWorkspace, gradient, restrict, _add_product
 
 __all__ = [
     "SolverError",
@@ -225,11 +224,11 @@ def _conditioning(sub):
     k = d.size
     slack = 2.0 * (k + 4) * 2.0**-53
     v = np.ones(k)
-    qv = _matvec(Q, v, np.empty(k))
+    qv = _add_product(Q, v, np.zeros(k))
     L_S = min(sub.L, float((2.0 * d - qv).max()) * (1.0 + slack))
     for _ in range(_JACOBI_SWEEPS):
         v = v + (1.0 - qv) / d
-        qv = _matvec(Q, v, qv)
+        qv = _add_product(Q, v, np.zeros(k))
     if not (v > 0).all():
         return sub.alpha, L_S
     low = qv - slack * (2.0 * d * v - qv)
@@ -244,7 +243,7 @@ def _apgd_loop(sub, alpha, L, S, x0s, T, counters, lower=None, observe=None,
     workspace's block for an ``aspr`` stage), with ``alpha`` and ``L``
     spectral bounds of ``sub.Q`` (alpha*I <= Q_SS <= L*I); returns the last
     output iterate on S and whether the loop aborted.  Each restricted
-    gradient is ``csr_matvec`` on ``sub.Q`` minus ``sub.b``, and the stop
+    gradient is ``_add_product`` on ``sub.Q`` minus ``sub.b``, and the stop
     test reads ``sub.diag``.
 
     A restricted gradient is charged the nonzeros of the columns of Q[S, S]
@@ -256,7 +255,8 @@ def _apgd_loop(sub, alpha, L, S, x0s, T, counters, lower=None, observe=None,
     gradient is nonpositive on S and certainly negative somewhere off
     ``ws.S``, the loop admits those coordinates to ``ws.S`` and aborts at
     that point with ``ws`` holding the point and its gradient.  Both
-    features need ``ws``, whose tolerance both sign tests allow as slack.
+    features need ``ws``, whose tolerance both sign tests allow as slack;
+    the test on S is taken only at a full step or with ``lower``.
     ``observe`` sees each output iterate embedded in the dense ``out``,
     which must vanish off S.
 
@@ -316,8 +316,9 @@ def _apgd_loop(sub, alpha, L, S, x0s, T, counters, lower=None, observe=None,
             counters.restricted_gradients += 1
             # ufunc reductions: ndarray.sum and .all wrap them in Python
             counters.nnz_touched += int(np.add.reduce(col_nnz[x_in != 0]))
-            gs = _matvec(sub.Q, x_in, qx) - sub.b
-        nonpos_on_set = (ws is not None
+            qx.fill(0.0)
+            gs = _add_product(sub.Q, x_in, qx) - sub.b
+        nonpos_on_set = (ws is not None and (full or lower is not None)
                          and bool(np.logical_and.reduce(gs <= ws.tol)))
         if lower is not None and nonpos_on_set:
             np.maximum(lower, x_in, out=lower)
@@ -455,7 +456,7 @@ def ista_baseline(q, eps, observe=None):
     max_iter = int(_budget(q, 200 + 4 * q.kappa * max(4.0, log_arg), "ista"))
     for _ in range(max_iter):
         neg = ws.negatives()
-        if (x[neg] > 0).all():
+        if np.logical_and.reduce(x[neg] > 0):
             A = ws.S
             on = g[A[x[A] > 0]]
             if _squared_norm(q, on) <= target:
@@ -484,24 +485,11 @@ def _pivot_noise(ws, i):
     depend on the order in which the workspace adds a row's terms.  The
     sum of the two is at most the bound.  Rounding in the step lengths and
     directions is left out."""
-    cols, vals = ws.q.row(i)
+    cols, vals = ws.gathered_row(i)
     m = ws.S.size + cols.size + 1
     u = 2.0**-53
     terms = float(np.abs(vals) @ ws.x[cols]) + abs(float(ws.b[i]))
     return m * u / (1.0 - m * u) * terms
-
-
-def _gap_from_gradient(ws):
-    """The objective gap bound ||v||^2 / (2 alpha) that strong convexity
-    gives at ``ws.x``, with v the gradient where x > 0 and its negative
-    part where x = 0.  Off the listed rows x = 0 and g = -b >= -tol, so v
-    is -b on the unlisted rows of ``q.positive_b`` and vanishes elsewhere."""
-    rows = ws.rows
-    g = ws.g[rows]
-    v = np.where(ws.x[rows] > 0, g, np.minimum(g, 0.0))
-    pos = ws.q.positive_b
-    off = ws.b[pos[~ws.listed[pos]]]
-    return (float(v @ v) + float(off @ off)) / (2.0 * ws.q.alpha)
 
 
 def _widened(A):
@@ -532,31 +520,27 @@ def cdpr(q, observe=None):
     lies below minus that bound raises SolverError.  The answer's
     ``tolerance`` is the threshold the solve ended with; its gap bound is
     "exact" while that is negative_tolerance(q), and otherwise the bound
-    of :func:`_gap_from_gradient`, since a coordinate whose gradient lies
+    of ``ws.gap_from_gradient``, since a coordinate whose gradient lies
     between the two thresholds is left at zero.
 
     The basis is dense and lower triangular in pivot order: row k of ``D``
     holds direction k on the first k + 1 pivots, and ``curv[k]`` its
     curvature; both double when full.  A stage picks its pivot by one scan
     of the gradient on the workspace's listed rows, with no sort; reads the
-    new pivot's row on the earlier pivots for the Gram-Schmidt
-    coefficients; assembles the direction by one BLAS product of the
-    coefficients with ``D``; and takes ``Q d`` on the pivots from the
-    workspace's ``block``, which holds the pivots' rows.  That product is
-    scipy's ``csr_matvec`` kernel on the block, with its column ids mapped
-    through the pivot ranks, into ``dk`` = (0, d) in pivot order, so a
-    column off the pivots reads 0; each row sums its terms in increasing
-    column, the order of the workspace's gradient.  It is charged, as a
-    scatter from the rows of supp(d) would read, the entries of the
-    pivots' rows on supp(d), which ``Q``'s symmetric pattern makes equal.
-    Its numpy calls do not grow with the number of stored directions.
+    new pivot's row (``ws.gathered_row``, from the pivots' rows that the
+    workspace gathered when it admitted the pivot) on the earlier pivots
+    for the Gram-Schmidt coefficients; assembles the direction by one BLAS
+    product of the coefficients with ``D``; and takes ``Q d`` on the pivots
+    from the same rows (``ws.ranked_product``), with ``dk`` = (0, d) in
+    pivot order read through ``ws.rank``, 1 + each pivot's place in that
+    order.  Its numpy calls do not grow with the number of stored
+    directions.
     """
     ws = GradientWorkspace(q, Counters())
     x, g, counters = ws.x, ws.g, ws.counters
     tol = ws.tol
-    # 1 + each pivot's place in pivot order, 0 off the pivots, in Q's index
-    # dtype, as the block's column ids mapped through it are a kernel input
-    rank = ws.pooled("rank", q.Q.indices.dtype)
+    # 1 + each pivot's place in pivot order, 0 off the pivots
+    rank = ws.rank
     D, curv = np.zeros((0, 0)), np.zeros(0)
     K = 0  # directions stored
     while True:
@@ -567,7 +551,7 @@ def cdpr(q, observe=None):
         if not least < -ws.tol:
             break
         # the most negative gradient; a tie goes to the smallest index
-        i = int(rows[g_rows == least].min())
+        i = int(np.minimum.reduce(rows[g_rows == least]))
         if not ws.admit([i]).size:
             # the threshold only grows, so the workspace's list stays complete
             floor = _pivot_noise(ws, i)
@@ -577,7 +561,7 @@ def cdpr(q, observe=None):
             ws.tol = floor
             continue
         gi = float(g[i])
-        cols_i, vals_i = q.row(i)
+        cols_i, vals_i = ws.gathered_row(i)
         if not cols_i.size:
             raise SolverError("row %d of Q is empty" % i)
         counters.nnz_touched += int(cols_i.size)
@@ -595,12 +579,7 @@ def cdpr(q, observe=None):
         rank[i] = K + 1
         supp = ws.S
         d_vals = dk[rank[supp]]
-        # Q d on the pivots: the pivots' rows with their columns read in dk
-        block = ws.block
-        mapped = rank[block.indices]
-        qd = np.zeros(supp.size)
-        csr_matvec(supp.size, K + 2, block.indptr, mapped, block.data, dk, qd)
-        counters.nnz_touched += int(np.count_nonzero(dk[mapped]))
+        qd = ws.ranked_product(dk)
         curvature = float(d_vals @ qd)
         if curvature <= 0:
             raise SolverError("nonpositive curvature along a direction")
@@ -614,7 +593,7 @@ def cdpr(q, observe=None):
         ws.refresh()
         if observe is not None:
             observe(x, supp, d_vals)
-    return _solution(ws, "exact" if ws.tol == tol else _gap_from_gradient(ws))
+    return _solution(ws, "exact" if ws.tol == tol else ws.gap_from_gradient())
 
 
 def aspr(q, eps, variant="plain", observe=None):
@@ -629,11 +608,11 @@ def aspr(q, eps, variant="plain", observe=None):
     expansion coordinate provably part of the optimal support.  Terminates
     with a certified objective gap of at most eps.
 
-    Each stage builds the :class:`~sparsepr.problem.Restriction` to S that
-    :func:`~sparsepr.problem.restrict` returns, but from the workspace's
-    ``block``, which holds the rows of S since S last grew, and its copy
-    of b; so the restriction reads no row of Q and costs O(vol(S)).  The
-    stage is sized by the conditioning of Q_SS, not of Q.
+    Each stage takes the :class:`~sparsepr.problem.Restriction` to S from
+    the workspace (``ws.restriction``), which builds it from the rows of S
+    it gathered when S last grew and its copy of b; so the restriction
+    reads no row of Q and costs O(vol(S)).  The stage is sized by the
+    conditioning of Q_SS, not of Q.
     :func:`_conditioning` certifies alpha_S and L_S with
     alpha <= alpha_S <= lambda_min(Q_SS) and lambda_max(Q_SS) <= L_S <= L;
     alpha_S is often far above alpha (a working set that is not the whole
@@ -678,7 +657,8 @@ def aspr(q, eps, variant="plain", observe=None):
     variant="constraints": coordinatewise lower bounds, certified at any
     iterate observed with nonpositive working-set gradient, replace zero in
     every clamp (inner projection and retraction); they lie below x*_S, so
-    the stage's bounds and length are unchanged.
+    the stage's bounds and length are unchanged.  They are kept on S, and
+    a coordinate that joins S starts at 0.
 
     ``observe`` sees each stage's iterate and working set (see the module
     docstring); an aborted stage is observed at its abort point.
@@ -691,14 +671,13 @@ def aspr(q, eps, variant="plain", observe=None):
     alpha, L = q.alpha, q.L
     if not ws.admit(ws.negatives()).size:
         return _solution(ws, eps)
-    lower = ws.pooled("lower", float) if variant == "constraints" else None
+    lower = np.zeros(ws.S.size) if variant == "constraints" else None
 
     # every stage admits a coordinate or stops, so there are at most n
     while True:
         S = ws.S
         counters.stages += 1
-        # Q_SS from the rows of S that the workspace holds
-        sub = Restriction(*_restricted(ws.block, S), ws.b[S], alpha, L)
+        sub = ws.restriction()
         alpha_S, L_S = _conditioning(sub)
         shrink = math.sqrt(eps * alpha / ((1.0 + S.size) * L * L))
         gs0 = g[S]
@@ -720,28 +699,27 @@ def aspr(q, eps, variant="plain", observe=None):
                 T = 1 + math.ceil(_budget(
                     q, 2.0 * math.sqrt(L_S / alpha_S) * log_arg,
                     "an aspr stage"))
-        lower_s = lower[S].copy() if lower is not None else None
         period = int(S.size) if variant == "early" else 0
         y, aborted = _apgd_loop(sub, alpha_S, L_S, S, x[S], T, counters,
-                                lower=lower_s, full_every=period, ws=ws,
+                                lower=lower, full_every=period, ws=ws,
                                 radius=shrink)
         if aborted:
             if observe is not None:
                 observe(x, S, None)
             continue
-        if lower is not None:
-            lower[S] = lower_s
-            floor = lower_s
-        else:
-            floor = 0.0
-        x[S] = np.maximum(floor, y - shrink)
+        x[S] = np.maximum(0.0 if lower is None else lower, y - shrink)
         ws.refresh()
         if lower is not None and float(np.max(g[S])) <= ws.tol:
-            lower[S] = np.maximum(lower[S], x[S])
+            np.maximum(lower, x[S], out=lower)
         if observe is not None:
             observe(x, S, None)
         if not ws.admit(ws.negatives()).size:
             break
+        if lower is not None:
+            # only the early variant aborts, so S grows only here
+            grown = np.zeros(ws.S.size)
+            grown[ws.S.searchsorted(S)] = lower
+            lower = grown
     return _solution(ws, eps)
 
 

@@ -444,6 +444,22 @@ class TestBench:
                       "--solvers", "sgd", "--seed", "1")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("flag", ["--sizes", "--alphas", "--rhos",
+                                      "--solvers"])
+    def test_empty_list_rejected(self, capsys, flag):
+        # an empty --solvers printed only the CSV header and exited 0
+        lists = {"--sizes": "4", "--alphas": "0.1", "--rhos": "0.01",
+                 "--solvers": "cdpr"}
+        lists[flag] = ","
+        argv = ["bench", "--family", "grid"]
+        for name, text in lists.items():
+            argv += [name, text]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: --sizes, --alphas, --rhos and --solvers must "
+                       "be nonempty\n")
+
     def test_unknown_family_rejected(self):
         res = run_cli("bench", "--family", "clique", "--sizes", "4",
                       "--alphas", "0.3", "--rhos", "0.05",

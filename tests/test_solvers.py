@@ -1,7 +1,9 @@
 """Solver behaviors: pivoting, gradient stepping, conjugate stages,
 acceleration coefficients, working-set expansion, and counters."""
 
+import ast
 import math
+import pathlib
 import sys
 import tracemalloc
 import warnings
@@ -28,6 +30,7 @@ from sparsepr import (
     subspace_solve,
 )
 from sparsepr import problem
+from sparsepr import solvers as solvers_module
 from sparsepr.oracle import random_m_matrix
 from sparsepr.problem import GradientWorkspace, MQuadratic, restrict
 from sparsepr.solvers import (
@@ -36,7 +39,6 @@ from sparsepr.solvers import (
     Counters,
     _coeff_growth,
     _conditioning,
-    _gap_from_gradient,
     solve,
 )
 
@@ -110,7 +112,7 @@ class TestGapFromGradient:
         ws.x[0] = 1.0
         ws.refresh()
         assert ws.rows.tolist() == [0]
-        assert _gap_from_gradient(ws) == 1e-13 * 1e-13 / 2.0
+        assert ws.gap_from_gradient() == 1e-13 * 1e-13 / 2.0
 
 
 class TestPGD:
@@ -428,24 +430,45 @@ def _community_query():
         PageRankInstance(inst.graph, inst.alpha, inst.rho, s))
 
 
+class _GuardedEntries:
+    """A quadratic's ``Q`` whose entries (``data``) may be read only while
+    ``open``; every other attribute is the matrix's own."""
+
+    def __init__(self, Q):
+        self._Q = Q
+        self.open = False
+
+    def __getattr__(self, name):
+        if name == "data" and not self.open:
+            raise AssertionError("Q's entries were read outside _gather_rows")
+        return getattr(self._Q, name)
+
+
 class TestStageRestriction:
-    @pytest.mark.parametrize("variant", ASPR_VARIANTS)
+    @pytest.mark.parametrize("token", SOLVER_TOKENS)
     @pytest.mark.parametrize("make", [
         _community_query, lambda: random_m_matrix(40, 0.2, seed=3)],
         ids=["communities", "m-matrix"])
     def test_rows_of_Q_are_gathered_only_when_the_working_set_grows(
-            self, monkeypatch, variant, make):
-        # a stage restricts Q to S from the rows the workspace gathered
-        # when S last grew, so Q is read once at the set-up and once per
-        # admit that adds coordinates, not once more per stage
+            self, monkeypatch, token, make):
+        # a solve reads Q's entries only through _gather_rows: once at the
+        # set-up and once per admit that adds coordinates.  An aspr stage
+        # restricts Q to S, and cdpr reads its pivot's row and takes Q d,
+        # from the rows the workspace gathered when S last grew
         q = make()
+        q.Q = guarded = _GuardedEntries(q.Q)
         gathers, grows = [], []
         gather, admit = problem._gather_rows, GradientWorkspace.admit
 
         def counting_gather(A, rows):
-            if A is q.Q:
-                gathers.append(rows.size)
-            return gather(A, rows)
+            if A is not guarded:
+                return gather(A, rows)
+            gathers.append(rows.size)
+            guarded.open = True
+            try:
+                return gather(A, rows)
+            finally:
+                guarded.open = False
 
         def counting_admit(ws, coords):
             new = admit(ws, coords)
@@ -455,9 +478,28 @@ class TestStageRestriction:
 
         monkeypatch.setattr(problem, "_gather_rows", counting_gather)
         monkeypatch.setattr(GradientWorkspace, "admit", counting_admit)
-        sol = aspr(q, 1e-6, variant=variant)
-        assert sol.counters.stages >= 4
+        solve(q, token, 1e-6)
+        assert len(grows) >= 4
         assert len(gathers) == 1 + len(grows)
+
+
+def test_solvers_leave_the_storage_to_problem():
+    # solvers.py runs the algorithms; problem.py stores the working set and
+    # is the one module that calls scipy's kernels
+    tree = ast.parse(pathlib.Path(solvers_module.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("scipy") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").startswith("scipy")
+            names = {a.name for a in node.names}
+            assert not names & {"_restricted", "Restriction"}, names
+        elif isinstance(node, ast.Attribute) and node.attr in ("Q", "row"):
+            # q.Q, ws.q.Q, q.row: a read of the quadratic's matrix
+            owner = node.value
+            assert not (isinstance(owner, ast.Name) and owner.id == "q"
+                        or isinstance(owner, ast.Attribute)
+                        and owner.attr == "q"), ast.unparse(node)
 
 
 class TestASPR:
@@ -637,7 +679,7 @@ class TestPooledState:
         # before it writes, and b is the base it is tagged with
         for q in queries:
             (buf,) = q._spare
-            for arr in (buf.x, buf.listed, buf.member, *buf.extra.values()):
+            for arr in (buf.x, buf.listed, buf.member, buf.rank):
                 assert not arr.any()
             assert buf.b.tobytes() == buf.base.tobytes()
 
