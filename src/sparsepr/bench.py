@@ -16,7 +16,8 @@ import time
 import numpy as np
 
 from .oracle import random_graph_instance
-from .problem import build_pagerank_quadratic, restrict, volume
+from .problem import (_check_alpha_rho, build_pagerank_quadratic, restrict,
+                      volume)
 from .solvers import _conditioning, solve
 
 __all__ = ["RunRecord", "CSV_HEADER", "run_cell", "bench_grid",
@@ -140,6 +141,7 @@ def bench_grid(families, sizes, alphas, rhos, solvers, seed, repeat=1,
         for size in sizes:
             for alpha in alphas:
                 for rho in rhos:
+                    _check_alpha_rho(float(alpha), float(rho))
                     for r in range(repeat):
                         fam_tag = sum(family.encode("utf-8"))
                         seed_of_cell = int(np.random.SeedSequence(

@@ -126,6 +126,8 @@ def cmd_verify(args):
                          "limit" % REFERENCE_MAX_N)
     if args.instances < 1:
         raise ValueError("--instances must be at least 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be at least 0")
     results = run_suites(args.suite, args.instances, args.max_n, args.seed)
     for res in results:
         print(res.line())
@@ -149,6 +151,10 @@ def cmd_bench(args):
     if not (args.sizes and args.alphas and args.rhos and solvers):
         raise ValueError("--sizes, --alphas, --rhos and --solvers must be "
                          "nonempty")
+    if min(args.sizes) < 1:
+        raise ValueError("--sizes must be at least 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be at least 0")
     records = list(bench_grid([args.family], args.sizes, args.alphas,
                               args.rhos, solvers, args.seed,
                               repeat=args.repeat, eps=args.eps))

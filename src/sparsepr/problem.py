@@ -233,12 +233,8 @@ class PageRankInstance:
     def __init__(self, graph, alpha, rho, s):
         if not isinstance(graph, Graph):
             raise TypeError("graph must be a Graph")
-        alpha = float(alpha)
-        rho = float(rho)
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1), got %r" % alpha)
-        if not (math.isfinite(rho) and rho > 0.0):
-            raise ValueError("rho must be positive and finite, got %r" % rho)
+        alpha, rho = float(alpha), float(rho)
+        _check_alpha_rho(alpha, rho)
         if np.isscalar(s) or getattr(s, "ndim", 1) == 0:
             # int() would truncate 1.7 and take True as node 1
             if isinstance(s, bool):
@@ -280,6 +276,13 @@ class PageRankInstance:
             self.alpha,
             self.rho,
         )
+
+
+def _check_alpha_rho(alpha, rho):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1), got %r" % alpha)
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise ValueError("rho must be positive and finite, got %r" % rho)
 
 
 @dataclasses.dataclass
@@ -369,16 +372,13 @@ class MQuadratic:
 
     ``Q`` is copied into a fresh CSR with duplicates summed, explicit zeros
     removed and indices sorted, and ``b`` is copied, so later writes to the
-    arguments cannot reach the quadratic.  Arguments that already cannot be
-    written are shared instead: a ``csr_matrix`` whose ``data``, ``indices``
-    and ``indptr`` are read-only and whose ``has_canonical_format`` is true,
-    and a read-only float ``b``.  Many quadratics can thus share one Hessian
-    (see :class:`PageRankOperator`).
-
-    ``b`` is held in one form, ``_parts = (base, nodes, values)``: the
-    read-only ``base`` with ``values`` at the sorted int64 ``nodes``.  Here
-    ``base`` is ``b`` itself and ``nodes`` is empty; :meth:`corrected`
-    shares a base among many quadratics and costs work on ``nodes`` only.
+    arguments cannot reach the quadratic.  ``b`` is held in one form,
+    ``_parts = (base, nodes, values)``: the read-only ``base`` with
+    ``values`` at the sorted int64 ``nodes``.  Here ``base`` is ``b``
+    itself and ``nodes`` is empty.  Only :meth:`corrected` keeps its
+    caller's arrays uncopied: it shares one Hessian and one base among
+    many quadratics (see :class:`PageRankOperator`) and costs work on
+    ``nodes`` only.
     A corrected quadratic builds the dense ``b`` on first access, which
     only diagnostics make; solvers read ``b`` from the pooled copy of
     :class:`GradientWorkspace`.
@@ -390,14 +390,11 @@ class MQuadratic:
     """
 
     def __init__(self, Q, b, alpha, L, validate=True):
-        if not _is_frozen_canonical(Q):
-            Q = sp.csr_matrix(Q).copy()
-            Q.sum_duplicates()
-            Q.eliminate_zeros()
-            Q.sort_indices()
-        b = np.asarray(b, dtype=float)
-        if b.flags.writeable:
-            b = b.copy()
+        Q = sp.csr_matrix(Q).copy()
+        Q.sum_duplicates()
+        Q.eliminate_zeros()
+        Q.sort_indices()
+        b = np.array(b, dtype=float)
         if b.shape != (Q.shape[0],):
             raise ValueError("b has wrong length for Q")
         # max propagates NaN, so this one scan also finds every non-finite b_i
@@ -475,23 +472,17 @@ def _check_finite(max_abs_b, alpha, L):
                          % (alpha, L))
 
 
-def _is_frozen_canonical(Q):
-    """Whether Q is a csr_matrix in canonical form that cannot be written."""
-    return (isinstance(Q, sp.csr_matrix)
-            and not any(a.flags.writeable for a in (Q.data, Q.indices, Q.indptr))
-            and Q.has_canonical_format)
-
-
 class PageRankOperator:
     """The part of the PageRank quadratics on one graph that no seed and no
     rho changes: the Hessian ``Q`` of :func:`build_pagerank_quadratic` at
     teleport weight ``alpha``, ``sqrt_d`` = sqrt(d) and ``dinv_sqrt`` =
     1/sqrt(d), built once in O(n + m) as read-only arrays, and a node of
     maximum degree with the number of such nodes.  ``Q`` is a canonical
-    CSR, so every quadratic built on it shares it uncopied.  Besides ``Q``
-    (float64 data, n + 2m entries) and the two n-length vectors, the build
-    allocates the 2m off-diagonal values, one 2m gather of ``dinv_sqrt``
-    and scipy's sum with the diagonal; it makes no index array.
+    CSR, which every quadratic built on it shares uncopied through
+    :meth:`MQuadratic.corrected`.  Besides ``Q`` (float64 data, n + 2m
+    entries) and the two n-length vectors, the build allocates the 2m
+    off-diagonal values, one 2m gather of ``dinv_sqrt`` and scipy's sum
+    with the diagonal; it makes no index array.
 
     :meth:`of` keeps one operator on the graph, for the last alpha asked for.
     The graph is immutable, so the cache never goes stale, and a new alpha

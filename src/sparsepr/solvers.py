@@ -136,17 +136,16 @@ class Solution:
     and ``tolerance``: the solve counted a gradient entry below -tolerance
     as negative.
 
-    The iterate is held on the working set: ``S`` is the sorted working
-    set of the solve, off which the iterate vanishes, and ``x_S`` the
-    iterate there.  :attr:`x` builds the dense iterate, of length ``n``, on
-    first read and keeps it; it is the answer's own array, which no solve
-    writes.  So a warm solve allocates nothing of length n: its answer
-    costs O(|S|) until ``x`` is read."""
+    The iterate is held on its support: ``support`` is the sorted set of
+    its positive coordinates and ``x_support`` the iterate there.
+    :attr:`x` builds the dense iterate, of length ``n``, on first read and
+    keeps it; it is the answer's own array, which no solve writes.  So a
+    warm solve allocates nothing of length n: its answer costs O(|support|)
+    until ``x`` is read."""
 
     n: int
-    S: np.ndarray
-    x_S: np.ndarray
     support: np.ndarray
+    x_support: np.ndarray
     gap_bound: object
     counters: Counters
     tolerance: float
@@ -158,7 +157,7 @@ class Solution:
         """The dense iterate."""
         if self._x is None:
             x = np.zeros(self.n)
-            x[self.S] = self.x_S
+            x[self.support] = self.x_support
             self._x = x
         return self._x
 
@@ -380,13 +379,14 @@ def apgd(q, S, x0, T, observe=None):
 
 def _solution(ws, gap_bound):
     """The solve's answer, read on the working set, off which ``ws.x``
-    vanishes; ``ws`` is then released.  An iterate that is not finite
-    raises SolverError, so no label is ever attached to it."""
+    vanishes; ``ws`` is then released.  A non-finite iterate raises
+    SolverError before the ``> 0`` mask, which a NaN would fail."""
     S = ws.S
     x_S = ws.x[S]
     if not np.isfinite(x_S).all():
         raise SolverError("the iterate holds a non-finite value")
-    sol = Solution(ws.q.n, S, x_S, S[x_S > 0], gap_bound, ws.counters, ws.tol)
+    pos = x_S > 0
+    sol = Solution(ws.q.n, S[pos], x_S[pos], gap_bound, ws.counters, ws.tol)
     ws.release()
     return sol
 

@@ -414,6 +414,11 @@ class TestVerify:
         res = run_cli("verify", "--instances", "0")
         assert res.returncode == 2
 
+    def test_negative_seed_rejected(self, capsys):
+        # numpy's "expected non-negative integer" named no option
+        assert cli.main(["verify", "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: --seed must be at least 0\n")
+
 
 class TestBench:
     def test_smoke_csv(self):
@@ -459,6 +464,66 @@ class TestBench:
         assert out == ""
         assert err == ("error: --sizes, --alphas, --rhos and --solvers must "
                        "be nonempty\n")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alphas", "inf", "alpha must lie in (0, 1), got inf"),
+        ("--rhos", "inf", "rho must be positive and finite, got inf"),
+        ("--alphas", "nan", "alpha must lie in (0, 1), got nan"),
+        ("--rhos", "nan", "rho must be positive and finite, got nan"),
+        ("--alphas", "0.5,inf", "alpha must lie in (0, 1), got inf"),
+        ("--sizes", "-3", "--sizes must be at least 1"),
+        ("--sizes", "4,0", "--sizes must be at least 1"),
+        ("--seed", "-1", "--seed must be at least 0"),
+    ], ids=["alpha-inf", "rho-inf", "alpha-nan", "rho-nan", "alpha-inf-last",
+            "sizes-negative", "sizes-zero", "seed-negative"])
+    def test_bad_number_is_named(self, capsys, two_node_file, flag, value,
+                                 message):
+        # inf raised an uncaught OverflowError from the cell's seed, and
+        # nan and the negative numbers exited with messages that named no
+        # option; alpha and rho get the messages solve prints
+        values = {"--sizes": "4", "--alphas": "0.1", "--rhos": "0.01",
+                  "--solvers": "cdpr", "--seed": "0"}
+        values[flag] = value
+        argv = ["bench", "--family", "grid"]
+        for name, text in values.items():
+            argv += [name, text]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+        if flag in ("--alphas", "--rhos"):
+            argv = solve_args(two_node_file, "cdpr")
+            argv[argv.index(flag[:-1]) + 1] = value.split(",")[-1]
+            assert cli.main(argv) == 2
+            assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+    def test_readme_sample_is_pinned(self, capsys):
+        # the README's bench block shows the header, the four rows and the
+        # first predictor line; wall_ns is the one column that varies
+        args = ["bench", "--family", "grid", "--sizes", "6,12", "--alphas",
+                "0.5", "--rhos", "0.005", "--solvers", "cdpr,aspr", "--seed",
+                "3"]
+        text = README.read_text(encoding="utf-8")
+        start = text.index("$ sparsepr bench --family grid --sizes 6,12")
+        block = text[start:text.index("```", start)].splitlines()[2:]
+        assert cli.main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9
+        assert lines[0] == block[0]
+        for got, shown in zip(lines[1:5], block[1:5]):
+            assert got.rsplit(",", 1)[0] == shown.rsplit(",", 1)[0]
+            assert got.rsplit(",", 1)[1].isdigit()
+        assert lines[5] == block[5] and block[6] == "..."
+        # kappa_S is _conditioning's certified bound on the support
+        assert lines[5:] == [
+            "# predictors family=grid n=36 alpha=0.5 solver=%s variant=plain "
+            "kappa=2.0 kappa_S=1.9229382075608024 supp=6 cdpr_vs_ista_thr=9.0 "
+            "aspr_vs_ista_thr=20.25 cdpr_vs_aspr_thr=4.0" % solver
+            for solver in ("cdpr", "aspr")] + [
+            "# predictors family=grid n=144 alpha=0.5 solver=%s "
+            "variant=plain kappa=2.0 kappa_S=1.8515893813207918 supp=5 "
+            "cdpr_vs_ista_thr=5.208333333333333 "
+            "aspr_vs_ista_thr=7.3350694444444455 "
+            "cdpr_vs_aspr_thr=3.698224852071006" % solver
+            for solver in ("cdpr", "aspr")]
 
     def test_unknown_family_rejected(self):
         res = run_cli("bench", "--family", "clique", "--sizes", "4",

@@ -685,14 +685,6 @@ class TestMQuadratic:
         with pytest.raises(ValueError, match="finite"):
             MQuadratic(Q, b, alpha, L, validate=validate)
 
-    def test_frozen_canonical_arguments_are_shared(self):
-        Q = sp.csr_matrix(np.array([[1.0, -0.2], [-0.2, 1.0]]))
-        b = np.array([1.0, -1.0])
-        for arr in (Q.data, Q.indices, Q.indptr, b):
-            arr.setflags(write=False)
-        q = MQuadratic(Q, b, 0.5, 1.5)
-        assert q.Q is Q and q.b is b
-
     def test_writable_arguments_are_copied(self):
         Q = sp.csr_matrix(np.array([[1.0, -0.2], [-0.2, 1.0]]))
         b = np.array([1.0, -1.0])

@@ -127,15 +127,18 @@ def _assert_block_is_rows_of_S(q, ws):
 
 
 def _int64_indexed(q):
-    """q with its Q held in int64 ids, which MQuadratic keeps as they are
-    once they are frozen and canonical."""
+    """q with its Q held in int64 ids, adopted uncopied by
+    MQuadratic.corrected: the constructor's canonical copy would narrow
+    them to int32."""
     Q = q.Q.copy()
     Q.indices = Q.indices.astype(np.int64)
     Q.indptr = Q.indptr.astype(np.int64)
     Q.has_canonical_format = True
     for arr in (Q.data, Q.indices, Q.indptr):
         arr.setflags(write=False)
-    return MQuadratic(Q, q.b, q.alpha, q.L, validate=False)
+    return MQuadratic.corrected(Q, q.b, np.empty(0, dtype=np.int64),
+                                np.empty(0), q.max_abs_b, q.positive_b,
+                                q.alpha, q.L, [])
 
 
 @common
@@ -197,6 +200,7 @@ def test_restriction_matches_scipy_indexing(seed, n, density, int64, kind):
         q = build_pagerank_quadratic(random_graph_instance(kind, {}, seed))
     if int64:
         q = _int64_indexed(q)
+        assert q.Q.indices.dtype == np.int64
     rng = np.random.default_rng(seed + 12)
     ws = GradientWorkspace(q, Counters())
     for step in range(4):

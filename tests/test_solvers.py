@@ -2,6 +2,8 @@
 acceleration coefficients, working-set expansion, and counters."""
 
 import ast
+import collections
+import gc
 import math
 import pathlib
 import sys
@@ -663,6 +665,27 @@ class TestPooledState:
 
         small, large = warm_peak(60), warm_peak(300)
         assert large <= 2 * small, (large, small)
+
+    @pytest.mark.parametrize("token", SOLVER_TOKENS)
+    def test_warm_solve_calls_do_not_depend_on_n(self, token):
+        # a warm solve's numpy and scipy calls (C-level) and its Python
+        # calls, as sys.setprofile sees them, are the same at n = 100^2 and
+        # 300^2; no count is pinned, as it moves with numpy and scipy
+        def calls(side):
+            (q,) = _grid_queries(side, (side // 2 * side + side // 2,))
+            solve(q, token, 1e-6)
+            events = collections.Counter()
+            gc.collect()
+            gc.disable()
+            sys.setprofile(lambda frame, event, arg: events.update((event,)))
+            try:
+                solve(q, token, 1e-6)
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+            return events["c_call"], events["call"]
+
+        assert calls(100) == calls(300)
 
     def test_warm_solves_equal_cold_ones(self):
         queries = (_grid_queries(9, (4, 40))
