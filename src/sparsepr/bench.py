@@ -11,6 +11,7 @@ the CSV schema stays fixed.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -129,6 +130,19 @@ def predictor_comment(record):
                 cdpr_thr, aspr_thr, duel_thr))
 
 
+def _seed_entropy(v):
+    """A cell's seed entropy from its alpha or rho: the low 32 bits of
+    int(v * 1e9).  Where that float product overflows (v above about
+    1.8e299) it is the exact int(v) * 10**9 unmasked, as its low 32 bits
+    are zero for every such v; ``SeedSequence`` takes an int of any
+    size."""
+    v = float(v)  # a numpy float would warn as its product overflows
+    scaled = v * 1e9
+    if math.isfinite(scaled):
+        return int(scaled) & 0xFFFFFFFF
+    return int(v) * 10**9
+
+
 def bench_grid(families, sizes, alphas, rhos, solvers, seed, repeat=1,
                eps=1e-6):
     """Yield RunRecords over the full cell grid, deterministically ordered.
@@ -146,8 +160,7 @@ def bench_grid(families, sizes, alphas, rhos, solvers, seed, repeat=1,
                         fam_tag = sum(family.encode("utf-8"))
                         seed_of_cell = int(np.random.SeedSequence(
                             [seed, r, int(size), fam_tag,
-                             int(alpha * 1e9) & 0xFFFFFFFF,
-                             int(rho * 1e9) & 0xFFFFFFFF],
+                             _seed_entropy(alpha), _seed_entropy(rho)],
                         ).generate_state(1)[0])
                         for token in solvers:
                             yield run_cell(family, size, alpha, rho, token,

@@ -15,14 +15,15 @@ sparse-matrix nonzeros the access pattern reads: ``volume(q, supp(x))`` for a
 full gradient (a :meth:`GradientWorkspace.refresh`), and the nonzeros of the
 requested rows whose column lies in ``supp(x)`` for a restricted one.
 
-Every gather of rows of a CSR matrix here runs scipy's ``csr_row_index``
-kernel, the one its fancy row indexing runs (:func:`_gather_rows`): the
-restriction, the gradient, the optimality check and the rows of a
-solve's working set, which a :class:`GradientWorkspace` keeps as one
-block.  That block serves the workspace's gradient (scipy's
-``csc_matvec``), ``cdpr``'s pivot rows and ``Q d``, and ``aspr``'s
-restriction of ``Q``, so a solve reads ``Q`` only by :func:`_gather_rows`.
-No other module calls scipy's kernels (``csr_matvec``: :func:`_add_product`).
+Every gather of rows of a CSR matrix here is :func:`_gather_rows`, which
+runs scipy's ``csr_row_index`` kernel, the one its fancy row indexing
+runs, or slices a single row: the restriction, the gradient, the
+optimality check and the rows of a solve's working set, which a
+:class:`GradientWorkspace` keeps as one block.  That block serves the
+workspace's gradient (scipy's ``csc_matvec``), ``cdpr``'s pivot rows and
+``Q d``, and ``aspr``'s restriction of ``Q``, so a solve reads ``Q`` only
+by :func:`_gather_rows`.  No other module calls scipy's kernels
+(``csr_matvec``: :func:`_add_product`).
 
 A quadratic restricted to a sorted set S has one form, a
 :class:`Restriction`: Q_SS in position ids, its diagonal and ``b`` on S,
@@ -40,9 +41,9 @@ import operator
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import (csc_matvec, csr_diagonal, csr_matvec,
+from scipy.sparse._sparsetools import (cs_graph_components, csc_matvec,
+                                       csr_diagonal, csr_matvec,
                                        csr_row_index)
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "EdgeError",
@@ -104,8 +105,10 @@ class Graph:
     a repeat leaves fewer than 2m entries.  Besides the retained adjacency
     (``int8`` data, ``int32`` indices below 2^31 nodes) and the degrees, it
     allocates the 2m-entry row, column and data arrays of the conversion,
-    and ``connected_components`` a float64 copy of the adjacency.  Only a
-    fault sorts the pairs, to name the first bad one.
+    and the n labels and work list of the connectivity check, scipy's
+    ``cs_graph_components`` kernel, which reads the adjacency's index
+    arrays as they are.  Only a fault sorts the pairs, to name the first
+    bad one.
     """
 
     def __init__(self, n, edges):
@@ -144,9 +147,10 @@ class Graph:
         if (degrees == 0).any():
             i = int(np.flatnonzero(degrees == 0)[0])
             raise ValueError("isolated node %d (every node needs degree >= 1)" % i)
-        # on a symmetric adjacency the strong components are the connected
-        # ones, and the strong search needs no transpose
-        ncomp, _ = connected_components(adj, directed=True, connection="strong")
+        # scipy's component search on the int32 or int64 CSR as it is;
+        # isolated nodes, which it would leave uncounted, are ruled out
+        ncomp = cs_graph_components(n, adj.indptr, adj.indices,
+                                    np.empty(n, dtype=idx))
         if ncomp != 1:
             raise ValueError("graph is not connected (%d components)" % ncomp)
 
@@ -695,7 +699,13 @@ def _gather_rows(A, rows):
     after row, as a :class:`_Block` in ``A``'s index dtype: scipy's
     ``csr_row_index`` kernel, which its fancy row indexing runs.  The
     kernel takes its index dtype from its arguments, so ``rows`` is cast
-    to ``A``'s, which would otherwise be copied whole."""
+    to ``A``'s, which would otherwise be copied whole.  One row is two
+    slices of ``A``'s arrays, with no kernel call: views, which no caller
+    writes."""
+    if rows.size == 1:
+        lo, hi = A.indptr[rows[0]], A.indptr[rows[0] + 1]
+        return _Block(np.array((0, hi - lo), dtype=A.indices.dtype),
+                      A.indices[lo:hi], A.data[lo:hi])
     rows = rows.astype(A.indices.dtype, copy=False)
     counts = A.indptr[rows + 1] - A.indptr[rows]
     indptr = np.zeros(rows.size + 1, dtype=A.indices.dtype)
@@ -706,6 +716,17 @@ def _gather_rows(A, rows):
     csr_row_index(rows.size, rows, A.indptr, A.indices, A.data,
                   block.indices, block.data)
     return block
+
+
+def _inserted(block, k, row):
+    """``block`` with the one-row :class:`_Block` ``row`` put in as its
+    row ``k``: three concatenations, in ``block``'s index dtype."""
+    indptr, indices, data = block
+    at = indptr[k]
+    return _Block(
+        np.concatenate((indptr[:k + 1], indptr[k:] + row.indptr[1])),
+        np.concatenate((indices[:at], row.indices, indices[at:])),
+        np.concatenate((data[:at], row.data, data[at:])))
 
 
 def _sorted_union(*ids):
@@ -729,7 +750,8 @@ def gradient(q, x, coords=None):
     restricted one runs scipy's ``csr_matvec`` on the requested rows, over
     all their columns.  A term with x_j = 0 leaves a sequential sum
     unchanged up to the sign of a zero, so the restricted result is a slice
-    of the full one up to the sign of a zero.
+    of the full one up to the sign of a zero.  An id of ``coords`` outside
+    [0, n) raises ``ValueError``.
     """
     x = np.ascontiguousarray(x, dtype=float)
     if coords is None:
@@ -738,6 +760,10 @@ def gradient(q, x, coords=None):
         csc_matvec(g.size, supp.size, *_gather_rows(q.Q, supp), x[supp], g)
         return g
     coords = np.asarray(coords, dtype=np.int64)
+    # the row gather and scipy's kernel index Q's arrays unchecked
+    if coords.size and not (np.minimum.reduce(coords) >= 0
+                            and np.maximum.reduce(coords) < q.n):
+        raise ValueError("gradient index out of range")
     return _add_product(_gather_rows(q.Q, coords), x, -q.b[coords])
 
 
@@ -777,11 +803,14 @@ class GradientWorkspace:
     ``g`` holds the gradient on the listed ``rows`` only and is never
     written elsewhere, where the gradient is -b.  ``block`` holds the rows
     of ``S``, in the order of ``S``, as one CSR block in ``Q``'s index
-    dtype (indptr, indices, data): :meth:`admit` gathers it whenever ``S``
-    grows, by scipy's ``csr_row_index`` kernel (:func:`_gather_rows`), so
-    it takes O(vol(S)) memory.  A refresh lists the neighbourhood rows of
-    the coordinates admitted since the last one, read from their rows in
-    the block; sets the listed rows of ``g`` to -b; then adds Q_ij x_j onto
+    dtype (indptr, indices, data), in O(vol(S)) memory.  When ``S`` grows
+    by one coordinate (each ``cdpr`` stage), :meth:`admit` reads that row
+    alone from ``Q`` and puts it into the block at its place; when it
+    grows by several, :meth:`admit` gathers the block again by scipy's
+    ``csr_row_index`` kernel.  Both read ``Q`` by :func:`_gather_rows`.  A
+    refresh lists the neighbourhood rows of the coordinates admitted since
+    the last one, from the column ids of the rows that :meth:`admit` read;
+    sets the listed rows of ``g`` to -b; then adds Q_ij x_j onto
     row i by scipy's ``csc_matvec`` kernel on the block, which reads row j
     as column j and scatters its terms in increasing j.  ``Q`` is
     symmetric bit for bit (:func:`validate_m_matrix` checks it), so row j
@@ -802,9 +831,11 @@ class GradientWorkspace:
     which replace the arrays and never write them, so a caller may keep an
     old one.
 
-    The solvers read ``Q`` through the block only: :meth:`gathered_row`,
+    The solvers read ``Q`` through the workspace only: :meth:`gathered_row`,
     :meth:`ranked_product` (with ``rank``, which ``cdpr`` writes on ``S``)
-    and :meth:`restriction`.
+    and :meth:`restriction`.  The row that :meth:`admit` reads alone, which
+    :meth:`gathered_row` returns, is a view of ``Q``'s arrays; no caller
+    writes it.
 
     ``counters`` pays for the solve under the column cost model: the
     set-up starts at x = 0, where g = -b, and charges one full gradient and
@@ -843,7 +874,10 @@ class GradientWorkspace:
         self._list(rows)
         self.S = np.empty(0, dtype=np.int64)
         self.block = _gather_rows(q.Q, self.S)
-        self._unspread = []  # what admit added since the last refresh
+        # the sorted distinct column ids of the rows admitted since the
+        # last refresh, and the last row admitted alone as (i, cols, vals)
+        self._near = None
+        self._row = (-1, None, None)
 
     def _list(self, rows):
         """List the given unlisted rows."""
@@ -865,23 +899,46 @@ class GradientWorkspace:
 
     def admit(self, coords):
         """Add to ``S`` the given coordinates (unique indices) that are not
-        in it yet, gather ``block`` again if there are any, and return
-        those."""
+        in it yet, and return those.
+
+        One new coordinate (each ``cdpr`` stage) has its row read from
+        ``Q`` and put into ``block`` at its place in ``S``.  Several (an
+        ``aspr`` or ``ista`` expansion) have ``block`` gathered again:
+        merging their rows in took longer in both solvers."""
         coords = np.asarray(coords, dtype=np.int64)
         new = coords[~self._member[coords]]
-        if new.size:
-            self._member[new] = True
+        self._member[new] = True
+        if new.size == 1:
+            row = _gather_rows(self.q.Q, new)
+            k = self.S.searchsorted(new[0])
+            self.S = np.concatenate((self.S[:k], new, self.S[k:]))
+            self.block = _inserted(self.block, k, row)
+            # a row of a canonical CSR is sorted and distinct
+            self._spread(row.indices)
+            self._row = (new[0], row.indices, row.data)
+        elif new.size:
             # new holds no member and no repeat: the union is a plain sort
             S = np.concatenate((self.S, new))
             S.sort()
             self.S = S
             self.block = _gather_rows(self.q.Q, S)
-            self._unspread.append(new)
+            self._spread(_sorted_union(
+                _gather_rows(self.block, S.searchsorted(new)).indices))
         return new
+
+    def _spread(self, near):
+        """Add the sorted distinct ids ``near`` to those the next refresh
+        lists."""
+        self._near = (near if self._near is None
+                      else _sorted_union(self._near, near))
 
     def refresh(self):
         """Recompute ``g`` at ``x`` from ``block``.  Charges ``counters``
         one full gradient and the column nonzeros of supp(x).
+
+        The rows to list are the column ids of the rows that :meth:`admit`
+        read since the last refresh, the admitted coordinates among them
+        (``Q``'s diagonal is positive).
 
         The kernel reads every row of ``S``, those where x = 0 included, so
         once ``S`` holds coordinates that went back to zero a refresh reads
@@ -890,13 +947,10 @@ class GradientWorkspace:
         column cost model's, which the pinned counters record."""
         S, x, g, block = self.S, self.x, self.g, self.block
         xs = x[S]
-        if self._unspread:
-            new = np.concatenate(self._unspread)
-            self._unspread = []
-            near = _gather_rows(block, S.searchsorted(new)).indices
-            rows = _sorted_union(near, new)
-            rows = rows[~self.listed[rows]]
-            self._list(rows)
+        near = self._near
+        if near is not None:
+            self._near = None
+            self._list(near[~self.listed[near]])
         rows = self.rows
         g[rows] = -self.b[rows]
         csc_matvec(g.size, S.size, *block, xs, g)
@@ -913,8 +967,12 @@ class GradientWorkspace:
         return neg
 
     def gathered_row(self, i):
-        """Column ids and values of row ``i`` of ``Q``, for ``i`` in ``S``,
-        read from ``block``."""
+        """Column ids and values of row ``i`` of ``Q``, for ``i`` in ``S``:
+        the row that :meth:`admit` read if it added ``i`` last and alone,
+        else read from ``block``."""
+        last, cols, vals = self._row
+        if last == i:
+            return cols, vals
         block = self.block
         k = self.S.searchsorted(i)
         sl = slice(block.indptr[k], block.indptr[k + 1])

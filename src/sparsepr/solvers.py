@@ -527,11 +527,12 @@ def cdpr(q, observe=None):
     holds direction k on the first k + 1 pivots, and ``curv[k]`` its
     curvature; both double when full.  A stage picks its pivot by one scan
     of the gradient on the workspace's listed rows, with no sort; reads the
-    new pivot's row (``ws.gathered_row``, from the pivots' rows that the
-    workspace gathered when it admitted the pivot) on the earlier pivots
-    for the Gram-Schmidt coefficients; assembles the direction by one BLAS
-    product of the coefficients with ``D``; and takes ``Q d`` on the pivots
-    from the same rows (``ws.ranked_product``), with ``dk`` = (0, d) in
+    new pivot's row (``ws.gathered_row``: the row that the workspace read
+    from ``Q`` as it admitted the pivot, the one read of that row in the
+    solve) on the earlier pivots for the Gram-Schmidt coefficients;
+    assembles the direction by one BLAS product of the coefficients with
+    ``D``; and takes ``Q d`` on the pivots from the workspace's block of
+    their rows (``ws.ranked_product``), with ``dk`` = (0, d) in
     pivot order read through ``ws.rank``, 1 + each pivot's place in that
     order.  Its numpy calls do not grow with the number of stored
     directions.
@@ -610,7 +611,7 @@ def aspr(q, eps, variant="plain", observe=None):
 
     Each stage takes the :class:`~sparsepr.problem.Restriction` to S from
     the workspace (``ws.restriction``), which builds it from the rows of S
-    it gathered when S last grew and its copy of b; so the restriction
+    it holds since S last grew and its copy of b; so the restriction
     reads no row of Q and costs O(vol(S)).  The stage is sized by the
     conditioning of Q_SS, not of Q.
     :func:`_conditioning` certifies alpha_S and L_S with

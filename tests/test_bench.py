@@ -104,6 +104,15 @@ class TestBenchGrid:
         assert touched[12] <= 2 * touched[6]
 
 
+def test_seed_entropy_keeps_every_cell_seed():
+    # a cell's seed reads int(v * 1e9) & 0xFFFFFFFF of its alpha and rho;
+    # only where the product overflows does it read the exact product
+    for v in (0.3, 0.05, 1e-3, 0.1, 2e-4, 5e-310, 1.7e299):
+        assert bench._seed_entropy(v) == int(v * 1e9) & 0xFFFFFFFF
+    for v in (1e300, 1e308):
+        assert bench._seed_entropy(v) == int(v) * 10**9
+
+
 class TestPredictors:
     def test_comment_shape(self):
         line = predictor_comment(sample_record())

@@ -495,6 +495,19 @@ class TestBench:
             assert cli.main(argv) == 2
             assert capsys.readouterr() == ("", "error: %s\n" % message)
 
+    def test_huge_rho_seeds_its_cell(self, capsys):
+        # rho * 1e9 overflows to inf above about 1.8e299, and int() of it
+        # raised an uncaught OverflowError; such a rho is finite and
+        # positive, so its cell runs: b < 0 everywhere, and x = 0
+        argv = ["bench", "--family", "grid", "--sizes", "4", "--alphas",
+                "0.1", "--rhos", "1e300", "--solvers", "cdpr,ista"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:3]]
+        assert [(r[3], r[4], r[10]) for r in rows] == [
+            ("1e+300", "cdpr", "0"), ("1e+300", "ista", "0")]
+
     def test_readme_sample_is_pinned(self, capsys):
         # the README's bench block shows the header, the four rows and the
         # first predictor line; wall_ns is the one column that varies
@@ -533,6 +546,16 @@ class TestBench:
 
 
 class TestUsage:
+    def test_import_loads_no_csgraph_or_linalg(self):
+        # Graph() counted components with scipy.sparse.csgraph, whose
+        # import also loaded scipy.linalg: about 0.06 s of every command
+        code = ("import sys, sparsepr.cli; print(sorted(m for m in "
+                "('scipy.sparse.csgraph', 'scipy.linalg') if m in sys.modules))")
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"
+
     def test_no_subcommand_shows_usage(self):
         res = run_cli()
         assert res.returncode == 2

@@ -58,6 +58,14 @@ class TestGraph:
         with pytest.raises(ValueError, match="connected"):
             Graph(4, [(0, 1), (2, 3)])
 
+    @pytest.mark.parametrize("n, edges, ncomp", [
+        (4, [(0, 1), (2, 3)], 2), (6, [(0, 5), (1, 4), (2, 3)], 3),
+        (6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)], 2)])
+    def test_disconnected_names_its_component_count(self, n, edges, ncomp):
+        with pytest.raises(ValueError, match=r"^graph is not connected "
+                           r"\(%d components\)$" % ncomp):
+            Graph(n, edges)
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             Graph(2, [(0, 0), (0, 1)])
@@ -300,6 +308,15 @@ class TestGradient:
         g = gradient(two_node, np.array([0.6, 0.0]), coords=[1])
         assert g.shape == (1,)
         assert_close(g, [-0.1], 1e-15)
+
+    @pytest.mark.parametrize("coords", [[-1], [2], [0, -1]])
+    def test_restricted_index_out_of_range(self, two_node, coords):
+        # the ids reached the row gather unchecked: -1 raised numpy's
+        # "negative dimensions", 2 an IndexError, and a negative id among
+        # several can send scipy's kernel outside Q's arrays ([-2, 0]
+        # crashed the interpreter on random_m_matrix(10, 0.3, seed=1))
+        with pytest.raises(ValueError, match="gradient index out of range"):
+            gradient(two_node, np.zeros(2), coords=coords)
 
     def test_restricted_matches_full_slice_bitwise(self, small_corpus):
         for item in small_corpus[:6]:
