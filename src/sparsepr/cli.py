@@ -153,6 +153,11 @@ def cmd_bench(args):
                          "nonempty")
     if min(args.sizes) < 1:
         raise ValueError("--sizes must be at least 1")
+    # a cycle of 2 nodes repeats its edge; one node of any family is alone
+    least = 3 if args.family == "cycle" else 2
+    if min(args.sizes) < least:
+        raise ValueError("--sizes must be at least %d for --family %s"
+                         % (least, args.family))
     if args.seed < 0:
         raise ValueError("--seed must be at least 0")
     records = list(bench_grid([args.family], args.sizes, args.alphas,

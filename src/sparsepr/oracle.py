@@ -291,11 +291,14 @@ def _build_graph(kind, params, rng):
             iu, ju = np.triu_indices(n, k=1)
             p = np.where(block[iu] == block[ju], p_in, p_out)
             keep = rng.random(iu.size) < p
+            pairs = np.stack([iu[keep], ju[keep]], axis=1)
             try:
-                return Graph(n, np.stack([iu[keep], ju[keep]], axis=1))
+                return Graph(n, pairs)
             except ValueError:
                 continue
-        raise OracleError("could not draw a connected stochastic block model")
+        # the last draw, still not connected, gets the path edges it lacks
+        path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+        return Graph(n, np.unique(np.concatenate([pairs, path]), axis=0))
     raise ValueError("unknown graph kind %r (choose from %s)" % (kind, ", ".join(GRAPH_KINDS)))
 
 

@@ -23,7 +23,8 @@ optimality check and the rows of a solve's working set, which a
 workspace's gradient (scipy's ``csc_matvec``), ``cdpr``'s pivot rows and
 ``Q d``, and ``aspr``'s restriction of ``Q``, so a solve reads ``Q`` only
 by :func:`_gather_rows`.  No other module calls scipy's kernels
-(``csr_matvec``: :func:`_add_product`).
+(``csr_matvec``: :func:`_add_product` and
+:meth:`GradientWorkspace.ranked_product`).
 
 A quadratic restricted to a sorted set S has one form, a
 :class:`Restriction`: Q_SS in position ids, its diagonal and ``b`` on S,
@@ -643,7 +644,7 @@ def _restricted(block, S):
     # the kept entries before each entry of the block
     kept = np.zeros(hit.size + 1, dtype=idx)
     hit.cumsum(out=kept[1:])
-    Q_SS = _Block(kept[block.indptr], at[hit].astype(idx), block.data[hit])
+    Q_SS = _Block((kept[block.indptr], at[hit].astype(idx), block.data[hit]))
     # the kernel walks the rows that the block holds, which are those of S
     k = block.indptr.size - 1
     diag = np.empty(k, dtype=Q_SS.data.dtype)
@@ -677,7 +678,7 @@ def _add_product(A, x, out):
     """Add ``A @ x`` onto ``out`` and return ``out``, for a CSR block ``A``
     = (indptr, indices, data) of ``out.size`` rows: scipy's ``csr_matvec``,
     the kernel its ``@`` runs, which starts row k at ``out[k]`` and adds its
-    products in stored order.  The one caller of that kernel."""
+    products in stored order."""
     csr_matvec(out.size, x.size, *A, x, out)
     return out
 
@@ -691,7 +692,13 @@ def negative_tolerance(q):
     return 1e-12 * q.L * q.max_abs_b
 
 
-_Block = collections.namedtuple("_Block", "indptr indices data")
+class _Block(tuple):
+    """A CSR block ``_Block((indptr, indices, data))``: a tuple with named
+    fields, made in a third of a namedtuple's time."""
+    __slots__ = ()
+    indptr = property(operator.itemgetter(0))
+    indices = property(operator.itemgetter(1))
+    data = property(operator.itemgetter(2))
 
 
 def _gather_rows(A, rows):
@@ -701,32 +708,32 @@ def _gather_rows(A, rows):
     kernel takes its index dtype from its arguments, so ``rows`` is cast
     to ``A``'s, which would otherwise be copied whole.  One row is two
     slices of ``A``'s arrays, with no kernel call: views, which no caller
-    writes."""
+    writes.  A CSR's indptr has the dtype of its indices."""
     if rows.size == 1:
-        lo, hi = A.indptr[rows[0]], A.indptr[rows[0] + 1]
-        return _Block(np.array((0, hi - lo), dtype=A.indices.dtype),
-                      A.indices[lo:hi], A.data[lo:hi])
+        r = rows[0]
+        ptr = A.indptr[r:r + 2]
+        lo, hi = ptr[0], ptr[1]
+        return _Block((ptr - lo, A.indices[lo:hi], A.data[lo:hi]))
     rows = rows.astype(A.indices.dtype, copy=False)
     counts = A.indptr[rows + 1] - A.indptr[rows]
     indptr = np.zeros(rows.size + 1, dtype=A.indices.dtype)
     counts.cumsum(out=indptr[1:])
     nnz = int(indptr[-1])
-    block = _Block(indptr, np.empty(nnz, dtype=A.indices.dtype),
-                   np.empty(nnz, dtype=A.data.dtype))
+    block = _Block((indptr, np.empty(nnz, dtype=A.indices.dtype),
+                    np.empty(nnz, dtype=A.data.dtype)))
     csr_row_index(rows.size, rows, A.indptr, A.indices, A.data,
                   block.indices, block.data)
     return block
 
 
-def _inserted(block, k, row):
-    """``block`` with the one-row :class:`_Block` ``row`` put in as its
-    row ``k``: three concatenations, in ``block``'s index dtype."""
-    indptr, indices, data = block
-    at = indptr[k]
-    return _Block(
-        np.concatenate((indptr[:k + 1], indptr[k:] + row.indptr[1])),
-        np.concatenate((indices[:at], row.indices, indices[at:])),
-        np.concatenate((data[:at], row.data, data[at:])))
+def _roomier(block, rows, nnz):
+    """``block`` copied to the front of arrays with room for twice ``rows``
+    rows and ``nnz`` entries."""
+    room = _Block(np.empty(2 * size, dtype=a.dtype)
+                  for a, size in zip(block, (rows + 1, nnz, nnz)))
+    for a, part in zip(room, block):
+        a[:part.size] = part
+    return room
 
 
 def _sorted_union(*ids):
@@ -803,14 +810,13 @@ class GradientWorkspace:
     ``g`` holds the gradient on the listed ``rows`` only and is never
     written elsewhere, where the gradient is -b.  ``block`` holds the rows
     of ``S``, in the order of ``S``, as one CSR block in ``Q``'s index
-    dtype (indptr, indices, data), in O(vol(S)) memory.  When ``S`` grows
-    by one coordinate (each ``cdpr`` stage), :meth:`admit` reads that row
-    alone from ``Q`` and puts it into the block at its place; when it
-    grows by several, :meth:`admit` gathers the block again by scipy's
-    ``csr_row_index`` kernel.  Both read ``Q`` by :func:`_gather_rows`.  A
-    refresh lists the neighbourhood rows of the coordinates admitted since
-    the last one, from the column ids of the rows that :meth:`admit` read;
-    sets the listed rows of ``g`` to -b; then adds Q_ij x_j onto
+    dtype (indptr, indices, data), in O(vol(S)) memory.  :meth:`admit`
+    reads one new ``int`` coordinate's row alone from ``Q`` (each ``cdpr``
+    stage) and puts it into the block at its place, and gathers the block
+    again for an array, by scipy's ``csr_row_index`` kernel.  Both read
+    ``Q`` by :func:`_gather_rows` and list the column ids of the rows they
+    read, the first at once and the second at the next refresh.  A
+    refresh sets the listed rows of ``g`` to -b; then adds Q_ij x_j onto
     row i by scipy's ``csc_matvec`` kernel on the block, which reads row j
     as column j and scatters its terms in increasing j.  ``Q`` is
     symmetric bit for bit (:func:`validate_m_matrix` checks it), so row j
@@ -829,13 +835,11 @@ class GradientWorkspace:
 
     ``S`` and ``rows`` only grow, by :meth:`admit` and :meth:`refresh`,
     which replace the arrays and never write them, so a caller may keep an
-    old one.
+    old one.  The arrays of ``block`` may be written by the next admit.
 
-    The solvers read ``Q`` through the workspace only: :meth:`gathered_row`,
-    :meth:`ranked_product` (with ``rank``, which ``cdpr`` writes on ``S``)
-    and :meth:`restriction`.  The row that :meth:`admit` reads alone, which
-    :meth:`gathered_row` returns, is a view of ``Q``'s arrays; no caller
-    writes it.
+    The solvers read ``Q`` through the workspace only: ``admitted_row``,
+    :meth:`gathered_row`, :meth:`ranked_product` (with ``rank``, which
+    ``cdpr`` writes on ``S``) and :meth:`restriction`.
 
     ``counters`` pays for the solve under the column cost model: the
     set-up starts at x = 0, where g = -b, and charges one full gradient and
@@ -870,19 +874,13 @@ class GradientWorkspace:
         pos = q.positive_b
         rows = pos[-self.b[pos] < -tol]
         self.g[rows] = -self.b[rows]
-        self.rows = np.empty(0, dtype=np.int64)
-        self._list(rows)
-        self.S = np.empty(0, dtype=np.int64)
-        self.block = _gather_rows(q.Q, self.S)
-        # the sorted distinct column ids of the rows admitted since the
-        # last refresh, and the last row admitted alone as (i, cols, vals)
-        self._near = None
-        self._row = (-1, None, None)
-
-    def _list(self, rows):
-        """List the given unlisted rows."""
         self.listed[rows] = True
-        self.rows = np.concatenate((self.rows, rows))
+        self.rows = rows
+        self.S = np.empty(0, dtype=np.int64)
+        self.block = self._room = _gather_rows(q.Q, self.S)
+        # the column ids of the rows an array admit read since the last
+        # refresh, and the row of the last int admitted
+        self._near, self.admitted_row = self.S, None
 
     def release(self):
         """Reset the pooled arrays on the rows this solve wrote (``S``,
@@ -898,47 +896,60 @@ class GradientWorkspace:
         self.q._spare[:] = [buf]
 
     def admit(self, coords):
-        """Add to ``S`` the given coordinates (unique indices) that are not
-        in it yet, and return those.
+        """Add to ``S`` the given coordinates that are not in it yet, and
+        return those.  ``coords`` holds unique indices, or is one ``int``.
 
-        One new coordinate (each ``cdpr`` stage) has its row read from
-        ``Q`` and put into ``block`` at its place in ``S``.  Several (an
-        ``aspr`` or ``ista`` expansion) have ``block`` gathered again:
-        merging their rows in took longer in both solvers."""
+        A new ``int`` (each ``cdpr`` stage) has its row read alone, kept as
+        ``admitted_row`` (intp column ids, and values that no caller
+        writes) and put into ``block`` at its place, moving the entries
+        after it up within spare room that doubles when full; its column
+        ids are listed at once, and ``g`` holds nothing there until the
+        next refresh.  An array has ``block`` gathered again (merging its
+        rows in took longer in ``aspr`` and ``ista``)."""
+        if type(coords) is int:
+            S = self.S
+            if self._member[coords]:
+                return S[:0]
+            self._member[coords] = True
+            k = S.searchsorted(coords)
+            self.S = S = np.concatenate((S[:k], (coords,), S[k:]))
+            _, cols, vals = _gather_rows(self.q.Q, S[k:k + 1])
+            ids = cols.astype(np.intp)  # numpy indexes fastest by intp
+            self.admitted_row = ids, vals
+            ptr = self.block.indptr
+            m, at, end = cols.size, int(ptr[k]), int(ptr[-1])
+            room = self._room
+            if room.indptr.size <= S.size or room.data.size < end + m:
+                room = self._room = _roomier(self.block, S.size, end + m)
+            ptr, ind, val = room
+            ind[at + m:end + m] = ind[at:end]
+            ind[at:at + m] = cols
+            val[at + m:end + m] = val[at:end]
+            val[at:at + m] = vals
+            ptr[k + 1:S.size + 1] = ptr[k:S.size] + m
+            self.block = _Block((ptr[:S.size + 1], ind[:end + m],
+                                 val[:end + m]))
+            fresh = ids[~self.listed[ids]]
+            self.listed[fresh] = True
+            self.rows = np.concatenate((self.rows, fresh))
+            return S[k:k + 1]
         coords = np.asarray(coords, dtype=np.int64)
         new = coords[~self._member[coords]]
         self._member[new] = True
-        if new.size == 1:
-            row = _gather_rows(self.q.Q, new)
-            k = self.S.searchsorted(new[0])
-            self.S = np.concatenate((self.S[:k], new, self.S[k:]))
-            self.block = _inserted(self.block, k, row)
-            # a row of a canonical CSR is sorted and distinct
-            self._spread(row.indices)
-            self._row = (new[0], row.indices, row.data)
-        elif new.size:
+        if new.size:
             # new holds no member and no repeat: the union is a plain sort
             S = np.concatenate((self.S, new))
             S.sort()
             self.S = S
-            self.block = _gather_rows(self.q.Q, S)
-            self._spread(_sorted_union(
-                _gather_rows(self.block, S.searchsorted(new)).indices))
+            self.block = self._room = _gather_rows(self.q.Q, S)
+            self._near = _sorted_union(self._near, _gather_rows(
+                self.block, S.searchsorted(new)).indices)
         return new
 
-    def _spread(self, near):
-        """Add the sorted distinct ids ``near`` to those the next refresh
-        lists."""
-        self._near = (near if self._near is None
-                      else _sorted_union(self._near, near))
-
     def refresh(self):
-        """Recompute ``g`` at ``x`` from ``block``.  Charges ``counters``
-        one full gradient and the column nonzeros of supp(x).
-
-        The rows to list are the column ids of the rows that :meth:`admit`
-        read since the last refresh, the admitted coordinates among them
-        (``Q``'s diagonal is positive).
+        """List the column ids that array admits read since the last
+        refresh, then recompute ``g`` at ``x`` from ``block``.  Charges
+        ``counters`` one full gradient and the column nonzeros of supp(x).
 
         The kernel reads every row of ``S``, those where x = 0 included, so
         once ``S`` holds coordinates that went back to zero a refresh reads
@@ -948,16 +959,17 @@ class GradientWorkspace:
         S, x, g, block = self.S, self.x, self.g, self.block
         xs = x[S]
         near = self._near
-        if near is not None:
-            self._near = None
-            self._list(near[~self.listed[near]])
+        if near.size:
+            near = near[~self.listed[near]]
+            self.listed[near] = True
+            self.rows = np.concatenate((self.rows, near))
+            self._near = near[:0]
         rows = self.rows
         g[rows] = -self.b[rows]
         csc_matvec(g.size, S.size, *block, xs, g)
         self.counters.full_gradients += 1
         counts = block.indptr[1:] - block.indptr[:-1]
-        # np.add.reduce is what ndarray.sum wraps in a Python-level call
-        self.counters.nnz_touched += int(np.add.reduce(counts[xs != 0]))
+        self.counters.nnz_touched += int(counts @ (xs != 0))
 
     def negatives(self):
         """Sorted coordinates whose gradient is below ``-tol``."""
@@ -967,27 +979,26 @@ class GradientWorkspace:
         return neg
 
     def gathered_row(self, i):
-        """Column ids and values of row ``i`` of ``Q``, for ``i`` in ``S``:
-        the row that :meth:`admit` read if it added ``i`` last and alone,
-        else read from ``block``."""
-        last, cols, vals = self._row
-        if last == i:
-            return cols, vals
-        block = self.block
-        k = self.S.searchsorted(i)
-        sl = slice(block.indptr[k], block.indptr[k + 1])
-        return block.indices[sl], block.data[sl]
+        """Column ids and values of row ``i`` of ``Q``, for ``i`` in ``S``,
+        read from ``block``."""
+        _, cols, vals = _gather_rows(self.block, self.S.searchsorted([i]))
+        return cols, vals
 
-    def ranked_product(self, dk):
-        """``Q d`` on ``S`` for the ``d`` that ``dk`` holds by ``rank``:
-        column j reads ``dk[rank[j]]``, so ``dk[0]`` = 0 is d off the ranked
-        ids.  Each row sums in increasing column, the order of ``g``, and
-        ``counters`` is charged its entries on supp(d)."""
+    def ranked_product(self, dk, out):
+        """``Q d`` on ``S``, written into ``out`` (of length |S|) and
+        returned, for the ``d`` that ``dk`` holds by ``rank``: column j
+        reads ``dk[rank[j]]``, so ``dk[0]`` = 0 is d off the ranked ids.
+        Each row sums in increasing column, the order of ``g``, and
+        ``counters`` is charged its entries on supp(d).  scipy's
+        ``csr_matvec`` adds onto ``out``, set to 0 here; ``take`` reads by
+        the block's int32 ids several times faster than an index does."""
         block = self.block
-        mapped = self.rank[block.indices]
-        self.counters.nnz_touched += int(np.count_nonzero(dk[mapped]))
-        return _add_product((block.indptr, mapped, block.data), dk,
-                            np.zeros(self.S.size))
+        mapped = self.rank.take(block.indices)
+        self.counters.nnz_touched += int(np.count_nonzero(dk.take(mapped)))
+        out[:] = 0.0
+        csr_matvec(out.size, dk.size, block.indptr, mapped, block.data, dk,
+                   out)
+        return out
 
     def restriction(self):
         """:func:`restrict` of ``q`` to ``S``, built from ``block`` and

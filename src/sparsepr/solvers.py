@@ -525,17 +525,18 @@ def cdpr(q, observe=None):
 
     The basis is dense and lower triangular in pivot order: row k of ``D``
     holds direction k on the first k + 1 pivots, and ``curv[k]`` its
-    curvature; both double when full.  A stage picks its pivot by one scan
-    of the gradient on the workspace's listed rows, with no sort; reads the
-    new pivot's row (``ws.gathered_row``: the row that the workspace read
-    from ``Q`` as it admitted the pivot, the one read of that row in the
-    solve) on the earlier pivots for the Gram-Schmidt coefficients;
-    assembles the direction by one BLAS product of the coefficients with
-    ``D``; and takes ``Q d`` on the pivots from the workspace's block of
-    their rows (``ws.ranked_product``), with ``dk`` = (0, d) in
-    pivot order read through ``ws.rank``, 1 + each pivot's place in that
-    order.  Its numpy calls do not grow with the number of stored
-    directions.
+    curvature; both double when full, and so do ``dk`` and ``qd``, which
+    each stage overwrites.  A stage picks its pivot by one scan of the
+    gradient on the workspace's listed rows, with no sort; admits it as an
+    ``int`` and reads its row (``ws.admitted_row``: the row that the
+    workspace read from ``Q`` as it admitted the pivot, the one read of
+    that row in the solve) on the earlier pivots for the Gram-Schmidt
+    coefficients; assembles the direction by one BLAS product of the
+    coefficients with ``D``; and takes ``Q d`` on the pivots into ``qd``
+    from the workspace's block of their rows (``ws.ranked_product``), with
+    ``dk`` = (0, d) in pivot order read through ``ws.rank``, 1 + each
+    pivot's place in that order.  Its numpy calls do not grow with the
+    number of stored directions.
     """
     ws = GradientWorkspace(q, Counters())
     x, g, counters = ws.x, ws.g, ws.counters
@@ -553,7 +554,7 @@ def cdpr(q, observe=None):
             break
         # the most negative gradient; a tie goes to the smallest index
         i = int(np.minimum.reduce(rows[g_rows == least]))
-        if not ws.admit([i]).size:
+        if not ws.admit(i).size:
             # the threshold only grows, so the workspace's list stays complete
             floor = _pivot_noise(ws, i)
             if floor <= ws.tol:
@@ -562,16 +563,15 @@ def cdpr(q, observe=None):
             ws.tol = floor
             continue
         gi = float(g[i])
-        cols_i, vals_i = ws.gathered_row(i)
+        cols_i, vals_i = ws.admitted_row
         if not cols_i.size:
             raise SolverError("row %d of Q is empty" % i)
         counters.nnz_touched += int(cols_i.size)
         if K == D.shape[0]:
             D, curv = _widened(D), _widened(curv)
+            # dk = (0, d): the new direction read by 1 + pivot order
+            dk, qd = np.zeros(D.shape[0] + 1), np.empty(D.shape[0])
 
-        # dk = (0, d): the new direction read by 1 + pivot order
-        dk = np.empty(K + 2)
-        dk[0] = 0.0
         dk[K + 1] = gi
         at = rank[cols_i]
         on = at > 0
@@ -580,14 +580,13 @@ def cdpr(q, observe=None):
         rank[i] = K + 1
         supp = ws.S
         d_vals = dk[rank[supp]]
-        qd = ws.ranked_product(dk)
-        curvature = float(d_vals @ qd)
+        curvature = float(d_vals @ ws.ranked_product(dk, qd[:K + 1]))
         if curvature <= 0:
             raise SolverError("nonpositive curvature along a direction")
         step = -float(g[supp] @ d_vals) / curvature
         x[supp] += step * d_vals
 
-        D[K, :K + 1] = dk[1:]
+        D[K, :K + 1] = dk[1:K + 2]
         curv[K] = curvature
         K += 1
         counters.stages += 1

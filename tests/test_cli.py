@@ -495,6 +495,32 @@ class TestBench:
             assert cli.main(argv) == 2
             assert capsys.readouterr() == ("", "error: %s\n" % message)
 
+    @pytest.mark.parametrize("family, size, least", [
+        ("cycle", 2, 3), ("cycle", 1, 3), ("path", 1, 2), ("grid", 1, 2),
+        ("star", 1, 2), ("sbm", 1, 2)])
+    def test_size_below_the_family_minimum_is_named(self, capsys, family,
+                                                    size, least):
+        # the cycle of 2 repeated its edge and one node had no edge: each
+        # exited 2 naming an edge or node, and sbm exited 3 ("could not
+        # draw")
+        argv = ["bench", "--family", family, "--sizes", "%d,4" % size,
+                "--alphas", "0.1", "--rhos", "0.01", "--solvers", "cdpr"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: --sizes must be at least %d for --family %s\n"
+            % (least, family))
+
+    @pytest.mark.parametrize("size, seed", [(2, 45), (3, 161)])
+    def test_sbm_cell_whose_draws_all_fail_runs(self, capsys, size, seed):
+        # all 50 draws of the cell's graph were disconnected: exit 3
+        argv = ["bench", "--family", "sbm", "--sizes", str(size), "--alphas",
+                "0.1", "--rhos", "0.01", "--solvers", "cdpr", "--seed",
+                str(seed)]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[1].startswith("sbm,%d,0.1,0.01,cdpr," % size)
+
     def test_huge_rho_seeds_its_cell(self, capsys):
         # rho * 1e9 overflows to inf above about 1.8e299, and int() of it
         # raised an uncaught OverflowError; such a rho is finite and

@@ -308,6 +308,20 @@ class TestRandomGraphInstance:
         with pytest.raises(ValueError):
             random_graph_instance("hypercube", {}, seed=0)
 
+    @pytest.mark.parametrize("sizes, p_out", [
+        ([1, 1], 0.1), ([1, 2], 0.1), ([3, 4], 0.0)])
+    def test_sbm_draw_always_connects(self, sizes, p_out):
+        # every one of 50 draws can leave the graph disconnected (at sizes
+        # [1, 1] with probability 0.9^50, always at p_out = 0), which raised
+        # OracleError; the last draw then gets the path edges it lacks
+        edges = set()
+        for seed in range(300):
+            graph = random_graph_instance(
+                "sbm", {"sizes": sizes, "p_out": p_out}, seed).graph
+            assert graph.n == sum(sizes)
+            edges.update(map(tuple, graph.edges.tolist()))
+        assert {(v, v + 1) for v in range(sum(sizes) - 1)} <= edges
+
     @pytest.mark.parametrize("kind, params", [
         ("path", {"n": 2}), ("path", {"n": 7}), ("path", {"n": 1}),
         ("cycle", {"n": 3}), ("cycle", {"n": 9}), ("cycle", {"n": 2}),

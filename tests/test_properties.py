@@ -30,6 +30,7 @@ from sparsepr.problem import (
     GradientWorkspace,
     restrict,
     _add_product,
+    _gather_rows,
     _sorted_union,
 )
 from sparsepr.solvers import _BASIS_START, _apgd_loop, _conditioning
@@ -83,11 +84,10 @@ def test_workspace_gradient_is_the_full_gradient(seed, n, density, kind):
     candidates = set(np.flatnonzero(-q.b < -tol).tolist())
     _assert_block_is_rows_of_S(q, ws)
     for step in range(4):
-        # grow the working set, many coordinates at once or one at a time
-        # (as cdpr does); some coordinates stay or fall back to zero
+        # grow the working set, many coordinates at once or one int at a
+        # time (as cdpr does); some coordinates stay or fall back to zero
         coords = rng.choice(q.n, size=rng.integers(0, 3), replace=False)
-        parts = [coords] if step % 2 else [coords[k:k + 1]
-                                           for k in range(coords.size)]
+        parts = [coords] if step % 2 else [int(c) for c in coords]
         for part in parts:
             ws.admit(part)
             _assert_block_is_rows_of_S(q, ws)
@@ -115,6 +115,39 @@ def test_workspace_gradient_is_the_full_gradient(seed, n, density, kind):
         assert np.array_equal(new, np.setdiff1d(ws.negatives(), before))
         assert np.array_equal(ws.S, np.union1d(before, new))
         _assert_block_is_rows_of_S(q, ws)
+
+
+@common
+@given(seed=seeds, n=dims, density=densities,
+       kind=st.sampled_from(("m-matrix",) + GRAPH_KINDS))
+def test_cdpr_stages_keep_the_workspace_whole(seed, n, density, kind):
+    # after every refresh of a cdpr solve, the block that its stages splice
+    # holds the rows of S as _gather_rows reads them, rows lists each
+    # marked row once, the neighbours of S among them, and g there is the
+    # full gradient
+    if kind == "m-matrix":
+        q = random_m_matrix(n, density, seed=seed)
+    else:
+        q = build_pagerank_quadratic(random_graph_instance(
+            kind, {"n": n + 1, "rows": n, "cols": 3, "leaves": n,
+                   "sizes": [n, n]}, seed))
+    refreshes = []
+    refresh = GradientWorkspace.refresh
+
+    def checked_refresh(ws):
+        refresh(ws)
+        refreshes.append(ws.S.size)
+        for got, ref in zip(ws.block, _gather_rows(q.Q, ws.S)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert np.array_equal(np.sort(ws.rows), np.flatnonzero(ws.listed))
+        assert ws.listed[ws.block.indices].all()
+        g = gradient(q, ws.x)
+        assert np.array_equal(ws.g[ws.rows] + 0.0, g[ws.rows] + 0.0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GradientWorkspace, "refresh", checked_refresh)
+        sol = cdpr(q)
+    assert len(refreshes) == sol.counters.stages
 
 
 def _assert_block_is_rows_of_S(q, ws):
@@ -206,8 +239,7 @@ def test_restriction_matches_scipy_indexing(seed, n, density, int64, kind):
     for step in range(4):
         coords = rng.choice(q.n, size=min(q.n, rng.integers(0, 4)),
                             replace=False)
-        parts = [coords] if step % 2 else [coords[k:k + 1]
-                                           for k in range(coords.size)]
+        parts = [coords] if step % 2 else [int(c) for c in coords]
         for part in parts:
             ws.admit(part)
             S = ws.S

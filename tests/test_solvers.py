@@ -700,11 +700,18 @@ class TestPooledState:
         small, large = warm_peak(60), warm_peak(300)
         assert large <= 2 * small, (large, small)
 
+    # a warm solve's (C-level, Python) calls on the 100^2 grid, as counted
+    # with numpy 2.4 and scipy 1.17; numpy 1.x wraps other functions in
+    # Python, so the bounds hold from numpy 2 on
+    CALL_BUDGET = {"ista": (266, 202), "cdpr": (460, 406),
+                   "aspr": (842, 304), "aspr:early": (758, 289),
+                   "aspr:constraints": (955, 327)}
+
     @pytest.mark.parametrize("token", SOLVER_TOKENS)
     def test_warm_solve_calls_do_not_depend_on_n(self, token):
         # a warm solve's numpy and scipy calls (C-level) and its Python
         # calls, as sys.setprofile sees them, are the same at n = 100^2 and
-        # 300^2; no count is pinned, as it moves with numpy and scipy
+        # 300^2, and at most the pinned budget
         def calls(side):
             (q,) = _grid_queries(side, (side // 2 * side + side // 2,))
             solve(q, token, 1e-6)
@@ -719,7 +726,11 @@ class TestPooledState:
                 gc.enable()
             return events["c_call"], events["call"]
 
-        assert calls(100) == calls(300)
+        small = calls(100)
+        assert small == calls(300)
+        if int(np.__version__.split(".")[0]) >= 2:
+            c_level, python = self.CALL_BUDGET[token]
+            assert small[0] <= c_level and small[1] <= python, small
 
     def test_warm_solves_equal_cold_ones(self):
         queries = (_grid_queries(9, (4, 40))
