@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.sparse as sp
 
 from .problem import Graph, MQuadratic, PageRankInstance, objective
 
@@ -214,6 +213,7 @@ def random_m_matrix(n, density, seed, target_kappa=None):
     diagonal is shifted to hit the requested condition number exactly
     (n <= 64 only; target_kappa=1 returns a scaled identity).
     """
+    import scipy.sparse as sp
     rng = np.random.default_rng(seed)
     n = int(n)
     if n < 1:

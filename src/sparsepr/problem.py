@@ -22,9 +22,9 @@ optimality check and the rows of a solve's working set, which a
 :class:`GradientWorkspace` keeps as one block.  That block serves the
 workspace's gradient (scipy's ``csc_matvec``), ``cdpr``'s pivot rows and
 ``Q d``, and ``aspr``'s restriction of ``Q``, so a solve reads ``Q`` only
-by :func:`_gather_rows`.  No other module calls scipy's kernels
-(``csr_matvec``: :func:`_add_product` and
-:meth:`GradientWorkspace.ranked_product`).
+by :func:`_gather_rows`.  No other module calls scipy's kernels, which
+:func:`_sparsetools` loads without the ``scipy.sparse`` package: a solve
+never imports it (see :class:`_Hessian`).
 
 A quadratic restricted to a sorted set S has one form, a
 :class:`Restriction`: Q_SS in position ids, its diagonal and ``b`` on S,
@@ -36,15 +36,41 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
 import operator
+import os
+import sys
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import (cs_graph_components, csc_matvec,
-                                       csr_diagonal, csr_matvec,
-                                       csr_row_index)
+
+
+def _sparsetools():
+    """``scipy.sparse._sparsetools``, without the package init of
+    ``scipy.sparse`` (half the CLI's import time) unless it ran.  The
+    ``sys.modules`` entry that the extension's single-phase init leaves is
+    removed, so a later ``import scipy.sparse`` binds the same functions."""
+    name = "scipy.sparse._sparsetools"
+    if "scipy.sparse" in sys.modules:
+        return importlib.import_module(name)
+    scipy = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy, "sparse")])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
+(coo_tocsr, cs_graph_components, csc_matvec, csr_diagonal, csr_matvec,
+ csr_plus_csr, csr_row_index, csr_sort_indices,
+ csr_sum_duplicates) = operator.attrgetter(
+    "coo_tocsr", "cs_graph_components", "csc_matvec", "csr_diagonal",
+    "csr_matvec", "csr_plus_csr", "csr_row_index", "csr_sort_indices",
+    "csr_sum_duplicates")(_sparsetools())
 
 __all__ = [
     "EdgeError",
@@ -100,11 +126,12 @@ class Graph:
         isolated nodes are rejected with a plain ``ValueError``.
 
     Construction of m edges takes O(n + m) time besides sorting each
-    node's neighbours, and sorts no pairs: a few scans check the ids, one
-    counting sort (scipy's COO to CSR conversion) puts both orientations of
-    every pair in their rows, and scipy sorts each row and sums repeats, so
-    a repeat leaves fewer than 2m entries.  Besides the retained adjacency
-    (``int8`` data, ``int32`` indices below 2^31 nodes) and the degrees, it
+    node's neighbours, and sorts no pairs: a few scans check the ids, and
+    the kernels that scipy's COO constructor runs build the adjacency, a
+    :class:`_Block`: one counting sort puts both orientations of every pair
+    in their rows, then each row is sorted and repeats are summed, so a
+    repeat leaves fewer than 2m entries.  Besides the adjacency (``int8``
+    data, ``int32`` indices below 2^31 entries) and the degrees, it
     allocates the 2m-entry row, column and data arrays of the conversion,
     and the n labels and work list of the connectivity check, scipy's
     ``cs_graph_components`` kernel, which reads the adjacency's index
@@ -130,19 +157,19 @@ class Graph:
             i = int(gaps[0]) if gaps.size else ids.size
             raise ValueError("isolated node %d (every node needs degree >= 1)" % i)
 
-        # both orientations of every pair, in the index dtype scipy would
-        # pick, so the conversion copies nothing; scipy then sorts each row
-        # and sums repeats, which leaves a canonical CSR
-        idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        # both orientations of every pair, in the index dtype scipy picks
+        idx = np.int32 if max(n, 2 * m) < 2**31 else np.int64
         rows = np.empty(2 * m, dtype=idx)
         cols = np.empty(2 * m, dtype=idx)
         rows[:m] = cols[m:] = e[:, 0]
         rows[m:] = cols[:m] = e[:, 1]
-        adj = sp.csr_matrix(
-            (np.ones(2 * m, dtype=np.int8), (rows, cols)), shape=(n, n)
-        )
+        adj = _Block((np.empty(n + 1, dtype=idx), np.empty(2 * m, dtype=idx),
+                      np.empty(2 * m, dtype=np.int8)))
+        coo_tocsr(n, n, 2 * m, rows, cols, np.ones(2 * m, dtype=np.int8), *adj)
         del rows, cols
-        if adj.nnz != 2 * m:
+        csr_sort_indices(n, *adj)
+        csr_sum_duplicates(n, n, *adj)
+        if adj.indptr[-1] != 2 * m:
             _raise_first_bad_pair(e, n)
         degrees = np.diff(adj.indptr)
         if (degrees == 0).any():
@@ -174,7 +201,7 @@ class Graph:
 
     @property
     def num_edges(self):
-        return self._adj.nnz // 2
+        return self._adj.indices.size // 2
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.num_edges)
@@ -308,6 +335,7 @@ def validate_m_matrix(Q, alpha, L):
     lambda_max <= L within 1e-9 slack.  Each violation is reported with the
     offending index pair where one exists.
     """
+    import scipy.sparse as sp
     violations = []
     Q = sp.csr_matrix(Q)
     n = Q.shape[0]
@@ -377,7 +405,8 @@ class MQuadratic:
 
     ``Q`` is copied into a fresh CSR with duplicates summed, explicit zeros
     removed and indices sorted, and ``b`` is copied, so later writes to the
-    arguments cannot reach the quadratic.  ``b`` is held in one form,
+    arguments cannot reach the quadratic; a solve reads it as ``_Q``, a
+    :class:`_Hessian`.  ``b`` is held in one form,
     ``_parts = (base, nodes, values)``: the read-only ``base`` with
     ``values`` at the sorted int64 ``nodes``.  Here ``base`` is ``b``
     itself and ``nodes`` is empty.  Only :meth:`corrected` keeps its
@@ -395,6 +424,7 @@ class MQuadratic:
     """
 
     def __init__(self, Q, b, alpha, L, validate=True):
+        import scipy.sparse as sp
         Q = sp.csr_matrix(Q).copy()
         Q.sum_duplicates()
         Q.eliminate_zeros()
@@ -420,10 +450,10 @@ class MQuadratic:
         """The quadratic whose ``b`` is the shared ``base`` with ``values``
         at the sorted int64 ``nodes``; all three are read-only and kept
         uncopied.  The caller vouches for what this cannot check without
-        reading all of ``base``: ``Q`` is a frozen canonical CSR of a valid
-        M-matrix, and ``max_abs_b`` and ``positive_b`` are the facts of
-        that ``b``.  The quadratic keeps ``spare`` as its list of spare
-        solve buffers."""
+        reading all of ``base``: ``Q`` is a frozen canonical CSR (or
+        :class:`_Hessian`) of a valid M-matrix, and ``max_abs_b`` and
+        ``positive_b`` are the facts of that ``b``.  The quadratic keeps
+        ``spare`` as its list of spare solve buffers."""
         _check_finite(max_abs_b, alpha, L)
         q = cls.__new__(cls)
         q._set(Q, (base, nodes, values), max_abs_b, positive_b, alpha, L,
@@ -432,7 +462,10 @@ class MQuadratic:
 
     def _set(self, Q, parts, max_abs_b, positive_b, alpha, L, spare):
         positive_b.setflags(write=False)
-        self.Q = Q
+        if not isinstance(Q, _Hessian):  # a csr_matrix: it is the view
+            matrix, Q = Q, _Hessian((Q.indptr, Q.indices, Q.data))
+            Q.matrix = matrix
+        self._Q = Q
         self._b = None  # the dense b, once built
         self._parts = parts
         self.max_abs_b = max_abs_b
@@ -452,9 +485,11 @@ class MQuadratic:
             self._b = b
         return self._b
 
+    Q = property(operator.attrgetter("_Q.matrix"))
+
     @property
     def n(self):
-        return self.Q.shape[0]
+        return self._Q.indptr.size - 1
 
     @property
     def kappa(self):
@@ -463,7 +498,7 @@ class MQuadratic:
     def __repr__(self):
         return "MQuadratic(n=%d, nnz=%d, alpha=%g, L=%g)" % (
             self.n,
-            self.Q.nnz,
+            self._Q.indptr[-1],
             self.alpha,
             self.L,
         )
@@ -486,8 +521,8 @@ class PageRankOperator:
     CSR, which every quadratic built on it shares uncopied through
     :meth:`MQuadratic.corrected`.  Besides ``Q`` (float64 data, n + 2m
     entries) and the two n-length vectors, the build allocates the 2m
-    off-diagonal values, one 2m gather of ``dinv_sqrt`` and scipy's sum
-    with the diagonal; it makes no index array.
+    off-diagonal values, one 2m gather of ``dinv_sqrt`` and the diagonal's
+    n values and ids, which scipy's ``+`` kernel adds.
 
     :meth:`of` keeps one operator on the graph, for the last alpha asked for.
     The graph is immutable, so the cache never goes stale, and a new alpha
@@ -502,24 +537,32 @@ class PageRankOperator:
         sqrt_d = np.sqrt(graph.degrees.astype(float))
         dinv_sqrt = 1.0 / sqrt_d
 
-        # the off-diagonal part on adj's pattern plus the diagonal; scipy's
-        # sum of two canonical CSRs is canonical
+        # the off-diagonal part on adj's pattern plus the diagonal, in the
+        # index dtype of scipy's +; the sum of two canonical CSRs with no
+        # zero is canonical and keeps all n + 2m entries
         off = np.repeat(dinv_sqrt, graph.degrees)  # dinv_sqrt of each row
         off *= dinv_sqrt[adj.indices]
         off *= -(1.0 - a) / 2.0
-        Q = (sp.csr_matrix((off, adj.indices, adj.indptr), shape=(n, n))
-             + sp.identity(n, format="csr") * ((1.0 + a) / 2.0))
+        nnz = n + off.size
+        idx = np.int32 if nnz < 2**31 else np.int64
+        Q = _Hessian((np.empty(n + 1, dtype=idx), np.empty(nnz, dtype=idx),
+                      np.empty(nnz)))
+        eye = np.arange(n + 1, dtype=idx)
+        csr_plus_csr(n, n, adj.indptr, adj.indices, off, eye, eye[:n],
+                     np.full(n, (1.0 + a) / 2.0), *Q)
 
-        for arr in (Q.data, Q.indices, Q.indptr, sqrt_d, dinv_sqrt):
+        for arr in (*Q, sqrt_d, dinv_sqrt):
             arr.setflags(write=False)
         self.alpha = a
-        self.Q = Q
+        self._Q = Q
         self.sqrt_d = sqrt_d
         self.dinv_sqrt = dinv_sqrt
         self._top = int(np.argmax(sqrt_d))
         self._n_top = int(np.count_nonzero(sqrt_d == sqrt_d[self._top]))
         self._base = (None, None)
         self._spare = []
+
+    Q = property(operator.attrgetter("_Q.matrix"))
 
     @classmethod
     def of(cls, graph, alpha):
@@ -582,7 +625,7 @@ def build_pagerank_quadratic(instance):
     # max propagates NaN, so a non-finite entry reaches the check
     off = op.max_abs_off(b0, nodes)
     max_abs_b = float(np.max(np.abs(values), initial=off))
-    return MQuadratic.corrected(op.Q, b0, nodes, values, max_abs_b,
+    return MQuadratic.corrected(op._Q, b0, nodes, values, max_abs_b,
                                 nodes[values > 0.0], op.alpha, 1.0, op._spare)
 
 
@@ -615,7 +658,7 @@ def restrict(q, S):
     same form from its block (:meth:`GradientWorkspace.restriction`).
     """
     S = _checked_ids(S, q.n)
-    return Restriction(*_restricted(_gather_rows(q.Q, S), S), _b_on(q, S),
+    return Restriction(*_restricted(_gather_rows(q._Q, S), S), _b_on(q, S),
                        q.alpha, q.L)
 
 
@@ -701,6 +744,19 @@ class _Block(tuple):
     data = property(operator.itemgetter(2))
 
 
+class _Hessian(_Block):
+    """A canonical CSR as the :class:`_Block` that a solve reads; its
+    ``matrix``, scipy's ``csr_matrix`` over the same arrays, is made on
+    first read (by the oracle, diagnostics and tests) unless given."""
+
+    @functools.cached_property
+    def matrix(self):
+        import scipy.sparse as sp
+        indptr, indices, data = self
+        return sp.csr_matrix((data, indices, indptr),
+                             shape=(indptr.size - 1,) * 2)
+
+
 def _gather_rows(A, rows):
     """The given rows of ``A``, a CSR matrix or a :class:`_Block`, row
     after row, as a :class:`_Block` in ``A``'s index dtype: scipy's
@@ -764,14 +820,14 @@ def gradient(q, x, coords=None):
     if coords is None:
         g = -q.b
         supp = np.flatnonzero(x)
-        csc_matvec(g.size, supp.size, *_gather_rows(q.Q, supp), x[supp], g)
+        csc_matvec(g.size, supp.size, *_gather_rows(q._Q, supp), x[supp], g)
         return g
     coords = np.asarray(coords, dtype=np.int64)
     # the row gather and scipy's kernel index Q's arrays unchecked
     if coords.size and not (np.minimum.reduce(coords) >= 0
                             and np.maximum.reduce(coords) < q.n):
         raise ValueError("gradient index out of range")
-    return _add_product(_gather_rows(q.Q, coords), x, -q.b[coords])
+    return _add_product(_gather_rows(q._Q, coords), x, -q.b[coords])
 
 
 class _Buffers:
@@ -781,7 +837,7 @@ class _Buffers:
     the first solve), and ``g`` holds nothing that is read."""
 
     def __init__(self, Q):
-        n = Q.shape[0]
+        n = Q.indptr.size - 1
         self.x = np.zeros(n)
         self.g = np.empty(n)
         self.b = np.empty(n)
@@ -862,7 +918,7 @@ class GradientWorkspace:
         try:
             buf = q._spare.pop()
         except IndexError:
-            buf = _Buffers(q.Q)
+            buf = _Buffers(q._Q)
         base, nodes, values = q._parts
         if buf.base is not base:
             buf.b[:] = base
@@ -877,7 +933,7 @@ class GradientWorkspace:
         self.listed[rows] = True
         self.rows = rows
         self.S = np.empty(0, dtype=np.int64)
-        self.block = self._room = _gather_rows(q.Q, self.S)
+        self.block = self._room = _gather_rows(q._Q, self.S)
         # the column ids of the rows an array admit read since the last
         # refresh, and the row of the last int admitted
         self._near, self.admitted_row = self.S, None
@@ -913,7 +969,7 @@ class GradientWorkspace:
             self._member[coords] = True
             k = S.searchsorted(coords)
             self.S = S = np.concatenate((S[:k], (coords,), S[k:]))
-            _, cols, vals = _gather_rows(self.q.Q, S[k:k + 1])
+            _, cols, vals = _gather_rows(self.q._Q, S[k:k + 1])
             ids = cols.astype(np.intp)  # numpy indexes fastest by intp
             self.admitted_row = ids, vals
             ptr = self.block.indptr
@@ -941,7 +997,7 @@ class GradientWorkspace:
             S = np.concatenate((self.S, new))
             S.sort()
             self.S = S
-            self.block = self._room = _gather_rows(self.q.Q, S)
+            self.block = self._room = _gather_rows(self.q._Q, S)
             self._near = _sorted_union(self._near, _gather_rows(
                 self.block, S.searchsorted(new)).indices)
         return new
@@ -1077,9 +1133,9 @@ def check_optimality(q, x, pagerank_box=None):
         raise ValueError("x must be nonnegative")
     base, nodes, _ = q._parts
     supp = np.flatnonzero(x)
-    rows = _sorted_union(_gather_rows(q.Q, supp).indices, supp, q.positive_b,
+    rows = _sorted_union(_gather_rows(q._Q, supp).indices, supp, q.positive_b,
                          nodes)
-    g = _add_product(_gather_rows(q.Q, rows), x, np.zeros(rows.size))
+    g = _add_product(_gather_rows(q._Q, rows), x, np.zeros(rows.size))
     g -= _b_on(q, rows)
     pos = x[rows] > 0
     viol_pos = float(np.max(np.abs(g[pos]))) if pos.any() else 0.0
@@ -1098,7 +1154,7 @@ def check_optimality(q, x, pagerank_box=None):
 def volume(q, S):
     """Stored nonzeros in the columns S of Q (by symmetry, of the rows S)."""
     S = np.asarray(S, dtype=np.int64)
-    return int((q.Q.indptr[S + 1] - q.Q.indptr[S]).sum())
+    return int((q._Q.indptr[S + 1] - q._Q.indptr[S]).sum())
 
 
 def internal_volume(q, S):

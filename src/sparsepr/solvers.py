@@ -313,10 +313,10 @@ def _apgd_loop(sub, alpha, L, S, x0s, T, counters, lower=None, observe=None,
             gs = ws.g[S]
         else:
             counters.restricted_gradients += 1
-            # ufunc reductions: ndarray.sum and .all wrap them in Python
-            counters.nnz_touched += int(np.add.reduce(col_nnz[x_in != 0]))
+            counters.nnz_touched += int(col_nnz @ (x_in != 0))
             qx.fill(0.0)
             gs = _add_product(sub.Q, x_in, qx) - sub.b
+        # a ufunc reduction: ndarray.all wraps it in Python
         nonpos_on_set = (ws is not None and (full or lower is not None)
                          and bool(np.logical_and.reduce(gs <= ws.tol)))
         if lower is not None and nonpos_on_set:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sparsepr import cli
+from sparsepr.solvers import SOLVER_TOKENS
 from sparsepr.suites import make_corpus
 
 CLI = [sys.executable, "-m", "sparsepr.cli"]
@@ -574,13 +575,48 @@ class TestBench:
 class TestUsage:
     def test_import_loads_no_csgraph_or_linalg(self):
         # Graph() counted components with scipy.sparse.csgraph, whose
-        # import also loaded scipy.linalg: about 0.06 s of every command
+        # import also loaded scipy.linalg: about 0.06 s of every command;
+        # scipy.sparse's package init took about half of the import
         code = ("import sys, sparsepr.cli; print(sorted(m for m in "
-                "('scipy.sparse.csgraph', 'scipy.linalg') if m in sys.modules))")
+                "('scipy.sparse', 'scipy.sparse.csgraph', 'scipy.linalg') "
+                "if m in sys.modules))")
         res = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout == "[]\n"
+
+    def test_solve_loads_no_scipy_sparse_module(self, two_node_file):
+        # every solver token, through cli.main, runs on scipy's compiled
+        # kernels alone, loaded without any module of the scipy.sparse
+        # package
+        code = (
+            "import sys\n"
+            "from sparsepr.cli import main\n"
+            "for token in %r:\n"
+            "    solver, _, variant = token.partition(':')\n"
+            "    extra = ['--variant', variant] if variant else []\n"
+            "    assert main(%r + [solver] + extra) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy.sparse'\n"
+            "             or m.startswith('scipy.sparse.')))\n"
+            % (SOLVER_TOKENS, solve_args(two_node_file, "")[:-1]))
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]"
+
+    def test_scipy_sparse_imported_later_shares_the_kernels(self):
+        # the kernels that sparsepr loaded are the functions that
+        # scipy.sparse binds when it is imported afterwards, and it works
+        code = ("import numpy as np, sparsepr, scipy.sparse as sp, "
+                "scipy.sparse.csgraph, scipy.sparse.linalg\n"
+                "from sparsepr import problem\n"
+                "print(sp._sparsetools.csr_matvec is problem.csr_matvec)\n"
+                "A = (sp.identity(3, format='csr') * 2.0).tocsc()\n"
+                "print(sp.linalg.spsolve(A, np.ones(3)).tolist())")
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "True\n[0.5, 0.5, 0.5]\n"
 
     def test_no_subcommand_shows_usage(self):
         res = run_cli()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from sparsepr import (
@@ -199,8 +200,16 @@ def test_ista_makes_positive_only_optimal_coordinates(seed, n, density, kind):
                         min_size=2, max_size=6))
 def test_cached_operator_builds_what_a_fresh_graph_builds(seed, kind, queries):
     # one graph answers a run of queries that switch alpha, rho and seed
-    # kind; each must equal the build on a graph that never cached anything
+    # kind; each must equal the build on a graph that never cached anything,
+    # and the adjacency and Q must equal what scipy's COO constructor and
+    # its + with the diagonal build
     graph = random_graph_instance(kind, {}, seed).graph
+    n, e = graph.n, graph.edges
+    adj = sp.csr_matrix((np.ones(2 * len(e), dtype=np.int8),
+                         (np.concatenate([e[:, 0], e[:, 1]]),
+                          np.concatenate([e[:, 1], e[:, 0]]))), shape=(n, n))
+    _assert_same_csr(graph._adj, adj)
+    dinv_sqrt = 1.0 / np.sqrt(np.diff(adj.indptr).astype(float))
     for alpha, rho, point, qseed in queries:
         rng = np.random.default_rng(qseed)
         if point:
@@ -217,6 +226,18 @@ def test_cached_operator_builds_what_a_fresh_graph_builds(seed, kind, queries):
                      (got.positive_b, ref.positive_b)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert got.max_abs_b == ref.max_abs_b
+        off = np.repeat(dinv_sqrt, np.diff(adj.indptr))
+        off *= dinv_sqrt[adj.indices]
+        off *= -(1.0 - alpha) / 2.0
+        _assert_same_csr(got._Q, sp.csr_matrix(
+            (off, adj.indices, adj.indptr), shape=(n, n))
+            + sp.identity(n, format="csr") * ((1.0 + alpha) / 2.0))
+
+
+def _assert_same_csr(got, ref):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 @common

@@ -433,8 +433,9 @@ def _community_query():
 
 
 class _GuardedEntries:
-    """A quadratic's ``Q`` whose entries (``data``) may be read only while
-    ``open``; every other attribute is the matrix's own."""
+    """A quadratic's ``_Q``, the CSR arrays that a solve reads, whose
+    entries (``data``) may be read only while ``open``; every other
+    attribute is the block's own."""
 
     def __init__(self, Q):
         self._Q = Q
@@ -458,7 +459,7 @@ class TestStageRestriction:
         # restricts Q to S, and cdpr reads its pivot's row and takes Q d,
         # from the rows the workspace gathered when S last grew
         q = make()
-        q.Q = guarded = _GuardedEntries(q.Q)
+        q._Q = guarded = _GuardedEntries(q._Q)
         gathers, grows = [], []
         gather, admit = problem._gather_rows, GradientWorkspace.admit
 
@@ -499,7 +500,7 @@ class TestPivotRows:
 
         def counting_gather(A, rows):
             block = gather(A, rows)
-            if A is q.Q:
+            if A is q._Q:  # the arrays of Q that a solve reads
                 read.append(int(block.indptr[-1]))
             return block
 
@@ -703,9 +704,9 @@ class TestPooledState:
     # a warm solve's (C-level, Python) calls on the 100^2 grid, as counted
     # with numpy 2.4 and scipy 1.17; numpy 1.x wraps other functions in
     # Python, so the bounds hold from numpy 2 on
-    CALL_BUDGET = {"ista": (266, 202), "cdpr": (460, 406),
-                   "aspr": (842, 304), "aspr:early": (758, 289),
-                   "aspr:constraints": (955, 327)}
+    CALL_BUDGET = {"ista": (266, 201), "cdpr": (460, 405),
+                   "aspr": (746, 303), "aspr:early": (680, 288),
+                   "aspr:constraints": (860, 326)}
 
     @pytest.mark.parametrize("token", SOLVER_TOKENS)
     def test_warm_solve_calls_do_not_depend_on_n(self, token):
