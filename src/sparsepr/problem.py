@@ -49,10 +49,9 @@ import numpy as np
 
 
 def _sparsetools():
-    """``scipy.sparse._sparsetools``, without the package init of
-    ``scipy.sparse`` (half the CLI's import time) unless it ran.  The
-    ``sys.modules`` entry that the extension's single-phase init leaves is
-    removed, so a later ``import scipy.sparse`` binds the same functions."""
+    """``scipy.sparse._sparsetools`` without ``scipy.sparse``'s package init
+    (half the CLI's import time) unless that ran; dropping the extension's
+    ``sys.modules`` entry lets a later ``scipy.sparse`` bind its functions."""
     name = "scipy.sparse._sparsetools"
     if "scipy.sparse" in sys.modules:
         return importlib.import_module(name)
@@ -126,17 +125,16 @@ class Graph:
         isolated nodes are rejected with a plain ``ValueError``.
 
     Construction of m edges takes O(n + m) time besides sorting each
-    node's neighbours, and sorts no pairs: a few scans check the ids, and
-    the kernels that scipy's COO constructor runs build the adjacency, a
-    :class:`_Block`: one counting sort puts both orientations of every pair
-    in their rows, then each row is sorted and repeats are summed, so a
-    repeat leaves fewer than 2m entries.  Besides the adjacency (``int8``
-    data, ``int32`` indices below 2^31 entries) and the degrees, it
-    allocates the 2m-entry row, column and data arrays of the conversion,
-    and the n labels and work list of the connectivity check, scipy's
-    ``cs_graph_components`` kernel, which reads the adjacency's index
-    arrays as they are.  Only a fault sorts the pairs, to name the first
-    bad one.
+    node's neighbours, and sorts no pairs: a few scans check the ids, one
+    counting sort (scipy's COO to CSR kernel) puts both orientations of
+    every pair in their rows, and scipy's kernels sort each row and sum
+    repeats, so a repeat leaves fewer than 2m entries.  Besides the
+    adjacency (a :class:`_Block`, ``int8`` data, ``int32`` indices below
+    2^31 entries) and the degrees, it allocates the 2m-entry row, column
+    and data arrays of the conversion, and the n labels and work list of
+    the connectivity check, scipy's ``cs_graph_components`` kernel, which
+    reads the adjacency's index arrays as they are.  Only a fault sorts
+    the pairs, to name the first bad one.
     """
 
     def __init__(self, n, edges):
@@ -405,8 +403,7 @@ class MQuadratic:
 
     ``Q`` is copied into a fresh CSR with duplicates summed, explicit zeros
     removed and indices sorted, and ``b`` is copied, so later writes to the
-    arguments cannot reach the quadratic; a solve reads it as ``_Q``, a
-    :class:`_Hessian`.  ``b`` is held in one form,
+    arguments cannot reach the quadratic.  ``b`` is held in one form,
     ``_parts = (base, nodes, values)``: the read-only ``base`` with
     ``values`` at the sorted int64 ``nodes``.  Here ``base`` is ``b``
     itself and ``nodes`` is empty.  Only :meth:`corrected` keeps its
@@ -440,7 +437,9 @@ class MQuadratic:
             if not res.ok:
                 raise ValueError("invalid M-matrix quadratic: " + "; ".join(res.violations))
         b.setflags(write=False)
-        self._set(Q, (b, np.empty(0, dtype=np.int64), np.empty(0)),
+        H = _Hessian((Q.indptr, Q.indices, Q.data))
+        H.matrix = Q  # the canonical copy is the scipy view
+        self._set(H, (b, np.empty(0, dtype=np.int64), np.empty(0)),
                   max_abs_b, np.flatnonzero(b > 0.0), alpha, L, [])
         self._b = b
 
@@ -450,8 +449,8 @@ class MQuadratic:
         """The quadratic whose ``b`` is the shared ``base`` with ``values``
         at the sorted int64 ``nodes``; all three are read-only and kept
         uncopied.  The caller vouches for what this cannot check without
-        reading all of ``base``: ``Q`` is a frozen canonical CSR (or
-        :class:`_Hessian`) of a valid M-matrix, and ``max_abs_b`` and
+        reading all of ``base``: ``Q`` is a :class:`_Hessian` of a frozen
+        canonical CSR of a valid M-matrix, and ``max_abs_b`` and
         ``positive_b`` are the facts of that ``b``.  The quadratic keeps
         ``spare`` as its list of spare solve buffers."""
         _check_finite(max_abs_b, alpha, L)
@@ -462,9 +461,6 @@ class MQuadratic:
 
     def _set(self, Q, parts, max_abs_b, positive_b, alpha, L, spare):
         positive_b.setflags(write=False)
-        if not isinstance(Q, _Hessian):  # a csr_matrix: it is the view
-            matrix, Q = Q, _Hessian((Q.indptr, Q.indices, Q.data))
-            Q.matrix = matrix
         self._Q = Q
         self._b = None  # the dense b, once built
         self._parts = parts
@@ -538,8 +534,8 @@ class PageRankOperator:
         dinv_sqrt = 1.0 / sqrt_d
 
         # the off-diagonal part on adj's pattern plus the diagonal, in the
-        # index dtype of scipy's +; the sum of two canonical CSRs with no
-        # zero is canonical and keeps all n + 2m entries
+        # index dtype of scipy's + (adj's ids widened if n + 2m >= 2^31); a
+        # sum of canonical CSRs with no zero is canonical, n + 2m entries
         off = np.repeat(dinv_sqrt, graph.degrees)  # dinv_sqrt of each row
         off *= dinv_sqrt[adj.indices]
         off *= -(1.0 - a) / 2.0
@@ -548,7 +544,8 @@ class PageRankOperator:
         Q = _Hessian((np.empty(n + 1, dtype=idx), np.empty(nnz, dtype=idx),
                       np.empty(nnz)))
         eye = np.arange(n + 1, dtype=idx)
-        csr_plus_csr(n, n, adj.indptr, adj.indices, off, eye, eye[:n],
+        csr_plus_csr(n, n, adj.indptr.astype(idx, copy=False),
+                     adj.indices.astype(idx, copy=False), off, eye, eye[:n],
                      np.full(n, (1.0 + a) / 2.0), *Q)
 
         for arr in (*Q, sqrt_d, dinv_sqrt):
@@ -752,9 +749,8 @@ class _Hessian(_Block):
     @functools.cached_property
     def matrix(self):
         import scipy.sparse as sp
-        indptr, indices, data = self
-        return sp.csr_matrix((data, indices, indptr),
-                             shape=(indptr.size - 1,) * 2)
+        return sp.csr_matrix((self.data, self.indices, self.indptr),
+                             shape=(self.indptr.size - 1,) * 2)
 
 
 def _gather_rows(A, rows):

@@ -30,6 +30,7 @@ from sparsepr.oracle import GRAPH_KINDS, random_m_matrix
 from sparsepr.problem import (
     GradientWorkspace,
     restrict,
+    _Hessian,
     _add_product,
     _gather_rows,
     _sorted_union,
@@ -170,7 +171,9 @@ def _int64_indexed(q):
     Q.has_canonical_format = True
     for arr in (Q.data, Q.indices, Q.indptr):
         arr.setflags(write=False)
-    return MQuadratic.corrected(Q, q.b, np.empty(0, dtype=np.int64),
+    H = _Hessian((Q.indptr, Q.indices, Q.data))
+    H.matrix = Q  # scipy's constructor would narrow the ids too
+    return MQuadratic.corrected(H, q.b, np.empty(0, dtype=np.int64),
                                 np.empty(0), q.max_abs_b, q.positive_b,
                                 q.alpha, q.L, [])
 

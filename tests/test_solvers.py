@@ -434,15 +434,16 @@ def _community_query():
 
 class _GuardedEntries:
     """A quadratic's ``_Q``, the CSR arrays that a solve reads, whose
-    entries (``data``) may be read only while ``open``; every other
-    attribute is the block's own."""
+    entries may be read only while ``open``: ``data``, and ``matrix``, the
+    scipy view that ``q.Q`` returns; every other attribute is the block's
+    own."""
 
     def __init__(self, Q):
         self._Q = Q
         self.open = False
 
     def __getattr__(self, name):
-        if name == "data" and not self.open:
+        if name in ("data", "matrix") and not self.open:
             raise AssertionError("Q's entries were read outside _gather_rows")
         return getattr(self._Q, name)
 
